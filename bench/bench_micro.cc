@@ -174,8 +174,8 @@ void BM_GenerateCandidates(benchmark::State& state) {
     benchmark::DoNotOptimize(
         GenerateCandidates(ctx, tuples, nullptr, threads));
   }
-  MatchEngine::Stats stats;
-  (void)ParallelAllParaMatch(ctx, tuples, threads, nullptr, &stats);
+  BspAllMatch bsp(ctx, {.num_workers = static_cast<uint32_t>(threads)});
+  const MatchEngine::Stats stats = bsp.Run(tuples).stats;
   state.counters["hv_batch_calls"] = static_cast<double>(stats.hv_batch_calls);
   state.counters["hv_cache_hits"] = static_cast<double>(stats.hv_cache_hits);
   state.counters["hrho_batch_calls"] =
@@ -192,7 +192,6 @@ void BM_GenerateCandidates(benchmark::State& state) {
       static_cast<double>(stats.memo_probe_len);
   state.counters["hv_memo_load_factor"] = stats.hv_memo_load_factor;
   state.counters["hrho_memo_load_factor"] = stats.hrho_memo_load_factor;
-  state.counters["cand_gen_s"] = stats.candidate_gen_seconds;
 }
 BENCHMARK(BM_GenerateCandidates)
     ->Arg(1)
@@ -375,8 +374,7 @@ BENCHMARK(BM_SPairCold)->Unit(benchmark::kMicrosecond);
 void BM_BspAllMatch(benchmark::State& state) {
   // The parallel engine end to end over range(0) workers, surfacing the
   // fault-tolerance telemetry (all zero here: no injector installed, so
-  // the checkpoint/recovery machinery is fully bypassed — this is the
-  // number HER_FAULTS=OFF release builds must match).
+  // the checkpoint/recovery machinery is fully bypassed).
   BenchSystem& bs = Shared();
   const auto& ctx = bs.system->context();
   const auto tuples = bs.data.canonical.TupleVertices();
@@ -417,8 +415,7 @@ BENCHMARK(BM_BspAllMatch)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 void BM_BspAllMatchFaulted(benchmark::State& state) {
   // Same run under an injected fault plan (crash at superstep 1 plus 20%
   // drop / 10% duplication): measures the checkpoint + recovery + audit
-  // overhead relative to BM_BspAllMatch. Compiled out with HER_FAULTS=OFF
-  // (the plan is simply ignored there, making the two benchmarks equal).
+  // overhead relative to BM_BspAllMatch.
   BenchSystem& bs = Shared();
   const auto& ctx = bs.system->context();
   const auto tuples = bs.data.canonical.TupleVertices();

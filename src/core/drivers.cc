@@ -277,93 +277,4 @@ std::vector<MatchPair> AllParaMatch(MatchEngine& engine,
   return AllParaMatchImpl(engine, tuple_vertices, &index, &options);
 }
 
-std::vector<MatchPair> ParallelAllParaMatch(
-    const MatchContext& ctx, std::span<const VertexId> tuple_vertices,
-    size_t num_workers, const InvertedIndex* index,
-    MatchEngine::Stats* stats, const RunOptions* options) {
-  if (num_workers == 0) num_workers = 1;
-  const size_t n =
-      std::max<size_t>(1, std::min(num_workers, tuple_vertices.size()));
-  // Round-robin shares: neighbouring tuple vertices tend to have similar
-  // candidate counts, so striding balances better than contiguous chunks.
-  std::vector<std::vector<VertexId>> shares(n);
-  for (size_t i = 0; i < tuple_vertices.size(); ++i) {
-    shares[i % n].push_back(tuple_vertices[i]);
-  }
-  std::vector<std::vector<MatchPair>> partial(n);
-  std::vector<MatchEngine::Stats> worker_stats(n);
-  ParallelFor(n, n, [&](size_t w) {
-    // Private engine per worker; the context (graphs, scorers,
-    // PropertyTable) is shared read-only.
-    MatchEngine engine(ctx);
-    partial[w] = AllParaMatchImpl(engine, shares[w], index, options);
-    worker_stats[w] = engine.stats();
-  });
-  std::vector<MatchPair> out;
-  size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  out.reserve(total);
-  for (const auto& p : partial) out.insert(out.end(), p.begin(), p.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (stats != nullptr) {
-    for (const MatchEngine::Stats& s : worker_stats) {
-      stats->para_match_calls += s.para_match_calls;
-      stats->cache_hits += s.cache_hits;
-      stats->cleanup_reruns += s.cleanup_reruns;
-      stats->stale_restarts += s.stale_restarts;
-      stats->budget_exhausted += s.budget_exhausted;
-      stats->hrho_evaluations += s.hrho_evaluations;
-      stats->border_assumptions += s.border_assumptions;
-      stats->candidate_gen_seconds += s.candidate_gen_seconds;
-      stats->candidate_gen_runs += s.candidate_gen_runs;
-      stats->hrho_embed_reuse += s.hrho_embed_reuse;
-      stats->hrho_list_memo_hits += s.hrho_list_memo_hits;
-      stats->hrho_list_memo_evictions += s.hrho_list_memo_evictions;
-      // h_v / h_rho scorer counters snapshot the shared scorer (global,
-      // not per-engine): the freshest snapshot wins instead of summing.
-      stats->hv_batch_calls = std::max(stats->hv_batch_calls,
-                                       s.hv_batch_calls);
-      stats->hv_cache_hits = std::max(stats->hv_cache_hits, s.hv_cache_hits);
-      stats->hv_cache_evictions =
-          std::max(stats->hv_cache_evictions, s.hv_cache_evictions);
-      stats->hrho_batch_calls =
-          std::max(stats->hrho_batch_calls, s.hrho_batch_calls);
-      stats->hrho_hash_rejects =
-          std::max(stats->hrho_hash_rejects, s.hrho_hash_rejects);
-      // ANN counters also snapshot a shared object (the context's
-      // IvfIndex); freshest snapshot wins.
-      stats->ann_probes = std::max(stats->ann_probes, s.ann_probes);
-      stats->ann_lists_scanned =
-          std::max(stats->ann_lists_scanned, s.ann_lists_scanned);
-      stats->ann_points_scanned =
-          std::max(stats->ann_points_scanned, s.ann_points_scanned);
-      stats->ann_fallbacks = std::max(stats->ann_fallbacks, s.ann_fallbacks);
-      stats->ann_recall = s.ann_recall;
-      stats->ann_build_seconds =
-          std::max(stats->ann_build_seconds, s.ann_build_seconds);
-      // Memo probe counters snapshot the shared caching scorers (freshest
-      // wins); the engine verdict-table load factor is per-engine but an
-      // occupancy, so the busiest worker is the meaningful aggregate.
-      stats->memo_probe_batches =
-          std::max(stats->memo_probe_batches, s.memo_probe_batches);
-      stats->memo_probe_len =
-          std::max(stats->memo_probe_len, s.memo_probe_len);
-      stats->hv_memo_load_factor =
-          std::max(stats->hv_memo_load_factor, s.hv_memo_load_factor);
-      stats->hrho_memo_load_factor =
-          std::max(stats->hrho_memo_load_factor, s.hrho_memo_load_factor);
-      stats->engine_cache_load_factor = std::max(
-          stats->engine_cache_load_factor, s.engine_cache_load_factor);
-      // Fault-tolerance telemetry: unresolved pairs sum across the disjoint
-      // worker shares; deadline_expired is a flag (any worker expiring
-      // marks the whole run degraded).
-      stats->unresolved_pairs += s.unresolved_pairs;
-      stats->deadline_expired =
-          std::max(stats->deadline_expired, s.deadline_expired);
-    }
-  }
-  return out;
-}
-
 }  // namespace her

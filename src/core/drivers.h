@@ -67,23 +67,6 @@ std::vector<MatchPair> GenerateCandidates(
 /// (index-less) VPair / APair scans.
 std::vector<VertexId> AllVertices(const Graph& g);
 
-/// AllParaMatch fanned across `num_workers` threads: tuple vertices are
-/// partitioned round-robin, each worker verifies its share with a private
-/// MatchEngine over the shared read-only context (graphs, scorers,
-/// PropertyTable), and the per-worker verdict sets are merged, deduped and
-/// sorted. An intra-process analogue of the BSP engine's shared-nothing
-/// discipline; by Proposition 4 verdicts are evaluation-order independent,
-/// so the result is bit-identical to serial AllParaMatch for every worker
-/// count. `index` enables inverted-index blocking; `stats`, when non-null,
-/// receives the summed per-worker engine counters. `options`, when
-/// non-null, is installed on every worker engine: on expiry each worker
-/// degrades independently (partial Pi, unresolved pairs summed into
-/// `stats->unresolved_pairs`, `stats->deadline_expired` set).
-std::vector<MatchPair> ParallelAllParaMatch(
-    const MatchContext& ctx, std::span<const VertexId> tuple_vertices,
-    size_t num_workers, const InvertedIndex* index = nullptr,
-    MatchEngine::Stats* stats = nullptr, const RunOptions* options = nullptr);
-
 }  // namespace her
 
 #endif  // HER_CORE_DRIVERS_H_

@@ -43,10 +43,9 @@ struct CandidateGenConfig {
 };
 
 /// The identity candidate pool [0, |V(G)|), materialized at most once and
-/// shared by every copy of a MatchContext (the BSP workers and
-/// ParallelAllParaMatch copy the context; the pool state is behind a
-/// shared_ptr so they all reuse one vector instead of re-allocating
-/// |V| ids per driver call). Thread-safe via call_once. Valid as long as
+/// shared by every copy of a MatchContext (the BSP engine's candidate
+/// scan copies the context; the pool state is behind a shared_ptr so all
+/// copies reuse one vector instead of re-allocating |V| ids per call). Thread-safe via call_once. Valid as long as
 /// the graph's vertex count is stable, which MatchContext guarantees
 /// (UpdateGraph swaps graph versions with an identical vertex set).
 class SharedVertexPool {

@@ -41,56 +41,60 @@ double PraScore(const std::vector<size_t>& out_degrees) {
 
 std::vector<PraPath> MaxPraPaths(const Graph& g, VertexId root,
                                  size_t max_len) {
-  // best[v] = (pra, hop, predecessor, edge label) of the best path found so
-  // far ending at v. Layered relaxation: paths of length 1..max_len.
-  struct Entry {
-    double pra = 0.0;
-    VertexId pred = kInvalidVertex;
-    LabelId label = kInvalidLabel;
+  // Layered relaxation over paths of length 1..max_len. Each layer's best
+  // paths are frozen as parent-linked hops when the layer ends: best[v] may
+  // later move to a longer, higher-PRA path, so a descendant's labels are
+  // never rebuilt by walking best[pred].
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  struct Hop {
+    size_t parent;  // kNone for the first hop out of the root
+    LabelId label;
+    double pra;
   };
-  std::unordered_map<VertexId, Entry> best;
-
-  // Frontier of (vertex, pra of best path of current length).
-  std::vector<std::pair<VertexId, double>> frontier = {
-      {root, 1.0}};
-  // Hoisted out of the relaxation loop: clear() keeps the bucket array, so
-  // after the first round the map rehashes (and allocates) nothing.
-  std::unordered_map<VertexId, double> next_pra;
-  next_pra.reserve(g.OutDegree(root));
+  struct Best {
+    Hop last;            // last hop of the best path found so far
+    size_t hop = kNone;  // its index in `hops`; kNone while its layer runs
+  };
+  std::vector<Hop> hops;
+  std::unordered_map<VertexId, Best> best;
+  // (vertex, hop ending its best path of the current length).
+  std::vector<std::pair<VertexId, size_t>> frontier = {{root, kNone}};
+  std::vector<VertexId> improved;
 
   for (size_t len = 1; len <= max_len && !frontier.empty(); ++len) {
-    next_pra.clear();
-    for (const auto& [v, pra] : frontier) {
+    improved.clear();
+    for (const auto& [v, from] : frontier) {
       const size_t deg = g.OutDegree(v);
       if (deg == 0) continue;
-      const double child_pra = pra / static_cast<double>(deg);
+      const double child_pra = (from == kNone ? 1.0 : hops[from].pra) /
+                               static_cast<double>(deg);
       for (const Edge& e : g.OutEdges(v)) {
         if (e.dst == root) continue;  // a cycle back to the root is useless
-        auto it = best.find(e.dst);
-        if (it == best.end() || child_pra > it->second.pra) {
-          best[e.dst] = Entry{child_pra, v, e.label};
-          next_pra[e.dst] = std::max(next_pra[e.dst], child_pra);
-        }
+        auto [it, fresh] = best.try_emplace(e.dst);
+        if (!fresh && child_pra <= it->second.last.pra) continue;
+        if (fresh || it->second.hop != kNone) improved.push_back(e.dst);
+        it->second = Best{Hop{from, e.label, child_pra}, kNone};
       }
     }
-    frontier.assign(next_pra.begin(), next_pra.end());
+    frontier.clear();
+    for (const VertexId v : improved) {
+      Best& b = best.at(v);
+      b.hop = hops.size();
+      hops.push_back(b.last);
+      frontier.emplace_back(v, b.hop);
+    }
     // Deterministic relaxation order across runs.
     std::sort(frontier.begin(), frontier.end());
   }
 
   std::vector<PraPath> out;
   out.reserve(best.size());
-  for (const auto& [v, entry] : best) {
+  for (const auto& [v, b] : best) {
     PraPath p;
-    p.pra = entry.pra;
+    p.pra = b.last.pra;
     p.path.endpoint = v;
-    // Reconstruct labels by walking predecessors.
-    VertexId cur = v;
-    while (cur != root) {
-      const Entry& e = best.at(cur);
-      p.path.labels.push_back(e.label);
-      cur = e.pred;
-      HER_CHECK(p.path.labels.size() <= max_len);
+    for (size_t h = b.hop; h != kNone; h = hops[h].parent) {
+      p.path.labels.push_back(hops[h].label);
     }
     std::reverse(p.path.labels.begin(), p.path.labels.end());
     out.push_back(std::move(p));

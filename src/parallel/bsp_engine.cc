@@ -30,11 +30,13 @@ namespace {
 /// A Worker is one logical FRAGMENT of the computation, not a host: crash
 /// recovery never merges fragments (the greedy lineage matching is not
 /// confluent, so merging would change which fixpoint the run lands on).
-/// Instead a crashed host's fragment is rebuilt from its checkpoint — a
-/// plain copy of this struct, which is why it is copyable — and carried on
-/// by a surviving host with its state, locality and routing unchanged.
+/// Instead a crashed host's fragment is rebuilt from its checkpoint — the
+/// SaveWorker bytes of the durable shard format — and carried on by a
+/// surviving host with its state, locality and routing unchanged.
 struct Worker {
   explicit Worker(const MatchContext& ctx) : engine(ctx) {}
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
 
   MatchEngine engine;
   std::vector<MatchPair> owned_candidates;  // root candidates to verify
@@ -75,12 +77,28 @@ void Subscribe(Worker& w, const MatchPair& p, uint32_t origin) {
   }
 }
 
+/// Pair -> fragment ownership of one run: the configured pair_owner when
+/// set, otherwise the G-side partition owner of v.
+struct PairOwner {
+  const std::function<uint32_t(const MatchPair&)>& pair_owner;
+  const VertexPartition& part;
+
+  uint32_t operator()(const MatchPair& p) const {
+    return pair_owner ? pair_owner(p) : part.owner[p.second];
+  }
+};
+
 /// Copies the shared-scorer/table snapshot fields of one worker's stats
 /// into the aggregate. Every engine snapshots the same shared objects, so
 /// these are assigned (any worker's copy is the global value), never
 /// summed like the per-engine counters.
 void AssignSharedSnapshots(const MatchEngine::Stats& s,
                            MatchEngine::Stats* agg) {
+  agg->hv_batch_calls = s.hv_batch_calls;
+  agg->hv_cache_hits = s.hv_cache_hits;
+  agg->hv_cache_evictions = s.hv_cache_evictions;
+  agg->hrho_batch_calls = s.hrho_batch_calls;
+  agg->hrho_hash_rejects = s.hrho_hash_rejects;
   agg->hr_batch_calls = s.hr_batch_calls;
   agg->hr_lstm_batch_calls = s.hr_lstm_batch_calls;
   agg->hr_lstm_lanes = s.hr_lstm_lanes;
@@ -110,6 +128,8 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->hrho_embed_reuse += s.hrho_embed_reuse;
   agg->hrho_list_memo_hits += s.hrho_list_memo_hits;
   agg->hrho_list_memo_evictions += s.hrho_list_memo_evictions;
+  agg->candidate_gen_seconds += s.candidate_gen_seconds;
+  agg->candidate_gen_runs += s.candidate_gen_runs;
   // Load factors are occupancies, not counts: the busiest worker's table is
   // the meaningful fleet-level number.
   agg->engine_cache_load_factor =
@@ -130,7 +150,7 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
 /// analogue of MatchEngine::ResolveOutcomes), which keeps the degraded Pi
 /// a subset of the fault-free Pi.
 void CollectResults(const std::vector<std::unique_ptr<Worker>>& workers,
-                    const std::function<uint32_t(const MatchPair&)>& owner_of,
+                    const PairOwner& owner_of,
                     const std::vector<MatchPair>& roots,
                     ParallelResult* result) {
   result->outcomes.reserve(roots.size());
@@ -533,25 +553,121 @@ size_t FramePairCapForBudget(size_t budget_bytes) {
   return std::max<size_t>(1024, budget_bytes / 2 / sizeof(MatchPair));
 }
 
+/// One run's job input and settings: what every fragment is built from —
+/// cold start, partial rebuild or crash restore — and what the finished
+/// workers are summarized against.
+struct RunSetup {
+  const MatchContext& ctx;
+  const VertexPartition& part;
+  PairOwner owner_of;
+  const std::vector<MatchPair>& candidates;  // job input, arrival order
+  const RunOptions& options;
+  size_t memo_cap;  // 0 = engine default
+  FaultInjector* injector;
+
+  static RunSetup For(const MatchContext& ctx, const ParallelConfig& config,
+                      const VertexPartition& part,
+                      const std::vector<MatchPair>& candidates,
+                      const RunOptions& options) {
+    return {.ctx = ctx,
+            .part = part,
+            .owner_of = {config.pair_owner, part},
+            .candidates = candidates,
+            .options = options,
+            .memo_cap = ListsMemoCapForBudget(config.worker_mem_budget_bytes),
+            .injector = config.faults};
+  }
+
+  /// A fragment without state: locality filter, run options and the
+  /// budgeted memo cap applied. The filter borrows this setup, which
+  /// outlives the run's workers.
+  std::unique_ptr<Worker> Empty(uint32_t frag) const {
+    auto w = std::make_unique<Worker>(ctx);
+    w->engine.SetLocalityFilter([this, frag](VertexId u, VertexId v) {
+      return owner_of(MatchPair{u, v}) == frag;
+    });
+    w->engine.SetRunOptions(options);
+    if (memo_cap != 0) w->engine.SetListsMemoCap(memo_cap);
+    return w;
+  }
+
+  /// Replaces every fragment f with cold[f] set by a fresh one holding
+  /// its job input: the root candidates it owns, in arrival order.
+  void ColdStart(const std::vector<uint8_t>& cold,
+                 std::vector<std::unique_ptr<Worker>>* workers) const {
+    for (uint32_t f = 0; f < workers->size(); ++f) {
+      if (cold[f] != 0) (*workers)[f] = Empty(f);
+    }
+    for (const MatchPair& c : candidates) {
+      const uint32_t f = owner_of(c);
+      if (cold[f] != 0) (*workers)[f]->owned_candidates.push_back(c);
+    }
+  }
+
+  /// Fragment `frag` restored from its crash checkpoint through
+  /// LoadWorker, the disk-resume serializer. Its inboxes are cleared:
+  /// in-flight messages die with the host; the audit re-derives them.
+  std::unique_ptr<Worker> Restore(uint32_t frag,
+                                  const ByteWriter& checkpoint) const {
+    auto w = Empty(frag);
+    ByteReader r(checkpoint.data());
+    const Status st = LoadWorker(&r, w.get());
+    HER_CHECK(st.ok());  // a self-written checkpoint always decodes
+    w->request_inbox.clear();
+    w->invalid_inbox.clear();
+    return w;
+  }
+
+  /// Fills the run-wide half of `result` once every worker has stopped:
+  /// summed engine counters, the busiest worker, injected-fault and
+  /// flaky-scorer counters, partition quality, peak RSS and — unless the
+  /// run halted — Pi over the sorted, deduplicated `roots`.
+  void Finish(const std::vector<std::unique_ptr<Worker>>& workers,
+              const std::vector<MatchPair>& roots,
+              ParallelResult* result) const {
+    for (const auto& w : workers) {
+      const MatchEngine::Stats& s = w->engine.stats();
+      SumWorkerStats(s, &result->stats);
+      result->max_worker_calls =
+          std::max(result->max_worker_calls, s.para_match_calls);
+    }
+    if (injector != nullptr) {
+      result->stats.faults_injected = injector->injected();
+    }
+    if (const auto* flaky = dynamic_cast<const FlakyVertexScorer*>(ctx.hv)) {
+      result->stats.fault_retries += flaky->Retries();
+      result->stats.faults_injected += flaky->FaultedCalls();
+    }
+    result->partition.edge_cut_edges = part.edge_cut_edges;
+    result->partition.edge_cut_fraction = part.EdgeCutFraction(*ctx.g);
+    result->partition.border_vertices = part.border_vertices;
+    result->partition.max_fragment_imbalance = part.max_fragment_imbalance;
+    result->peak_rss_bytes = PeakRssBytes();
+    // Pi = union of owned partial results (Section VI-B, termination).
+    // Every fragment exists and is authoritative for its owned pairs —
+    // crashed hosts' fragments were rebuilt on survivors. A halted run
+    // reports no Pi: its verdicts live in the on-disk checkpoint.
+    if (!result->halted) CollectResults(workers, owner_of, roots, result);
+  }
+};
+
 }  // namespace
 
 Status BspAllMatch::Validate(std::span<const MatchPair> candidates) const {
   if (config_.num_workers == 0) {
     return Status::InvalidArgument("ParallelConfig.num_workers must be > 0");
   }
-  if constexpr (kFaultInjectionEnabled) {
-    if (config_.faults != nullptr && config_.faults->plan().crash) {
-      const CrashFault& crash = *config_.faults->plan().crash;
-      if (config_.num_workers < 2) {
-        return Status::InvalidArgument(
-            "crash fault plans need at least 2 workers: a lone host has "
-            "no survivor to recover its fragment on");
-      }
-      if (crash.worker >= config_.num_workers) {
-        return Status::InvalidArgument(
-            "crash fault plan names worker " + std::to_string(crash.worker) +
-            " but num_workers is " + std::to_string(config_.num_workers));
-      }
+  if (config_.faults != nullptr && config_.faults->plan().crash) {
+    const CrashFault& crash = *config_.faults->plan().crash;
+    if (config_.num_workers < 2) {
+      return Status::InvalidArgument(
+          "crash fault plans need at least 2 workers: a lone host has "
+          "no survivor to recover its fragment on");
+    }
+    if (crash.worker >= config_.num_workers) {
+      return Status::InvalidArgument(
+          "crash fault plan names worker " + std::to_string(crash.worker) +
+          " but num_workers is " + std::to_string(config_.num_workers));
     }
   }
   const size_t nu = ctx_.gd->num_vertices();
@@ -585,15 +701,12 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   if (!result.status.ok()) return result;
 
   const uint32_t n = config_.num_workers;
-  FaultInjector* injector = nullptr;
-  if constexpr (kFaultInjectionEnabled) injector = config_.faults;
-
   const VertexPartition part =
       PartitionVertices(*ctx_.g, n, config_.strategy);
-  const auto owner_of = [this, &part](const MatchPair& p) -> uint32_t {
-    return config_.pair_owner ? config_.pair_owner(p)
-                              : part.owner[p.second];
-  };
+  const RunSetup run =
+      RunSetup::For(ctx_, config_, part, candidates, options);
+  const PairOwner& owner_of = run.owner_of;
+  FaultInjector* const injector = run.injector;
   // Fragment -> host. Identity until a crash: the dead host's fragments
   // migrate to a survivor, which then processes several fragments per
   // superstep. Ownership, locality and routing stay FRAGMENT-based, so
@@ -604,34 +717,22 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   std::vector<uint32_t> host_of(n);
   for (uint32_t i = 0; i < n; ++i) host_of[i] = i;
 
-  const size_t memo_cap = ListsMemoCapForBudget(config_.worker_mem_budget_bytes);
-  // Fresh fragment worker: locality filter, run options and the budgeted
-  // memo cap applied; the caller distributes its owned candidates.
-  const auto make_worker = [&](uint32_t frag) {
-    auto w = std::make_unique<Worker>(ctx_);
-    w->engine.SetLocalityFilter(
-        [&owner_of, frag](VertexId u, VertexId v) {
-          return owner_of(MatchPair{u, v}) == frag;
-        });
-    w->engine.SetRunOptions(options);
-    if (memo_cap != 0) w->engine.SetListsMemoCap(memo_cap);
-    return w;
-  };
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) workers.push_back(make_worker(i));
+  std::vector<std::unique_ptr<Worker>> workers(n);
+  run.ColdStart(std::vector<uint8_t>(n, 1), &workers);
   const std::vector<MatchPair> roots = SortedUnique(candidates);
-  for (const MatchPair& c : candidates) {
-    workers[owner_of(c)]->owned_candidates.push_back(c);
-  }
 
   std::vector<bool> alive(n, true);  // hosts, not fragments
-  // Superstep-boundary checkpoints: full fragment copies (verdicts,
-  // dependency index, eval budgets, messaging control state), so a
-  // restored fragment continues on the exact fault-free trajectory.
-  // In-flight messages are deliberately not checkpointed — the audit
-  // sweep re-derives them from the requester-side `assumed` sets.
-  std::vector<std::unique_ptr<Worker>> checkpoints(n);
+  // Crash-recovery checkpoints, kept only under a fault plan: each
+  // fragment's SaveWorker bytes (the durable shard format) at the last
+  // superstep boundary, or its job input before round 0. Restoring them
+  // puts a fragment back on the exact fault-free trajectory.
+  std::vector<ByteWriter> checkpoints(n);
+  const auto take_checkpoints = [&] {
+    for (uint32_t f = 0; f < n; ++f) {
+      checkpoints[f] = ByteWriter();
+      SaveWorker(*workers[f], &checkpoints[f]);
+    }
+  };
 
   // --- durable checkpoint/resume (crash-restart recovery) ---
   const CheckpointOptions& ckpt = config_.checkpoint;
@@ -679,43 +780,28 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
           dirty[f] = 0;
           continue;
         }
-        // Partial rebuild: only this fragment cold-starts. The failed
-        // restore may have partially overwritten its state, so the worker
-        // is rebuilt from the job input.
+        // Partial rebuild: only this fragment cold-starts.
         std::cerr << "her: checkpoint shard " << f << " invalid ("
                   << ss.ToString() << "); cold-starting fragment " << f
                   << std::endl;
-        workers[f] = make_worker(f);
-        for (const MatchPair& c : candidates) {
-          if (owner_of(c) == f) workers[f]->owned_candidates.push_back(c);
-        }
         bootstrap[f] = 1;
         any_bootstrap = true;
       }
-      if (injector != nullptr) {
-        // Mirror the in-memory crash checkpoint the interrupted run held
-        // at this boundary, so a crash plan firing right after resume
-        // recovers onto the same trajectory.
-        for (uint32_t f = 0; f < n; ++f) {
-          checkpoints[f] = std::make_unique<Worker>(*workers[f]);
-          checkpoints[f]->request_inbox.clear();
-          checkpoints[f]->invalid_inbox.clear();
-        }
-      }
+      // A failed shard restore may have partially overwritten its
+      // fragment, so those fragments are rebuilt from the job input.
+      if (any_bootstrap) run.ColdStart(bootstrap, &workers);
     } else {
       // Graceful degradation: a missing/corrupt/stale meta costs the warm
-      // start, never correctness. A failed restore may have partially
-      // overwritten fragment state, so every worker is rebuilt from the
-      // job input before the cold start.
+      // start, never correctness. No shard was read, so the fragments are
+      // still the cold start's.
       std::cerr << "her: checkpoint resume failed ("
                 << st.ToString() << "); starting cold" << std::endl;
-      for (uint32_t i = 0; i < n; ++i) workers[i] = make_worker(i);
-      for (const MatchPair& c : candidates) {
-        workers[owner_of(c)]->owned_candidates.push_back(c);
-      }
-      std::fill(shard_epochs.begin(), shard_epochs.end(), 0);
     }
   }
+  // The first crash checkpoint: the boundary this run starts from (job
+  // input, or the resumed state), so a crash plan firing in the first
+  // superstep recovers onto the same trajectory.
+  if (injector != nullptr) take_checkpoints();
 
   // Superstep body: PPSim on round 0, IncPSim afterwards. A fragment
   // cold-started by a partial rebuild (`boot`) re-runs its owned
@@ -834,44 +920,32 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   std::vector<double> busy(n, 0.0);
   for (size_t round = start_round;; ++round) {
     // --- fault hook: host crash at the start of this superstep ---
-    if constexpr (kFaultInjectionEnabled) {
-      if (injector != nullptr && injector->plan().crash.has_value()) {
-        const CrashFault crash = *injector->plan().crash;
-        if (crash.superstep == round && alive[crash.worker]) {
-          // The host dies with everything it held in memory: its
-          // fragment's state and the messages routed into its inboxes at
-          // the end of the previous superstep.
-          const uint32_t victim = crash.worker;
-          alive[victim] = false;
-          injector->CountInjection();
-          ++result.stats.recoveries;
-          uint32_t sv = 0;
-          while (!alive[sv]) ++sv;
-          for (uint32_t f = 0; f < n; ++f) {
-            if (host_of[f] == victim) host_of[f] = sv;
-          }
-          // GRAPE-style data-parallel recovery: rebuild the lost fragment
-          // from its last superstep-boundary checkpoint — a full fragment
-          // copy, so the survivor re-executes exactly the computation the
-          // dead host would have run. A round-0 crash predates the first
-          // checkpoint; the fragment restarts from its job input (the
-          // candidate assignment), which is equally exact.
-          if (checkpoints[victim] != nullptr) {
-            workers[victim] = std::make_unique<Worker>(*checkpoints[victim]);
-          } else {
-            auto fresh = make_worker(victim);
-            for (const MatchPair& c : candidates) {
-              if (owner_of(c) == victim) fresh->owned_candidates.push_back(c);
-            }
-            workers[victim] = std::move(fresh);
-          }
-          dirty[victim] = 1;  // in-memory state diverged from its shard
-          // The in-flight messages that died in the victim's inboxes are
-          // re-derived from the surviving assumption sets before the
-          // superstep proceeds, so the restored fragment sees the same
-          // deliveries the fault-free run would have.
-          audit();
+    if (injector != nullptr && injector->plan().crash.has_value()) {
+      const CrashFault crash = *injector->plan().crash;
+      if (crash.superstep == round && alive[crash.worker]) {
+        // The host dies with everything it held in memory: its fragment's
+        // state and the messages routed into its inboxes at the end of the
+        // previous superstep.
+        const uint32_t victim = crash.worker;
+        alive[victim] = false;
+        injector->CountInjection();
+        ++result.stats.recoveries;
+        uint32_t sv = 0;
+        while (!alive[sv]) ++sv;
+        for (uint32_t f = 0; f < n; ++f) {
+          if (host_of[f] == victim) host_of[f] = sv;
         }
+        // GRAPE-style data-parallel recovery: rebuild the lost fragment
+        // from its last superstep-boundary checkpoint, so the survivor
+        // re-executes exactly the computation the dead host would have
+        // run.
+        workers[victim] = run.Restore(victim, checkpoints[victim]);
+        dirty[victim] = 1;  // in-memory state diverged from its shard
+        // The in-flight messages that died in the victim's inboxes are
+        // re-derived from the surviving assumption sets before the
+        // superstep proceeds, so the restored fragment sees the same
+        // deliveries the fault-free run would have.
+        audit();
       }
     }
 
@@ -943,20 +1017,12 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     // is the crash story, handled by checkpoint recovery + audit.)
     auto deliveries = [&](FaultChannel channel, const MatchPair& p,
                           uint32_t from, uint32_t to) -> int {
-      if constexpr (kFaultInjectionEnabled) {
-        if (injector != nullptr) {
-          if (injector->DropMessage(channel, p, from, to)) {
-            ++result.stats.fault_retries;  // retransmitted, then delivered
-            return 1;
-          }
-          if (injector->DuplicateMessage(channel, p, from, to)) return 2;
-        }
+      if (injector == nullptr) return 1;
+      if (injector->DropMessage(channel, p, from, to)) {
+        ++result.stats.fault_retries;  // retransmitted, then delivered
+        return 1;
       }
-      (void)channel;
-      (void)p;
-      (void)from;
-      (void)to;
-      return 1;
+      return injector->DuplicateMessage(channel, p, from, to) ? 2 : 1;
     };
     bool any_message = false;
     // One frame per (sender, destination) link: outboxes are staged per
@@ -1059,17 +1125,11 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       }
     }
 
-    // Superstep-boundary checkpoints (only under a fault plan: production
-    // runs without an injector pay nothing): a full copy of each
-    // fragment, minus its inboxes — in-flight messages are volatile and
-    // die with a host; the audit sweep re-derives them on recovery.
+    // Superstep-boundary crash checkpoints (only under a fault plan:
+    // production runs without an injector pay nothing).
     if (injector != nullptr) {
-      for (uint32_t f = 0; f < n; ++f) {
-        checkpoints[f] = std::make_unique<Worker>(*workers[f]);
-        checkpoints[f]->request_inbox.clear();
-        checkpoints[f]->invalid_inbox.clear();
-        ++result.stats.checkpoints;
-      }
+      take_checkpoints();
+      result.stats.checkpoints += n;
     }
     result.simulated_seconds += ThreadCpuSeconds() - sync_start;
 
@@ -1117,36 +1177,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     if (fixpoint) break;
   }
 
-  for (uint32_t i = 0; i < n; ++i) {
-    const MatchEngine::Stats& s = workers[i]->engine.stats();
-    SumWorkerStats(s, &result.stats);
-    result.max_worker_calls =
-        std::max(result.max_worker_calls, s.para_match_calls);
-  }
-  if constexpr (kFaultInjectionEnabled) {
-    if (injector != nullptr) {
-      result.stats.faults_injected = injector->injected();
-    }
-    if (const auto* flaky =
-            dynamic_cast<const FlakyVertexScorer*>(ctx_.hv)) {
-      result.stats.fault_retries += flaky->Retries();
-      result.stats.faults_injected += flaky->FaultedCalls();
-    }
-  }
-
-  result.partition.edge_cut_edges = part.edge_cut_edges;
-  result.partition.edge_cut_fraction = part.EdgeCutFraction(*ctx_.g);
-  result.partition.border_vertices = part.border_vertices;
-  result.partition.max_fragment_imbalance = part.max_fragment_imbalance;
-  result.peak_rss_bytes = PeakRssBytes();
-
-  // Pi = union of owned partial results (Section VI-B, termination). Every
-  // fragment exists and is authoritative for its owned pairs — crashed
-  // hosts' fragments were rebuilt on survivors. A halted run reports no
-  // Pi: its verdicts live in the on-disk checkpoint, not in `matches`.
-  if (!result.halted) {
-    CollectResults(workers, owner_of, roots, &result);
-  }
+  run.Finish(workers, roots, &result);
   return result;
 }
 
@@ -1156,8 +1187,7 @@ ParallelResult BspAllMatch::RunAsyncOnCandidates(
   result.status = Validate(candidates);
   if (!result.status.ok()) return result;
 
-  FaultInjector* injector = nullptr;
-  if constexpr (kFaultInjectionEnabled) injector = config_.faults;
+  FaultInjector* const injector = config_.faults;
   if (injector != nullptr && injector->plan().crash.has_value()) {
     result.status = Status::FailedPrecondition(
         "crash fault plans need superstep checkpoints to recover from; "
@@ -1179,10 +1209,9 @@ ParallelResult BspAllMatch::RunAsyncOnCandidates(
 
   const VertexPartition part =
       PartitionVertices(*ctx_.g, n, config_.strategy);
-  const auto owner_of = [this, &part](const MatchPair& p) -> uint32_t {
-    return config_.pair_owner ? config_.pair_owner(p)
-                              : part.owner[p.second];
-  };
+  const RunSetup run =
+      RunSetup::For(ctx_, config_, part, candidates, options);
+  const PairOwner& owner_of = run.owner_of;
 
   // Async channels: one locked inbox per worker, with a condition variable
   // so idle workers park instead of spinning (bounded waits re-check the
@@ -1208,24 +1237,9 @@ ParallelResult BspAllMatch::RunAsyncOnCandidates(
   std::atomic<size_t> backoff_sleeps{0};
   std::atomic<size_t> async_retries{0};
 
-  const size_t memo_cap =
-      ListsMemoCapForBudget(config_.worker_mem_budget_bytes);
-  std::vector<std::unique_ptr<Worker>> workers;
-  workers.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    workers.push_back(std::make_unique<Worker>(ctx_));
-    const uint32_t frag = i;
-    workers.back()->engine.SetLocalityFilter(
-        [owner_of, frag](VertexId u, VertexId v) {
-          return owner_of(MatchPair{u, v}) == frag;
-        });
-    workers.back()->engine.SetRunOptions(options);
-    if (memo_cap != 0) workers.back()->engine.SetListsMemoCap(memo_cap);
-  }
+  std::vector<std::unique_ptr<Worker>> workers(n);
+  run.ColdStart(std::vector<uint8_t>(n, 1), &workers);
   const std::vector<MatchPair> roots = SortedUnique(candidates);
-  for (const MatchPair& c : candidates) {
-    workers[owner_of(c)]->owned_candidates.push_back(c);
-  }
 
   auto wake_all = [&] {
     for (uint32_t j = 0; j < n; ++j) {
@@ -1256,17 +1270,15 @@ ParallelResult BspAllMatch::RunAsyncOnCandidates(
       ch.cv.notify_one();
     };
     auto send = [&](const Message& m, uint32_t to) {
-      if constexpr (kFaultInjectionEnabled) {
-        if (injector != nullptr) {
-          const FaultChannel fc = m.is_request ? FaultChannel::kRequest
-                                               : FaultChannel::kInvalidation;
-          if (injector->DropMessage(fc, m.pair, i, to)) {
-            // Transient loss: retransmit until acknowledged, then fall
-            // through to the delivery below.
-            async_retries.fetch_add(1, std::memory_order_relaxed);
-          } else if (injector->DuplicateMessage(fc, m.pair, i, to)) {
-            deliver(m, to);
-          }
+      if (injector != nullptr) {
+        const FaultChannel fc = m.is_request ? FaultChannel::kRequest
+                                             : FaultChannel::kInvalidation;
+        if (injector->DropMessage(fc, m.pair, i, to)) {
+          // Transient loss: retransmit until acknowledged, then fall
+          // through to the delivery below.
+          async_retries.fetch_add(1, std::memory_order_relaxed);
+        } else if (injector->DuplicateMessage(fc, m.pair, i, to)) {
+          deliver(m, to);
         }
       }
       deliver(m, to);
@@ -1437,31 +1449,8 @@ ParallelResult BspAllMatch::RunAsyncOnCandidates(
     result.messages += repaired;
   }
 
-  for (uint32_t i = 0; i < n; ++i) {
-    const MatchEngine::Stats& s = workers[i]->engine.stats();
-    SumWorkerStats(s, &result.stats);
-    result.max_worker_calls =
-        std::max(result.max_worker_calls, s.para_match_calls);
-  }
-  if constexpr (kFaultInjectionEnabled) {
-    result.stats.fault_retries += async_retries.load();
-    if (injector != nullptr) {
-      result.stats.faults_injected = injector->injected();
-    }
-    if (const auto* flaky =
-            dynamic_cast<const FlakyVertexScorer*>(ctx_.hv)) {
-      result.stats.fault_retries += flaky->Retries();
-      result.stats.faults_injected += flaky->FaultedCalls();
-    }
-  }
-
-  result.partition.edge_cut_edges = part.edge_cut_edges;
-  result.partition.edge_cut_fraction = part.EdgeCutFraction(*ctx_.g);
-  result.partition.border_vertices = part.border_vertices;
-  result.partition.max_fragment_imbalance = part.max_fragment_imbalance;
-  result.peak_rss_bytes = PeakRssBytes();
-
-  CollectResults(workers, owner_of, roots, &result);
+  result.stats.fault_retries += async_retries.load();
+  run.Finish(workers, roots, &result);
   return result;
 }
 
@@ -1482,8 +1471,7 @@ ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
 ParallelResult BspAllMatch::RunVPair(VertexId u_t, const InvertedIndex* index,
                                      const RunOptions& options) {
   const VertexId roots[] = {u_t};
-  return RunOnCandidates(GenerateCandidates(ScanContext(), roots, index),
-                         options);
+  return Run(roots, index, options);
 }
 
 MatchContext BspAllMatch::ScanContext() const {

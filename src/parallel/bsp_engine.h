@@ -65,10 +65,10 @@ struct ParallelConfig {
   /// the root tuple of u, which reproduces that placement (and is what
   /// makes APair scale: each u's ecache is computed on one worker only).
   std::function<uint32_t(const MatchPair&)> pair_owner;
-  /// Fault-injection schedule for this run (borrowed, may be null). Only
-  /// honored when the library is built with HER_FAULTS=ON; a crash plan is
-  /// BSP-only (the async model has no superstep boundary to recover from
-  /// and is rejected with FailedPrecondition).
+  /// Fault-injection schedule for this run (borrowed, may be null; null
+  /// costs the run one pointer check per probe). A crash plan is BSP-only
+  /// (the async model has no superstep boundary to recover from and is
+  /// rejected with FailedPrecondition).
   FaultInjector* faults = nullptr;
   /// Durable on-disk checkpoint/resume policy (BSP Run*/RunOnCandidates
   /// only; the async model has no superstep boundary to checkpoint at).
@@ -171,8 +171,9 @@ struct ParallelResult {
 /// superstep barriers, async inbox drains and per-pair evaluations; expiry
 /// returns a `degraded` result instead of hanging. Under an injected
 /// FaultPlan the BSP loop checkpoints each worker's fragment state at
-/// superstep boundaries, reassigns a crashed worker's fragments to a
-/// survivor (replaying from the last checkpoint), and repairs
+/// superstep boundaries (in the durable shard format), reassigns a crashed
+/// worker's fragments to a survivor (restoring the last checkpoint
+/// through the disk-resume serializer), and repairs
 /// dropped/duplicated messages with an assumption audit at quiescence, so
 /// faulted runs still converge to the fault-free Pi bit for bit.
 class BspAllMatch {

@@ -12,16 +12,6 @@
 
 namespace her {
 
-/// Compile-time gate of the fault-injection harness. CMake option
-/// `HER_FAULTS` (default ON) defines HER_FAULTS_ENABLED; production builds
-/// configured with -DHER_FAULTS=OFF compile every injection probe to
-/// `if constexpr (false)` dead code, so the hot paths pay nothing.
-#ifdef HER_FAULTS_ENABLED
-inline constexpr bool kFaultInjectionEnabled = true;
-#else
-inline constexpr bool kFaultInjectionEnabled = false;
-#endif
-
 /// Kill worker `worker` at the start of superstep `superstep` (BSP model
 /// only: the async model has no superstep boundary to checkpoint at, so
 /// the engine rejects crash plans there up front).

@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "learn/metrics.h"
-#include "parallel/fault_injection.h"
 #include "persist/snapshot.h"
 
 namespace her {
@@ -386,7 +385,6 @@ Graph HerServer::BuildCurrentGraph() const {
 }
 
 int HerServer::PlannedFailures(uint64_t seq) const {
-  if constexpr (!kFaultInjectionEnabled) return 0;
   if (config_.apply_fail_prob <= 0.0) return 0;
   const uint64_t h = Mix64(config_.fault_seed ^ Mix64(seq ^ 0x5e7fa017));
   if (HashToUniform(h) >= config_.apply_fail_prob) return 0;

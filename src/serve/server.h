@@ -122,8 +122,8 @@ struct ServeConfig {
   /// Applied mutations per automatic snapshot + WAL truncation (0 = only
   /// at Drain/Checkpoint).
   size_t checkpoint_every = 0;
-  /// Deterministic maintenance-fault plan (compiled out without
-  /// HER_FAULTS): each accepted graph mutation draws by (seed, seq) —
+  /// Deterministic maintenance-fault plan (inert while apply_fail_prob is
+  /// 0): each accepted graph mutation draws by (seed, seq) —
   /// transient faults burn retries, a poisoned op exceeds the budget and
   /// is quarantined instead of wedging the queue.
   uint64_t fault_seed = 0;
@@ -264,8 +264,8 @@ class HerServer {
   /// the work when a fresh read is waiting (0 = maintenance default).
   void ApplyPending(std::chrono::milliseconds read_deadline);
 
-  /// Injected planned-failure count of a mutation (0 without HER_FAULTS
-  /// or when not selected; > max_apply_retries = poisoned).
+  /// Injected planned-failure count of a mutation (0 when not selected;
+  /// > max_apply_retries = poisoned).
   int PlannedFailures(uint64_t seq) const;
   void Backoff(int attempt);
 

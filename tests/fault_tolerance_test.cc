@@ -93,9 +93,6 @@ class FaultMatrixTest
           std::tuple<uint64_t, FaultKind, uint32_t>> {};
 
 TEST_P(FaultMatrixTest, RecoversToFaultFreePi) {
-  if constexpr (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "built with HER_FAULTS=OFF";
-  }
   const auto [base_seed, kind, workers] = GetParam();
   const uint64_t seed = base_seed + SeedOffset();
   auto [g1, g2] = RandomEntityGraphs(seed, 8);
@@ -158,9 +155,6 @@ class AsyncFaultTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, FaultKind>> {};
 
 TEST_P(AsyncFaultTest, AsyncRecoversToFaultFreePi) {
-  if constexpr (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "built with HER_FAULTS=OFF";
-  }
   const auto [base_seed, kind] = GetParam();
   const uint64_t seed = base_seed + SeedOffset();
   auto [g1, g2] = RandomEntityGraphs(seed, 8);
@@ -187,9 +181,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FaultInjectionTest, AsyncRejectsCrashPlans) {
-  if constexpr (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "built with HER_FAULTS=OFF";
-  }
   auto [g1, g2] = RandomEntityGraphs(3, 4);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());
   FaultPlan plan;
@@ -485,25 +476,6 @@ TEST(DeadlineTest, SerialDriverDegradesAndReRunConverges) {
   // Fresh options without a deadline: the same engine converges.
   const auto rerun = AllParaMatch(engine, roots, RunOptions{});
   EXPECT_EQ(rerun, expected);
-}
-
-TEST(DeadlineTest, ParallelDriverHonorsOptions) {
-  auto [g1, g2] = RandomEntityGraphs(67, 8);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-  const auto expected = FaultFreePi(h, roots);
-
-  RunOptions options;
-  options.deadline = std::chrono::steady_clock::now() -
-                     std::chrono::milliseconds(1);
-  MatchEngine::Stats stats;
-  const auto degraded =
-      ParallelAllParaMatch(h.ctx, roots, 4, nullptr, &stats, &options);
-  for (const MatchPair& p : degraded) {
-    EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), p));
-  }
-  EXPECT_EQ(stats.deadline_expired, 1u);
-  EXPECT_GT(stats.unresolved_pairs, 0u);
 }
 
 }  // namespace

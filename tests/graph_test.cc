@@ -161,6 +161,46 @@ TEST(TraversalTest, CycleBackToRootIgnored) {
   EXPECT_EQ(paths[0].path.endpoint, v_b);
 }
 
+TEST(TraversalTest, MaxPraPathLabelsFollowTheWinningLayer) {
+  // Vertex 2's best path grows from 0->5->2 (layer 2, PRA 1/4) to
+  // 0->3->1->2 (layer 3, PRA 1/2) after vertex 4 was relaxed through it,
+  // so 4's labels must come from the path 2 had at layer 2, not its final
+  // one.
+  GraphBuilder b;
+  for (int i = 0; i < 6; ++i) b.AddVertex("n" + std::to_string(i));
+  for (const auto& [src, dst] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 3}, {0, 5}, {1, 2}, {2, 4}, {3, 1}, {4, 3}, {5, 2}, {5, 3}}) {
+    b.AddEdge(src, dst, std::to_string(src) + std::to_string(dst));
+  }
+  const Graph g = std::move(b).Build();
+  const auto labels_of = [&](const std::vector<PraPath>& paths, VertexId v) {
+    std::vector<std::string> names;
+    for (const PraPath& p : paths) {
+      if (p.path.endpoint != v) continue;
+      for (const LabelId l : p.path.labels) {
+        names.push_back(g.EdgeLabelName(l));
+      }
+    }
+    return names;
+  };
+  using Labels = std::vector<std::string>;
+  const auto len3 = MaxPraPaths(g, 0, 3);
+  ASSERT_EQ(len3.size(), 5u);
+  EXPECT_EQ(labels_of(len3, 3), Labels({"03"}));
+  EXPECT_EQ(labels_of(len3, 5), Labels({"05"}));
+  EXPECT_EQ(labels_of(len3, 1), Labels({"03", "31"}));
+  EXPECT_EQ(labels_of(len3, 2), Labels({"03", "31", "12"}));
+  EXPECT_EQ(labels_of(len3, 4), Labels({"05", "52", "24"}));
+  for (const PraPath& p : len3) {
+    EXPECT_DOUBLE_EQ(p.pra, p.path.endpoint == 4 ? 0.25 : 0.5);
+  }
+  const auto len4 = MaxPraPaths(g, 0, 4);
+  ASSERT_EQ(len4.size(), 5u);
+  EXPECT_EQ(labels_of(len4, 2), Labels({"03", "31", "12"}));
+  EXPECT_EQ(labels_of(len4, 4), Labels({"03", "31", "12", "24"}));
+  for (const PraPath& p : len4) EXPECT_DOUBLE_EQ(p.pra, 0.5);
+}
+
 TEST(TraversalTest, HasCycleDetects) {
   EXPECT_FALSE(HasCycle(Diamond()));
   GraphBuilder b;

@@ -1,7 +1,8 @@
-// ParallelAllParaMatch must be a drop-in replacement for the serial
-// driver: byte-identical match sets for every worker count, with and
-// without inverted-index blocking, and GenerateCandidates must be
-// invariant in its thread count. Run under TSan by tools/run_tier1.sh
+// The BSP engine (BspAllMatch::Run), with each tuple's proof placed on one
+// fragment, must be a drop-in replacement for the serial driver:
+// byte-identical match sets for every worker count, with and without
+// inverted-index blocking, and GenerateCandidates must be invariant in its
+// thread count. Run under TSan by tools/run_tier1.sh
 // (cmake -DHER_SANITIZE=thread) to certify the shared read-only context.
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include "common/rng.h"
 #include "core/drivers.h"
 #include "core/match_engine.h"
+#include "graph/traversal.h"
 #include "ml/text_embedder.h"
+#include "parallel/bsp_engine.h"
 
 namespace her {
 namespace {
@@ -81,6 +84,32 @@ std::vector<VertexId> ItemRoots(const Graph& g) {
   return roots;
 }
 
+/// A BSP run of APair over `roots` with `workers` fragments, placed the
+/// way HerSystem::APairParallel places them: the i-th tuple vertex and
+/// every G_D vertex below it go to fragment i % workers, so each tuple's
+/// candidates and their proofs are verified on one fragment.
+ParallelResult Bsp(const MatchContext& ctx, std::span<const VertexId> roots,
+                   uint32_t workers, const InvertedIndex* index = nullptr) {
+  auto fragment_of = std::make_shared<std::vector<uint32_t>>(
+      ctx.gd->num_vertices(), 0);
+  for (size_t i = 0; i < roots.size(); ++i) {
+    const uint32_t f = static_cast<uint32_t>(i % workers);
+    (*fragment_of)[roots[i]] = f;
+    for (const VertexId d : ReachableFrom(*ctx.gd, roots[i])) {
+      (*fragment_of)[d] = f;
+    }
+  }
+  ParallelConfig config;
+  config.num_workers = workers;
+  config.pair_owner = [fragment_of](const MatchPair& p) {
+    return (*fragment_of)[p.first];
+  };
+  BspAllMatch bsp(ctx, config);
+  ParallelResult result = bsp.Run(roots, index);
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  return result;
+}
+
 class ParallelDriverTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelDriverTest, ByteIdenticalToSerialForAllWorkerCounts) {
@@ -90,14 +119,10 @@ TEST_P(ParallelDriverTest, ByteIdenticalToSerialForAllWorkerCounts) {
   const auto roots = ItemRoots(h.g1);
 
   const auto serial = AllParaMatch(*h.engine, roots);
-  for (const size_t workers : {1u, 2u, 8u}) {
-    MatchEngine::Stats stats;
-    const auto parallel =
-        ParallelAllParaMatch(h.ctx, roots, workers, nullptr, &stats);
-    EXPECT_EQ(parallel, serial) << "workers=" << workers;
-    EXPECT_GT(stats.para_match_calls, 0u);
-    EXPECT_EQ(stats.candidate_gen_runs,
-              std::min(workers, roots.size()));
+  for (const uint32_t workers : {1u, 2u, 8u}) {
+    const ParallelResult parallel = Bsp(h.ctx, roots, workers);
+    EXPECT_EQ(parallel.matches, serial) << "workers=" << workers;
+    EXPECT_GT(parallel.stats.para_match_calls, 0u);
   }
 }
 
@@ -109,8 +134,8 @@ TEST_P(ParallelDriverTest, BlockedVariantAgreesAcrossWorkerCounts) {
   const InvertedIndex index(h.g2);
 
   const auto serial = AllParaMatch(*h.engine, roots, index);
-  for (const size_t workers : {1u, 2u, 8u}) {
-    EXPECT_EQ(ParallelAllParaMatch(h.ctx, roots, workers, &index), serial)
+  for (const uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_EQ(Bsp(h.ctx, roots, workers, &index).matches, serial)
         << "workers=" << workers;
   }
 }
@@ -139,7 +164,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDriverTest,
 
 TEST(ParallelDriverTest, EmbeddingScorerDeterminismAcrossWorkers) {
   // The trained-path scorer (shared contiguous-matrix kernel + memo
-  // decorator) must also be safe and deterministic under the fan-out.
+  // decorator) must also be safe and deterministic across BSP workers.
   auto [g1, g2] = RandomGraphPair(777, /*roots=*/6);
   const SimulationParams params{.sigma = 0.9, .delta = 0.5, .k = 4};
   Harness h(std::move(g1), std::move(g2), params);
@@ -151,8 +176,8 @@ TEST(ParallelDriverTest, EmbeddingScorerDeterminismAcrossWorkers) {
 
   MatchEngine serial_engine(h.ctx);
   const auto serial = AllParaMatch(serial_engine, roots);
-  for (const size_t workers : {1u, 2u, 8u}) {
-    EXPECT_EQ(ParallelAllParaMatch(h.ctx, roots, workers), serial)
+  for (const uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_EQ(Bsp(h.ctx, roots, workers).matches, serial)
         << "workers=" << workers;
   }
   EXPECT_GT(serial_engine.stats().hv_batch_calls, 0u);
@@ -162,7 +187,7 @@ TEST(ParallelDriverTest, EmptyTupleSetYieldsEmptyResult) {
   auto [g1, g2] = RandomGraphPair(5, /*roots=*/2);
   Harness h(std::move(g1), std::move(g2),
             {.sigma = 0.99, .delta = 0.9, .k = 4});
-  EXPECT_TRUE(ParallelAllParaMatch(h.ctx, {}, 4).empty());
+  EXPECT_TRUE(Bsp(h.ctx, {}, 4).matches.empty());
 }
 
 }  // namespace

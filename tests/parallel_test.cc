@@ -133,6 +133,19 @@ TEST(BspAllMatchTest, EmptyCandidateSetTerminatesImmediately) {
   EXPECT_EQ(result.supersteps, 1u);
 }
 
+TEST(BspAllMatchTest, StatsCarrySharedScorerSnapshots) {
+  // The h_v / M_rho scorers are shared by every worker: their counters are
+  // global, so the aggregate carries them (assigned, never summed).
+  auto [g1, g2] = RandomEntityGraphs(31, 8);
+  ContextHarness h(std::move(g1), std::move(g2), TestParams());
+  BspAllMatch bsp(h.ctx, {.num_workers = 4});
+  const auto result = bsp.Run(ItemRoots(h.g1));
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_GT(result.stats.hv_batch_calls, 0u);
+  EXPECT_EQ(result.stats.hv_batch_calls, h.ctx.hv->BatchCalls());
+  EXPECT_EQ(result.stats.hrho_batch_calls, h.ctx.mrho->BatchCalls());
+}
+
 TEST(BspAllMatchTest, MoreWorkersThanVerticesStillCorrect) {
   auto [g1, g2] = RandomEntityGraphs(91, 2);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());

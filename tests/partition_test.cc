@@ -166,9 +166,6 @@ TEST(PartitionTest, EdgeCutMatchesHashPiAcrossWorkers) {
 }
 
 TEST(PartitionTest, EdgeCutRecoversFaultMatrixPi) {
-  if constexpr (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "built with HER_FAULTS=OFF";
-  }
   for (const uint64_t seed : {61ull, 62ull}) {
     auto [g1, g2] = RandomEntityGraphs(seed, 8);
     ContextHarness h(std::move(g1), std::move(g2), TestParams());

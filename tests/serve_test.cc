@@ -14,7 +14,7 @@
 //    reopened lands on verdicts identical to an uninterrupted run, across
 //    seeds x {early, mid, late} crash points, with and without snapshot
 //    compaction in between;
-//  - quarantine decisions replay deterministically (HER_FAULTS builds).
+//  - quarantine decisions replay deterministically.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 #include "datagen/dataset.h"
 #include "learn/her_system.h"
 #include "learn/metrics.h"
-#include "parallel/fault_injection.h"
 #include "serve/server.h"
 #include "serve/wal.h"
 
@@ -590,9 +589,6 @@ TEST(ServeConcurrencyTest, CheckpointRacesSubmitSafely) {
 }
 
 TEST(ServeFaultTest, QuarantineDecisionsReplayDeterministically) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "HER_FAULTS disabled in this build";
-  }
   const GeneratedDataset data = Generate(SmallSpec(51));
   const std::string dir = FreshDir("serve_quar");
   ServeConfig cfg = FastConfig(dir);

@@ -17,7 +17,7 @@ ROUNDS="${2:-1}"
 BUILD_DIR="${3:-build-stress}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DHER_SANITIZE=thread -DHER_FAULTS=ON
+  -DHER_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j --target fault_tolerance_test parallel_test \
   serve_test faultfs_test
 
@@ -33,7 +33,7 @@ done
 # The fault-free parallel suite under the same TSan build: the injection
 # probes must not have introduced races on the clean path either.
 "$BUILD_DIR/tests/parallel_test"
-# Serving-layer fault path under the same HER_FAULTS build: poisoned-op
+# Serving-layer fault path under the same TSan build: poisoned-op
 # quarantine decisions must replay deterministically across a crash, and
 # a checkpoint racing concurrent submits must be TSan-clean.
 "$BUILD_DIR/tests/serve_test" \
