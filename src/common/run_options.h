@@ -21,11 +21,11 @@ class CancelToken {
 };
 
 /// Bounded-latency contract of a matching run: an absolute deadline and/or
-/// a cancellation token, checked cooperatively at superstep barriers, async
-/// inbox drains and per-pair evaluations. Expiry never crashes or hangs a
-/// run — it degrades it: the engines stop evaluating new pairs, the drivers
-/// return the partial Pi proved so far, and every pair whose verdict was
-/// not (or no longer can be) established is reported as unresolved.
+/// a cancellation token, checked cooperatively at superstep barriers and
+/// per-pair evaluations. Expiry never crashes or hangs a run — it degrades
+/// it: the engines stop evaluating new pairs, the drivers return the
+/// partial Pi proved so far, and every pair whose verdict was not (or no
+/// longer can be) established is reported as unresolved.
 ///
 /// The default-constructed options never expire, and checking them costs no
 /// clock read, so always-on call sites pay nothing in the common case.

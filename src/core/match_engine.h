@@ -214,7 +214,8 @@ class MatchEngine {
     // that a warm start skipped the build (bench_micro reports both).
     double snapshot_load_seconds = 0.0;
     // Wall time spent in GenerateCandidates by drivers running on this
-    // engine (AllParaMatch records it here).
+    // engine (AllParaMatch records it here; BspAllMatch::Run reports its
+    // one scan on ParallelResult::stats).
     double candidate_gen_seconds = 0.0;
     size_t candidate_gen_runs = 0;
     // --- fault-tolerance telemetry ---

@@ -1,13 +1,9 @@
 #include "parallel/bsp_engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <iostream>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -62,11 +58,6 @@ struct Worker {
   // against its owner's authoritative verdict.
   std::unordered_set<MatchPair, PairHash> assumed;
 };
-
-/// Bounded park of an idle async worker waiting for messages/quiescence;
-/// each expiry re-checks the deadline, so expiry detection latency is at
-/// most one wait (plus the message in flight).
-constexpr auto kIdleWait = std::chrono::milliseconds(1);
 
 /// Registers `origin` as a subscriber of `p` at worker `w`, once
 /// (duplicated/re-sent requests must not grow the list unboundedly).
@@ -128,8 +119,6 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->hrho_embed_reuse += s.hrho_embed_reuse;
   agg->hrho_list_memo_hits += s.hrho_list_memo_hits;
   agg->hrho_list_memo_evictions += s.hrho_list_memo_evictions;
-  agg->candidate_gen_seconds += s.candidate_gen_seconds;
-  agg->candidate_gen_runs += s.candidate_gen_runs;
   // Load factors are occupancies, not counts: the busiest worker's table is
   // the meaningful fleet-level number.
   agg->engine_cache_load_factor =
@@ -1181,291 +1170,20 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   return result;
 }
 
-ParallelResult BspAllMatch::RunAsyncOnCandidates(
-    std::vector<MatchPair> candidates, const RunOptions& options) {
-  ParallelResult result;
-  result.status = Validate(candidates);
-  if (!result.status.ok()) return result;
-
-  FaultInjector* const injector = config_.faults;
-  if (injector != nullptr && injector->plan().crash.has_value()) {
-    result.status = Status::FailedPrecondition(
-        "crash fault plans need superstep checkpoints to recover from; "
-        "the asynchronous model has no superstep boundary — use the BSP "
-        "Run*/RunOnCandidates methods");
-    return result;
-  }
-  if (!config_.checkpoint.dir.empty()) {
-    result.status = Status::FailedPrecondition(
-        "durable checkpoints need a superstep boundary to capture; the "
-        "asynchronous model has none — use the BSP Run*/RunOnCandidates "
-        "methods");
-    return result;
-  }
-
-  const uint32_t n = config_.num_workers;
-  result.supersteps = 1;  // no rounds in the asynchronous model
-  if (candidates.empty()) return result;  // nothing to do: no threads spun
-
-  const VertexPartition part =
-      PartitionVertices(*ctx_.g, n, config_.strategy);
-  const RunSetup run =
-      RunSetup::For(ctx_, config_, part, candidates, options);
-  const PairOwner& owner_of = run.owner_of;
-
-  // Async channels: one locked inbox per worker, with a condition variable
-  // so idle workers park instead of spinning (bounded waits re-check the
-  // deadline and absorb lost wakeups).
-  struct Message {
-    MatchPair pair;
-    uint32_t origin;  // requester for requests; sender for invalidations
-    bool is_request;
-  };
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Message> inbox;
-  };
-  std::vector<Channel> channels(n);
-  // Work accounting for termination: one unit per initial batch plus one
-  // per in-flight message; producers increment before finishing their own
-  // unit, so the counter cannot falsely reach zero.
-  std::atomic<size_t> outstanding{n};
-  std::atomic<bool> done{false};
-  std::atomic<bool> expired{false};
-  std::atomic<size_t> total_messages{0};
-  std::atomic<size_t> backoff_sleeps{0};
-  std::atomic<size_t> async_retries{0};
-
-  std::vector<std::unique_ptr<Worker>> workers(n);
-  run.ColdStart(std::vector<uint8_t>(n, 1), &workers);
-  const std::vector<MatchPair> roots = SortedUnique(candidates);
-
-  auto wake_all = [&] {
-    for (uint32_t j = 0; j < n; ++j) {
-      // Lock/unlock pairs the notify with the waiters' predicate check.
-      { std::lock_guard<std::mutex> lock(channels[j].mu); }
-      channels[j].cv.notify_all();
-    }
-  };
-  auto finish_unit = [&] {
-    if (outstanding.fetch_sub(1) == 1) {
-      done.store(true, std::memory_order_release);
-      wake_all();
-    }
-  };
-
-  std::vector<double> busy(n, 0.0);
-  auto worker_main = [&](uint32_t i) {
-    Worker& w = *workers[i];
-    const double start = ThreadCpuSeconds();
-    auto deliver = [&](const Message& m, uint32_t to) {
-      outstanding.fetch_add(1);
-      total_messages.fetch_add(1);
-      Channel& ch = channels[to];
-      {
-        std::lock_guard<std::mutex> lock(ch.mu);
-        ch.inbox.push_back(m);
-      }
-      ch.cv.notify_one();
-    };
-    auto send = [&](const Message& m, uint32_t to) {
-      if (injector != nullptr) {
-        const FaultChannel fc = m.is_request ? FaultChannel::kRequest
-                                             : FaultChannel::kInvalidation;
-        if (injector->DropMessage(fc, m.pair, i, to)) {
-          // Transient loss: retransmit until acknowledged, then fall
-          // through to the delivery below.
-          async_retries.fetch_add(1, std::memory_order_relaxed);
-        } else if (injector->DuplicateMessage(fc, m.pair, i, to)) {
-          deliver(m, to);
-        }
-      }
-      deliver(m, to);
-    };
-    auto flush_outgoing = [&] {
-      for (const MatchPair& p : w.engine.DrainNewAssumptions()) {
-        w.assumed.insert(p);
-        send(Message{p, i, /*is_request=*/true}, owner_of(p));
-      }
-      for (const MatchPair& p : w.engine.DrainNewlyInvalidated()) {
-        auto it = w.subscribers.find(p);
-        if (it == w.subscribers.end()) continue;
-        if (!w.notified_false.insert(p).second) continue;
-        for (const uint32_t j : it->second) {
-          send(Message{p, i, /*is_request=*/false}, j);
-        }
-      }
-    };
-    auto check_deadline = [&]() -> bool {
-      if (!options.Expired()) return false;
-      expired.store(true, std::memory_order_relaxed);
-      done.store(true, std::memory_order_release);
-      wake_all();
-      return true;
-    };
-
-    // Initial unit: the owned candidates.
-    for (const MatchPair& c : w.owned_candidates) {
-      if (done.load(std::memory_order_acquire) || check_deadline()) break;
-      w.engine.Match(c.first, c.second);
-      flush_outgoing();
-    }
-    finish_unit();
-
-    // Message loop until global quiescence (or expiry).
-    while (!done.load(std::memory_order_acquire)) {
-      if (check_deadline()) break;
-      std::vector<Message> batch;
-      {
-        std::unique_lock<std::mutex> lock(channels[i].mu);
-        if (channels[i].inbox.empty() &&
-            !done.load(std::memory_order_acquire)) {
-          const bool woke = channels[i].cv.wait_for(lock, kIdleWait, [&] {
-            return !channels[i].inbox.empty() ||
-                   done.load(std::memory_order_acquire);
-          });
-          if (!woke) {
-            // Bounded park expired with no work: loop re-checks deadline.
-            backoff_sleeps.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        batch.swap(channels[i].inbox);
-      }
-      for (const Message& m : batch) {
-        if (m.is_request) {
-          Subscribe(w, m.pair, m.origin);
-          const bool valid = w.engine.Match(m.pair.first, m.pair.second);
-          if (!valid) {
-            // Reply directly; flips that happen later broadcast to all
-            // subscribers via flush_outgoing.
-            send(Message{m.pair, i, false}, m.origin);
-          }
-        } else {
-          const auto* e = w.engine.Lookup(m.pair.first, m.pair.second);
-          if (e == nullptr || e->valid) {
-            w.engine.ForceInvalid(m.pair.first, m.pair.second);
-          }
-        }
-        flush_outgoing();
-        finish_unit();
-      }
-    }
-    busy[i] = ThreadCpuSeconds() - start;
-  };
-
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) threads.emplace_back(worker_main, i);
-    for (auto& t : threads) t.join();
-  }
-
-  result.messages = total_messages.load();
-  result.backoff_sleeps = backoff_sleeps.load();
-  double makespan = 0.0;
-  for (uint32_t i = 0; i < n; ++i) makespan = std::max(makespan, busy[i]);
-  result.simulated_seconds = makespan;
-  result.degraded = expired.load();
-  for (uint32_t i = 0; i < n && !result.degraded; ++i) {
-    if (workers[i]->engine.Stopped()) result.degraded = true;
-  }
-
-  // Post-quiescence repair pump (drop/duplication faults): the threads are
-  // joined, so the engines can be driven directly over the reliable
-  // control channel until the assumption audit is clean — mirroring the
-  // BSP audit sweep, sequentially.
-  if (injector != nullptr && !result.degraded) {
-    struct Pending {
-      MatchPair pair;
-      uint32_t origin;
-      uint32_t target;
-      bool is_request;
-    };
-    std::deque<Pending> pump;
-    size_t repaired = 0;
-    auto flush_drains = [&](uint32_t wi) {
-      Worker& w = *workers[wi];
-      for (const MatchPair& p : w.engine.DrainNewAssumptions()) {
-        w.assumed.insert(p);
-        pump.push_back({p, wi, owner_of(p), true});
-      }
-      for (const MatchPair& p : w.engine.DrainNewlyInvalidated()) {
-        auto it = w.subscribers.find(p);
-        if (it == w.subscribers.end()) continue;
-        if (!w.notified_false.insert(p).second) continue;
-        for (const uint32_t j : it->second) {
-          pump.push_back({p, wi, j, false});
-        }
-      }
-    };
-    auto pump_all = [&] {
-      while (!pump.empty()) {
-        const Pending m = pump.front();
-        pump.pop_front();
-        Worker& t = *workers[m.target];
-        if (m.is_request) {
-          Subscribe(t, m.pair, m.origin);
-          if (!t.engine.Match(m.pair.first, m.pair.second)) {
-            pump.push_back({m.pair, m.target, m.origin, false});
-          }
-        } else {
-          const auto* e = t.engine.Lookup(m.pair.first, m.pair.second);
-          if (e == nullptr || e->valid) {
-            t.engine.ForceInvalid(m.pair.first, m.pair.second);
-          }
-        }
-        flush_drains(m.target);
-        ++repaired;
-      }
-    };
-    bool clean = false;
-    while (!clean) {
-      clean = true;
-      for (uint32_t i = 0; i < n; ++i) {
-        Worker& w = *workers[i];
-        std::vector<MatchPair> assumed(w.assumed.begin(), w.assumed.end());
-        std::sort(assumed.begin(), assumed.end());
-        for (const MatchPair& p : assumed) {
-          const auto* mine = w.engine.Lookup(p.first, p.second);
-          if (mine != nullptr && !mine->valid) continue;
-          const uint32_t owner = owner_of(p);
-          if (owner == i) continue;
-          Worker& ow = *workers[owner];
-          const auto* theirs = ow.engine.Lookup(p.first, p.second);
-          if (theirs == nullptr) {
-            pump.push_back({p, i, owner, true});
-            clean = false;
-          } else if (!theirs->valid) {
-            pump.push_back({p, i, i, false});
-            clean = false;
-          } else {
-            Subscribe(ow, p, i);
-          }
-        }
-        pump_all();
-      }
-    }
-    result.messages += repaired;
-  }
-
-  result.stats.fault_retries += async_retries.load();
-  run.Finish(workers, roots, &result);
-  return result;
-}
-
-ParallelResult BspAllMatch::RunAsync(std::span<const VertexId> tuple_vertices,
-                                     const InvertedIndex* index,
-                                     const RunOptions& options) {
-  return RunAsyncOnCandidates(
-      GenerateCandidates(ScanContext(), tuple_vertices, index), options);
-}
-
 ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
                                 const InvertedIndex* index,
                                 const RunOptions& options) {
-  return RunOnCandidates(
-      GenerateCandidates(ScanContext(), tuple_vertices, index), options);
+  WallTimer gen_timer;
+  std::vector<MatchPair> candidates =
+      GenerateCandidates(ScanContext(), tuple_vertices, index);
+  const double gen_seconds = gen_timer.Seconds();
+  ParallelResult result = RunOnCandidates(std::move(candidates), options);
+  if (result.status.ok()) {
+    // One scan for the whole run, outside every worker's engine.
+    result.stats.candidate_gen_seconds = gen_seconds;
+    result.stats.candidate_gen_runs = 1;
+  }
+  return result;
 }
 
 ParallelResult BspAllMatch::RunVPair(VertexId u_t, const InvertedIndex* index,

@@ -66,16 +66,13 @@ struct ParallelConfig {
   /// makes APair scale: each u's ecache is computed on one worker only).
   std::function<uint32_t(const MatchPair&)> pair_owner;
   /// Fault-injection schedule for this run (borrowed, may be null; null
-  /// costs the run one pointer check per probe). A crash plan is BSP-only
-  /// (the async model has no superstep boundary to recover from and is
-  /// rejected with FailedPrecondition).
+  /// costs the run one pointer check per probe).
   FaultInjector* faults = nullptr;
-  /// Durable on-disk checkpoint/resume policy (BSP Run*/RunOnCandidates
-  /// only; the async model has no superstep boundary to checkpoint at).
+  /// Durable on-disk checkpoint/resume policy.
   CheckpointOptions checkpoint;
-  /// Overrides MatchContext::candidate_gen for the Run/RunVPair/RunAsync
-  /// candidate scan when set (nullopt keeps the context's config). Lets a
-  /// parallel run pick exact vs ANN without mutating the shared context.
+  /// Overrides MatchContext::candidate_gen for the Run/RunVPair candidate
+  /// scan when set (nullopt keeps the context's config). Lets a parallel
+  /// run pick exact vs ANN without mutating the shared context.
   std::optional<CandidateGenConfig> candidate_gen;
   /// Per-worker memory budget in bytes; 0 = unlimited. Sizes the engine's
   /// candidate-list memo cap and the wire-frame batch size from the
@@ -113,8 +110,7 @@ struct ParallelResult {
   size_t messages = 0;             // cross-worker messages exchanged
   /// Bytes the raw struct exchange would have shipped for those messages
   /// (12 B/request, 8 B/invalidation) vs the varint-delta wire frames
-  /// actually encoded in the BSP sync phase. Zero for async runs (the
-  /// async model pushes single messages, nothing to batch-encode).
+  /// actually encoded in the BSP sync phase.
   size_t message_bytes_raw = 0;
   size_t message_bytes_wire = 0;
   /// Partition quality of the G fragmentation this run used (edge-cut
@@ -132,11 +128,6 @@ struct ParallelResult {
   MatchEngine::Stats stats;        // summed over all workers (shared-scorer
                                    // snapshot fields assigned, not summed)
   size_t max_worker_calls = 0;     // ParaMatch calls of the busiest worker
-  /// Timed-out condition-variable waits of idle async workers parked for
-  /// quiescence (the async message loop blocks on per-worker channels
-  /// instead of spinning; each bounded wait that expires is counted here).
-  /// Zero for BSP runs.
-  size_t backoff_sleeps = 0;
   /// True when CheckpointOptions::halt_after_supersteps stopped the run
   /// early (test/CI hook): `matches` is empty, the on-disk checkpoint
   /// holds the progress, and a `resume` run picks up from it.
@@ -168,8 +159,8 @@ struct ParallelResult {
 ///
 /// Fault tolerance (see DESIGN.md "Fault tolerance & degradation"): all
 /// Run* methods take RunOptions whose deadline/cancellation is checked at
-/// superstep barriers, async inbox drains and per-pair evaluations; expiry
-/// returns a `degraded` result instead of hanging. Under an injected
+/// superstep barriers and per-pair evaluations; expiry returns a
+/// `degraded` result instead of hanging. Under an injected
 /// FaultPlan the BSP loop checkpoints each worker's fragment state at
 /// superstep boundaries (in the durable shard format), reassigns a crashed
 /// worker's fragments to a survivor (restoring the last checkpoint
@@ -193,20 +184,6 @@ class BspAllMatch {
   /// Runs on an explicit candidate-pair set (callers with custom blocking).
   ParallelResult RunOnCandidates(std::vector<MatchPair> candidates,
                                  const RunOptions& options = {});
-
-  /// Asynchronous variant (Section VI remark (1), the AAP model of [34]):
-  /// no supersteps — workers drain their inboxes continuously and push
-  /// messages as they are produced; termination when no work remains
-  /// anywhere (counted in-flight units, idle workers parked on
-  /// condition-variable channels). Produces the same Pi as the BSP runs;
-  /// simulated time has no barrier, so stragglers overlap.
-  ParallelResult RunAsync(std::span<const VertexId> tuple_vertices,
-                          const InvertedIndex* index = nullptr,
-                          const RunOptions& options = {});
-
-  /// Async on an explicit candidate set.
-  ParallelResult RunAsyncOnCandidates(std::vector<MatchPair> candidates,
-                                      const RunOptions& options = {});
 
  private:
   /// Rejects invalid configurations/candidates before any worker state is

@@ -12,9 +12,8 @@
 
 namespace her {
 
-/// Kill worker `worker` at the start of superstep `superstep` (BSP model
-/// only: the async model has no superstep boundary to checkpoint at, so
-/// the engine rejects crash plans there up front).
+/// Kill worker `worker` at the start of superstep `superstep`; the BSP
+/// loop restores its fragment from the last superstep checkpoint.
 struct CrashFault {
   uint32_t worker = 0;
   size_t superstep = 1;

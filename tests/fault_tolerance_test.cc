@@ -45,9 +45,9 @@ std::vector<MatchPair> FaultFreePi(const ContextHarness& h,
 /// (Theorem 3) is parallel_test's concern, on its own seed set.
 std::vector<MatchPair> FaultFreeParallelPi(const ContextHarness& h,
                                            const std::vector<VertexId>& roots,
-                                           uint32_t workers, bool async) {
+                                           uint32_t workers) {
   BspAllMatch clean(h.ctx, {.num_workers = workers});
-  return (async ? clean.RunAsync(roots) : clean.Run(roots)).matches;
+  return clean.Run(roots).matches;
 }
 
 enum class FaultKind { kCrash, kDrop, kDuplicate, kFlakyScorer };
@@ -98,7 +98,7 @@ TEST_P(FaultMatrixTest, RecoversToFaultFreePi) {
   auto [g1, g2] = RandomEntityGraphs(seed, 8);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());
   const auto roots = ItemRoots(h.g1);
-  const auto expected = FaultFreeParallelPi(h, roots, workers, /*async=*/false);
+  const auto expected = FaultFreeParallelPi(h, roots, workers);
 
   FaultInjector injector(PlanFor(kind, seed, workers));
   MatchContext ctx = h.ctx;
@@ -148,50 +148,6 @@ INSTANTIATE_TEST_SUITE_P(
              Name(std::get<1>(info.param)) + "_w" +
              std::to_string(std::get<2>(info.param));
     });
-
-/// Drop/duplication faults through the asynchronous channels: the repair
-/// pump must still converge to the fault-free Pi.
-class AsyncFaultTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, FaultKind>> {};
-
-TEST_P(AsyncFaultTest, AsyncRecoversToFaultFreePi) {
-  const auto [base_seed, kind] = GetParam();
-  const uint64_t seed = base_seed + SeedOffset();
-  auto [g1, g2] = RandomEntityGraphs(seed, 8);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-  const auto expected = FaultFreeParallelPi(h, roots, /*workers=*/4,
-                                            /*async=*/true);
-
-  FaultInjector injector(PlanFor(kind, seed, /*workers=*/4));
-  BspAllMatch bsp(h.ctx, {.num_workers = 4, .faults = &injector});
-  const auto result = bsp.RunAsync(roots);
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.matches, expected) << "seed=" << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByFault, AsyncFaultTest,
-    ::testing::Combine(::testing::Values(7u, 17u, 27u, 37u),
-                       ::testing::Values(FaultKind::kDrop,
-                                         FaultKind::kDuplicate)),
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
-             Name(std::get<1>(info.param));
-    });
-
-TEST(FaultInjectionTest, AsyncRejectsCrashPlans) {
-  auto [g1, g2] = RandomEntityGraphs(3, 4);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  FaultPlan plan;
-  plan.crash = CrashFault{.worker = 0, .superstep = 1};
-  FaultInjector injector(plan);
-  BspAllMatch bsp(h.ctx, {.num_workers = 2, .faults = &injector});
-  const auto result = bsp.RunAsync(ItemRoots(h.g1));
-  EXPECT_TRUE(result.status.code() == StatusCode::kFailedPrecondition)
-      << result.status.ToString();
-  EXPECT_TRUE(result.matches.empty());
-}
 
 TEST(FaultInjectionTest, DecisionsAreDeterministic) {
   FaultPlan plan;
@@ -299,7 +255,7 @@ TEST(ValidationTest, OutOfRangeCandidateRejected) {
   const VertexId bogus = static_cast<VertexId>(h.g2.num_vertices() + 7);
   const auto result = bsp.RunOnCandidates({MatchPair{0, bogus}});
   EXPECT_TRUE(result.status.code() == StatusCode::kInvalidArgument) << result.status.ToString();
-  const auto result2 = bsp.RunAsyncOnCandidates(
+  const auto result2 = bsp.RunOnCandidates(
       {MatchPair{static_cast<VertexId>(h.g1.num_vertices()), 0}});
   EXPECT_TRUE(result2.status.code() == StatusCode::kInvalidArgument) << result2.status.ToString();
 }
@@ -313,38 +269,6 @@ TEST(ValidationTest, PairOwnerOutOfRangeRejected) {
   BspAllMatch bsp(h.ctx, cfg);
   const auto result = bsp.Run(ItemRoots(h.g1));
   EXPECT_TRUE(result.status.code() == StatusCode::kInvalidArgument) << result.status.ToString();
-}
-
-// ---------------------------------------------------------------------------
-// Async termination regressions (satellite: no idle-spin, clean exits).
-
-TEST(AsyncTerminationTest, EmptyCandidateSetReturnsImmediately) {
-  GraphBuilder b1;
-  b1.AddVertex("alpha");
-  GraphBuilder b2;
-  b2.AddVertex("omega");
-  ContextHarness h(std::move(b1).Build(), std::move(b2).Build(), TestParams());
-  BspAllMatch bsp(h.ctx, {.num_workers = 4});
-  const auto result = bsp.RunAsyncOnCandidates({});
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_TRUE(result.matches.empty());
-  EXPECT_EQ(result.supersteps, 1u);
-  EXPECT_EQ(result.messages, 0u);
-  EXPECT_FALSE(result.degraded);
-}
-
-TEST(AsyncTerminationTest, ManyMoreWorkersThanCandidatesTerminates) {
-  auto [g1, g2] = RandomEntityGraphs(91, 2);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-  MatchEngine seq(h.ctx);
-  const auto expected = AllParaMatch(seq, roots);
-  // 16 workers, 2 candidate tuples: most workers own nothing and must park
-  // on their channels until global quiescence, then exit.
-  BspAllMatch bsp(h.ctx, {.num_workers = 16});
-  const auto result = bsp.RunAsync(roots);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.matches, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,33 +337,6 @@ TEST(DeadlineTest, CancellationMidRunDegradesBsp) {
     if (outcome == PairOutcome::kUnresolved) ++unresolved;
   }
   EXPECT_EQ(unresolved, result.unresolved_pairs);
-}
-
-TEST(DeadlineTest, ExpiredDeadlineDegradesAsyncMidDrain) {
-  auto [g1, g2] = RandomEntityGraphs(31, 8);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-  const auto expected = FaultFreePi(h, roots);
-
-  BspAllMatch bsp(h.ctx, {.num_workers = 4});
-  RunOptions options;
-  options.deadline = std::chrono::steady_clock::now() -
-                     std::chrono::milliseconds(1);
-  const auto result = bsp.RunAsync(roots, nullptr, options);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_TRUE(result.degraded);
-  for (const MatchPair& p : result.matches) {
-    EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), p));
-  }
-  size_t unresolved = 0;
-  for (const auto& [pair, outcome] : result.outcomes) {
-    if (outcome == PairOutcome::kUnresolved) ++unresolved;
-  }
-  EXPECT_EQ(unresolved, result.unresolved_pairs);
-  // Re-run without the deadline converges to the full Pi.
-  const auto rerun = bsp.RunAsync(roots);
-  EXPECT_FALSE(rerun.degraded);
-  EXPECT_EQ(rerun.matches, expected);
 }
 
 TEST(DeadlineTest, GenerousDeadlineCompletesUndegraded) {

@@ -146,6 +146,26 @@ TEST(BspAllMatchTest, StatsCarrySharedScorerSnapshots) {
   EXPECT_EQ(result.stats.hrho_batch_calls, h.ctx.mrho->BatchCalls());
 }
 
+TEST(BspAllMatchTest, RunReportsCandidateScan) {
+  // Run scans once, outside the workers, and reports that scan; a caller
+  // of RunOnCandidates did its own blocking, so no scan is reported.
+  auto [g1, g2] = RandomEntityGraphs(31, 8);
+  ContextHarness h(std::move(g1), std::move(g2), TestParams());
+  const auto roots = ItemRoots(h.g1);
+  BspAllMatch bsp(h.ctx, {.num_workers = 4});
+  const auto scanned = bsp.Run(roots);
+  ASSERT_TRUE(scanned.status.ok());
+  EXPECT_EQ(scanned.stats.candidate_gen_runs, 1u);
+  EXPECT_GE(scanned.stats.candidate_gen_seconds, 0.0);
+
+  const auto given = bsp.RunOnCandidates(
+      GenerateCandidates(h.ctx, roots, /*index=*/nullptr));
+  ASSERT_TRUE(given.status.ok());
+  EXPECT_EQ(given.stats.candidate_gen_runs, 0u);
+  EXPECT_EQ(given.stats.candidate_gen_seconds, 0.0);
+  EXPECT_EQ(given.matches, scanned.matches);
+}
+
 TEST(BspAllMatchTest, MoreWorkersThanVerticesStillCorrect) {
   auto [g1, g2] = RandomEntityGraphs(91, 2);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());
@@ -154,77 +174,6 @@ TEST(BspAllMatchTest, MoreWorkersThanVerticesStillCorrect) {
   const auto expected = AllParaMatch(seq, roots);
   BspAllMatch bsp(h.ctx, {.num_workers = 16});
   EXPECT_EQ(bsp.Run(roots).matches, expected);
-}
-
-/// Async mode (Section VI remark (1)): the AAP-style runtime must compute
-/// the same Pi as the BSP rounds and the sequential algorithm.
-class AsyncEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>> {};
-
-TEST_P(AsyncEquivalenceTest, AsyncEqualsSequential) {
-  const auto [seed, workers] = GetParam();
-  auto [g1, g2] = RandomEntityGraphs(seed, 8);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-
-  MatchEngine seq(h.ctx);
-  const auto expected = AllParaMatch(seq, roots);
-
-  BspAllMatch bsp(h.ctx, {.num_workers = workers});
-  const auto result = bsp.RunAsync(roots);
-  EXPECT_EQ(result.matches, expected)
-      << "seed=" << seed << " workers=" << workers;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByWorkers, AsyncEquivalenceTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
-                       ::testing::Values(2u, 4u, 8u)));
-
-TEST(AsyncTest, CrossFragmentChainMatchesSync) {
-  // Same long-FK-chain construction as the sync message test: forces
-  // assumptions and invalidation traffic through the async channels.
-  GraphBuilder b1;
-  GraphBuilder b2;
-  const int n = 8;
-  std::vector<VertexId> us, vs;
-  for (int i = 0; i < n; ++i) {
-    us.push_back(b1.AddVertex("item"));
-    vs.push_back(b2.AddVertex("item"));
-  }
-  for (int i = 0; i < n; ++i) {
-    const std::string val = (i == n - 1) ? "tailA" : "x";
-    const std::string val2 = (i == n - 1) ? "tailB" : "x";
-    const VertexId c1 = b1.AddVertex(val);
-    b1.AddEdge(us[i], c1, "attr");
-    const VertexId c2 = b2.AddVertex(val2);
-    b2.AddEdge(vs[i], c2, "attr");
-    if (i + 1 < n) {
-      b1.AddEdge(us[i], us[i + 1], "ref");
-      b2.AddEdge(vs[i], vs[i + 1], "ref");
-    }
-  }
-  ContextHarness h(std::move(b1).Build(), std::move(b2).Build(),
-                   {.sigma = 0.99, .delta = 0.7, .k = 4});
-  const auto roots = ItemRoots(h.g1);
-  MatchEngine seq(h.ctx);
-  const auto expected = AllParaMatch(seq, roots);
-  BspAllMatch bsp(h.ctx,
-                  {.num_workers = 4, .strategy = PartitionStrategy::kRange});
-  const auto result = bsp.RunAsync(roots);
-  EXPECT_EQ(result.matches, expected);
-  EXPECT_GT(result.messages, 0u);
-}
-
-TEST(AsyncTest, RepeatedRunsAreDeterministicInOutcome) {
-  auto [g1, g2] = RandomEntityGraphs(123, 6);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-  BspAllMatch bsp(h.ctx, {.num_workers = 4});
-  const auto first = bsp.RunAsync(roots);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(bsp.RunAsync(roots).matches, first.matches);
-  }
 }
 
 }  // namespace

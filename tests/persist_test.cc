@@ -594,17 +594,6 @@ TEST(KillResumeTest, ChangedWorkerCountFallsBackToColdStart) {
   EXPECT_EQ(r.matches, baseline);
 }
 
-TEST(KillResumeTest, AsyncModelRejectsCheckpoints) {
-  auto [g1, g2] = RandomEntityGraphs(34, 4);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  ParallelConfig cfg{.num_workers = 2};
-  cfg.checkpoint = {.dir = TempPath("kr_async"), .every_supersteps = 1};
-  BspAllMatch bsp(h.ctx, cfg);
-  const ParallelResult r = bsp.RunAsync(ItemRoots(h.g1));
-  ASSERT_FALSE(r.status.ok());
-  EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition);
-}
-
 // --- HerSystem warm start -----------------------------------------------
 
 TEST(WarmStartTest, TrainOrLoadSkipsRetrainAndPtableBuild) {
