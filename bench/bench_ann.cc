@@ -58,10 +58,8 @@ int main(int argc, char** argv) {
   BenchSystem bs(spec);
   const auto tuples = bs.data.canonical.TupleVertices();
 
-  const auto* caching =
-      dynamic_cast<const CachingVertexScorer*>(bs.system->context().hv);
-  const auto* emb = dynamic_cast<const EmbeddingVertexScorer*>(
-      caching != nullptr ? caching->inner() : bs.system->context().hv);
+  const auto* emb =
+      dynamic_cast<const EmbeddingVertexScorer*>(bs.system->context().hv);
   if (emb == nullptr) {
     std::fprintf(stderr, "unexpected h_v scorer wiring\n");
     return 1;

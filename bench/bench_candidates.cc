@@ -92,11 +92,8 @@ int main(int argc, char** argv) {
   const MatchContext& ctx = bs.system->context();
   const auto tuples = bs.data.canonical.TupleVertices();
 
-  // ctx.hv is the memoizing decorator; the baseline needs the raw
-  // normalized-matrix scorer underneath it for the row pointers.
-  const auto* caching = dynamic_cast<const CachingVertexScorer*>(ctx.hv);
-  const auto* emb = dynamic_cast<const EmbeddingVertexScorer*>(
-      caching != nullptr ? caching->inner() : ctx.hv);
+  // The baseline needs the normalized-matrix scorer for the row pointers.
+  const auto* emb = dynamic_cast<const EmbeddingVertexScorer*>(ctx.hv);
   if (emb == nullptr) {
     std::fprintf(stderr, "unexpected h_v scorer wiring\n");
     return 1;
@@ -132,23 +129,6 @@ int main(int argc, char** argv) {
 
   const double speedup8 = baseline_s / batched_s.back();
 
-  // h_v memo telemetry accumulated across the batched runs: the sharded
-  // flat-table probe counters and the fraction of batched probes answered
-  // from the memo.
-  const size_t memo_hits = caching != nullptr ? caching->CacheHits() : 0;
-  const size_t memo_batches =
-      caching != nullptr ? caching->ProbeBatches() : 0;
-  const size_t memo_probe_len = caching != nullptr ? caching->ProbeLen() : 0;
-  const double memo_hit_rate =
-      memo_probe_len == 0
-          ? 0.0
-          : static_cast<double>(memo_hits) /
-                static_cast<double>(memo_probe_len);
-  std::printf("h_v memo: %zu probe batches, %zu probes, hit rate %.3f, "
-              "load factor %.2f\n",
-              memo_batches, memo_probe_len, memo_hit_rate,
-              caching != nullptr ? caching->MemoLoadFactor() : 0.0);
-
   std::ofstream out(out_path);
   out << "{\n"
       << her::bench::JsonPeakRssField()
@@ -167,16 +147,6 @@ int main(int argc, char** argv) {
         << (i + 1 < thread_counts.size() ? ",\n" : "\n");
   }
   out << "  },\n"
-      << "  \"hv_memo\": {\n"
-      << "    \"probe_batches\": " << memo_batches << ",\n"
-      << "    \"probe_len\": " << memo_probe_len << ",\n"
-      << "    \"hits\": " << memo_hits << ",\n"
-      << "    \"hit_rate\": " << memo_hit_rate << ",\n"
-      << "    \"evictions\": "
-      << (caching != nullptr ? caching->CacheEvictions() : 0) << ",\n"
-      << "    \"load_factor\": "
-      << (caching != nullptr ? caching->MemoLoadFactor() : 0.0) << "\n"
-      << "  },\n"
       << "  \"speedup_batched_1_thread\": " << baseline_s / batched_s[0]
       << ",\n"
       << "  \"speedup_batched_8_threads\": " << speedup8 << "\n"

@@ -1,13 +1,13 @@
 // Memo-probe benchmark for the cache-conscious flat tables behind the
-// HER memos (h_v/h_rho score caches, MatchEngine pair cache): the
+// HER memos (M_rho score cache, MatchEngine pair cache): the
 // pre-flat-table std::unordered_map probed per key (node-based buckets,
 // one dependent cache miss per probe) against the open-addressing
 // FlatTable, scalar and prefetch-pipelined FindBatch. The probe stream
 // mimics the candidate-generation regime (~50% hit rate over PairKeys).
 //
 // Two workload regimes:
-//   - "memo": 64K resident entries, the scale the capped engine memos
-//     (shard caps, kListMemoCap) actually run at — table fits the LLC.
+//   - "memo": 64K resident entries, the scale the capped memo shards
+//     actually run at — table fits the LLC.
 //     This is the gated number.
 //   - "dram": 4M resident entries (~128 MiB of buckets), the regime a
 //     large uncapped run would reach, where probes are DRAM/TLB-bound.

@@ -66,8 +66,7 @@ void BM_VertexScoreBatch(benchmark::State& state) {
 BENCHMARK(BM_VertexScoreBatch)->Arg(64)->Arg(512);
 
 /// Shared memo-probe workload: `entries` resident PairKeys plus a probe
-/// stream drawn from twice that key space (~50% hit rate, the regime the
-/// h_v memo sees during candidate generation).
+/// stream drawn from twice that key space (~50% hit rate).
 struct MemoWorkload {
   std::vector<uint64_t> resident;
   std::vector<uint64_t> probes;
@@ -177,20 +176,16 @@ void BM_GenerateCandidates(benchmark::State& state) {
   BspAllMatch bsp(ctx, {.num_workers = static_cast<uint32_t>(threads)});
   const MatchEngine::Stats stats = bsp.Run(tuples).stats;
   state.counters["hv_batch_calls"] = static_cast<double>(stats.hv_batch_calls);
-  state.counters["hv_cache_hits"] = static_cast<double>(stats.hv_cache_hits);
   state.counters["hrho_batch_calls"] =
       static_cast<double>(stats.hrho_batch_calls);
   state.counters["hrho_embed_reuse"] =
       static_cast<double>(stats.hrho_embed_reuse);
-  state.counters["hrho_list_memo_hits"] =
-      static_cast<double>(stats.hrho_list_memo_hits);
   state.counters["hrho_hash_rejects"] =
       static_cast<double>(stats.hrho_hash_rejects);
   state.counters["memo_probe_batches"] =
       static_cast<double>(stats.memo_probe_batches);
   state.counters["memo_probe_len"] =
       static_cast<double>(stats.memo_probe_len);
-  state.counters["hv_memo_load_factor"] = stats.hv_memo_load_factor;
   state.counters["hrho_memo_load_factor"] = stats.hrho_memo_load_factor;
 }
 BENCHMARK(BM_GenerateCandidates)
@@ -205,10 +200,8 @@ void BM_GenerateCandidatesAnn(benchmark::State& state) {
   // all of G. Compare against BM_GenerateCandidates; the ann_* counters
   // surface the index telemetry.
   BenchSystem& bs = Shared();
-  const auto* caching =
-      dynamic_cast<const CachingVertexScorer*>(bs.system->context().hv);
-  const auto* emb = dynamic_cast<const EmbeddingVertexScorer*>(
-      caching != nullptr ? caching->inner() : bs.system->context().hv);
+  const auto* emb =
+      dynamic_cast<const EmbeddingVertexScorer*>(bs.system->context().hv);
   if (emb == nullptr) {
     state.SkipWithError("unexpected h_v scorer wiring");
     return;

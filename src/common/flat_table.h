@@ -41,8 +41,8 @@
 
 namespace her {
 
-/// Packs a (u, v) id pair into the canonical 64-bit memo key (the layout
-/// CachingVertexScorer has always used: u in the high word).
+/// Packs a (u, v) id pair into the canonical 64-bit table key (u in the
+/// high word).
 inline constexpr uint64_t PairKey(uint32_t u, uint32_t v) {
   return (static_cast<uint64_t>(u) << 32) | v;
 }
@@ -543,6 +543,7 @@ class FlatTable {
   bool buckets_mmapped_ = false;
 };
 
+/// Kept only under the h_v memo decorator that perfbench/apair.cc:391-393 pins.
 /// Concurrent sharded memo over FlatTable: the drop-in replacement for the
 /// caching scorers' `mutex + unordered_map` shards, preserving their exact
 /// semantics — shard selection Mix64(key) % kShards, per-shard capacity

@@ -16,22 +16,12 @@ std::vector<VertexId> AllVertices(const Graph& g) {
 
 namespace {
 
-/// Bulk candidate scans touch each (u, v) pair once by construction, so
-/// routing them through the memo decorator would only thrash its shards
-/// (and the shard locks serialize the ParallelFor fan-out); score them
-/// against the raw kernel instead. Scalar probes and the small repeated
-/// per-descendant batches inside EvalOnce keep the coherent memo.
-const VertexScorer* BulkScorer(const VertexScorer* hv) {
-  const auto* caching = dynamic_cast<const CachingVertexScorer*>(hv);
-  return caching != nullptr ? caching->inner() : hv;
-}
-
 /// Filters candidate vertices by h_v(u_t, .) >= sigma, one batch call.
 std::vector<VertexId> FilterBySigma(MatchEngine& engine, VertexId u_t,
                                     std::span<const VertexId> candidates) {
   const MatchContext& ctx = engine.context();
   std::vector<double> scores(candidates.size());
-  BulkScorer(ctx.hv)->ScoreBatch(u_t, candidates, scores);
+  ctx.hv->ScoreBatch(u_t, candidates, scores);
   std::vector<VertexId> out;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (scores[i] >= ctx.params.sigma) out.push_back(candidates[i]);
@@ -67,13 +57,12 @@ std::vector<MatchPair> GenerateCandidates(
                                             ? ctx.all_vertices.Get(*ctx.g)
                                             : std::span<const VertexId>{};
   std::vector<std::vector<Cand>> per_tuple(tuple_vertices.size());
-  const VertexScorer* hv = BulkScorer(ctx.hv);
 
   // Exhaustive sigma scan over the full pool for one tuple vertex. The
   // exact path, the ANN recall probes, and the ANN fallback all share it.
   const auto ExactSurvivors = [&](VertexId u, std::vector<Cand>& out) {
     std::vector<double> scores(all.size());
-    hv->ScoreBatch(u, all, scores);
+    ctx.hv->ScoreBatch(u, all, scores);
     for (size_t j = 0; j < all.size(); ++j) {
       if (scores[j] >= ctx.params.sigma) {
         out.push_back(Cand{u, all[j], ctx.g->Degree(all[j])});
@@ -153,7 +142,7 @@ std::vector<MatchPair> GenerateCandidates(
     }
     const std::vector<VertexId> pool = index->Lookup(ctx.gd->label(u));
     std::vector<double> scores(pool.size());
-    hv->ScoreBatch(u, pool, scores);
+    ctx.hv->ScoreBatch(u, pool, scores);
     for (size_t j = 0; j < pool.size(); ++j) {
       if (scores[j] >= ctx.params.sigma) {
         out.push_back(Cand{u, pool[j], ctx.g->Degree(pool[j])});

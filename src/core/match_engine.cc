@@ -144,33 +144,17 @@ const MatchEngine::CacheEntry* MatchEngine::Lookup(VertexId u,
 }
 
 const MatchEngine::Stats& MatchEngine::stats() const {
-  // The memo probe counters span both shared caching scorers; recompute
-  // the sums wholesale so repeated stats() calls stay idempotent.
-  size_t probe_batches = 0;
-  size_t probe_len = 0;
-  if (ctx_.hv != nullptr) {
-    stats_.hv_batch_calls = ctx_.hv->BatchCalls();
-    if (const auto* caching =
-            dynamic_cast<const CachingVertexScorer*>(ctx_.hv)) {
-      stats_.hv_cache_hits = caching->CacheHits();
-      stats_.hv_cache_evictions = caching->CacheEvictions();
-      stats_.hv_memo_load_factor = caching->MemoLoadFactor();
-      probe_batches += caching->ProbeBatches();
-      probe_len += caching->ProbeLen();
-    }
-  }
+  if (ctx_.hv != nullptr) stats_.hv_batch_calls = ctx_.hv->BatchCalls();
   if (ctx_.mrho != nullptr) {
     stats_.hrho_batch_calls = ctx_.mrho->BatchCalls();
     if (const auto* caching =
             dynamic_cast<const CachingPathScorer*>(ctx_.mrho)) {
       stats_.hrho_hash_rejects = caching->HashRejects();
       stats_.hrho_memo_load_factor = caching->MemoLoadFactor();
-      probe_batches += caching->ProbeBatches();
-      probe_len += caching->ProbeLen();
+      stats_.memo_probe_batches = caching->ProbeBatches();
+      stats_.memo_probe_len = caching->ProbeLen();
     }
   }
-  stats_.memo_probe_batches = probe_batches;
-  stats_.memo_probe_len = probe_len;
   stats_.engine_cache_load_factor = cache_.LoadFactor();
   if (ctx_.hr != nullptr) {
     stats_.hr_batch_calls = ctx_.hr->BatchCalls();
@@ -269,17 +253,9 @@ bool MatchEngine::ParaMatch(VertexId u, VertexId v) {
   }
 }
 
-std::shared_ptr<const MatchEngine::CandLists> MatchEngine::CandidateListsFor(
-    VertexId u, VertexId v, std::span<const Property> pu,
-    std::span<const Property> pv) {
-  const MatchPair key{u, v};
-  if (const auto* memoized = lists_memo_.Find(KeyOf(key))) {
-    ++stats_.hrho_list_memo_hits;
-    return *memoized;
-  }
-
-  auto built = std::make_shared<CandLists>();
-  built->per_property.resize(pu.size());
+std::vector<std::vector<MatchEngine::Cand>> MatchEngine::CandidateListsFor(
+    std::span<const Property> pu, std::span<const Property> pv) {
+  std::vector<std::vector<Cand>> lists(pu.size());
   const double sigma = ctx_.params.sigma;
 
   // Sigma filter (Fig. 4 line 8): one batched h_v evaluation per selected
@@ -313,21 +289,15 @@ std::shared_ptr<const MatchEngine::CandLists> MatchEngine::CandidateListsFor(
       const auto [i, j] = pair_ij[n];
       const double hrho =
           m[n] / static_cast<double>(pu[i].joint.size() + pv[j].joint.size());
-      built->per_property[i].push_back(Cand{pv[j].descendant, hrho});
+      lists[i].push_back(Cand{pv[j].descendant, hrho});
     }
   }
-  for (auto& list : built->per_property) {
+  for (auto& list : lists) {
     std::sort(list.begin(), list.end(), [](const Cand& a, const Cand& b) {
       return a.hrho != b.hrho ? a.hrho > b.hrho : a.v2 < b.v2;
     });
   }
-
-  if (lists_memo_.Size() >= lists_memo_cap_) {
-    lists_memo_.Clear();
-    ++stats_.hrho_list_memo_evictions;
-  }
-  lists_memo_.TryEmplace(KeyOf(key), built);
-  return built;
+  return lists;
 }
 
 bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale) {
@@ -359,12 +329,8 @@ bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale) {
   }
 
   // Lines 6-11: per-descendant candidate lists sorted by descending h_rho,
-  // built with the batched kernel (or served from the memo on
-  // stale-restarts and cleanup reruns). Hold the shared_ptr for the whole
-  // evaluation: recursive ParaMatch calls below may clear the memo.
-  const std::shared_ptr<const CandLists> memo =
-      CandidateListsFor(u, v, pu, pv);
-  const auto& lists = memo->per_property;
+  // built with the batched kernel.
+  const auto lists = CandidateListsFor(pu, pv);
   std::vector<double> contrib(pu.size(), 0.0);  // current MaxSco share of u'
   double maxsco = 0.0;
   for (size_t i = 0; i < pu.size(); ++i) {
@@ -600,17 +566,6 @@ void MatchEngine::InvalidateForUpdate(std::span<const VertexId> affected_u,
   }
   for (const VertexId v : affected_u) ecache_[0].Erase(v);
   for (const VertexId v : affected_v) ecache_[1].Erase(v);
-  // Candidate lists are derived from the properties and h_v scores of the
-  // pair's vertices; drop the rows the update touches (same granularity as
-  // the ecache rows above). In-place erasure during ForEach is safe:
-  // tombstoning never moves surviving slots.
-  lists_memo_.ForEach(
-      [&](uint64_t packed, std::shared_ptr<const CandLists>&) {
-        const MatchPair key = PairOf(packed);
-        if (su.count(key.first) != 0 || sv.count(key.second) != 0) {
-          lists_memo_.Erase(packed);
-        }
-      });
 }
 
 void MatchEngine::ClearPairCache() {
@@ -937,31 +892,10 @@ void MatchEngine::SaveWarmCaches(ByteWriter* w) const {
       PutProperties(w, *ecache_[gi].Find(v));
     }
   }
-  std::vector<MatchPair> keys;
-  keys.reserve(lists_memo_.Size());
-  lists_memo_.ForEach(
-      [&](uint64_t packed, const std::shared_ptr<const CandLists>&) {
-        keys.push_back(PairOf(packed));
-      });
-  std::sort(keys.begin(), keys.end());
-  w->PutVarint(keys.size());
-  for (const MatchPair& key : keys) {
-    PutPair(w, key);
-    const CandLists& lists = **lists_memo_.Find(KeyOf(key));
-    w->PutVarint(lists.per_property.size());
-    for (const auto& list : lists.per_property) {
-      w->PutVarint(list.size());
-      for (const Cand& c : list) {
-        w->PutVarint(c.v2);
-        w->PutDouble(c.hrho);
-      }
-    }
-  }
 }
 
 Status MatchEngine::LoadWarmCaches(ByteReader* r) {
   FlatTable<std::vector<Property>> ecache[2];
-  decltype(lists_memo_) memo;
   for (int gi = 0; gi < 2; ++gi) {
     uint64_t n = 0;
     HER_RETURN_NOT_OK(r->GetCount(&n));
@@ -973,31 +907,8 @@ Status MatchEngine::LoadWarmCaches(ByteReader* r) {
       ecache[gi].TryEmplace(v, std::move(props));
     }
   }
-  uint64_t n = 0;
-  HER_RETURN_NOT_OK(r->GetCount(&n));
-  for (uint64_t i = 0; i < n; ++i) {
-    MatchPair key;
-    HER_RETURN_NOT_OK(GetPair(r, &key));
-    auto lists = std::make_shared<CandLists>();
-    uint64_t props = 0;
-    HER_RETURN_NOT_OK(r->GetCount(&props));
-    lists->per_property.resize(props);
-    for (uint64_t p = 0; p < props; ++p) {
-      uint64_t cands = 0;
-      HER_RETURN_NOT_OK(r->GetCount(&cands));
-      lists->per_property[p].resize(cands);
-      for (uint64_t c = 0; c < cands; ++c) {
-        uint64_t v2 = 0;
-        HER_RETURN_NOT_OK(r->GetVarint(&v2));
-        lists->per_property[p][c].v2 = static_cast<VertexId>(v2);
-        HER_RETURN_NOT_OK(r->GetDouble(&lists->per_property[p][c].hrho));
-      }
-    }
-    memo.TryEmplace(KeyOf(key), std::move(lists));
-  }
   ecache_[0] = std::move(ecache[0]);
   ecache_[1] = std::move(ecache[1]);
-  lists_memo_ = std::move(memo);
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -172,16 +171,14 @@ class MatchEngine {
     // is shared: across engines these are global counters, not per-engine
     // deltas, so the BSP aggregation does not sum them) ---
     size_t hv_batch_calls = 0;     // ScoreBatch invocations
-    size_t hv_cache_hits = 0;      // memoized h_v probes (CachingVertexScorer)
-    size_t hv_cache_evictions = 0;  // h_v memo shard resets
     // --- h_rho kernel telemetry. The first two are snapshots of the
     // shared PathScorer (same aggregation caveat as the h_v fields); the
     // rest are per-engine counters and sum across engines. ---
     size_t hrho_batch_calls = 0;   // PathScorer::ScoreBatch invocations
     size_t hrho_hash_rejects = 0;  // CachingPathScorer collisions caught
     size_t hrho_embed_reuse = 0;   // precomputed path embeddings consumed
-    size_t hrho_list_memo_hits = 0;       // candidate-list memo hits
-    size_t hrho_list_memo_evictions = 0;  // candidate-list memo resets
+    // Never written; kept because perfbench/apair.cc:210-211 reads it.
+    size_t hrho_list_memo_hits = 0;
     // --- h_r kernel telemetry (snapshots of the context's shared
     // DescendantRanker / PropertyTable — same aggregation caveat as the
     // h_v fields: the BSP aggregation assigns, never sums, them) ---
@@ -199,14 +196,13 @@ class MatchEngine {
     size_t ann_fallbacks = 0;      // calls demoted to exact on low recall
     double ann_recall = 1.0;       // measured recall over sampled probes
     double ann_build_seconds = 0.0;  // IvfIndex::Build wall time
-    // --- flat-table memo telemetry. The probe counters and the two scorer
-    // load factors are snapshots of the context's shared caching scorers
+    // --- flat-table memo telemetry. The probe counters and the M_rho
+    // load factor are snapshots of the context's shared CachingPathScorer
     // (same aggregation caveat as the h_v fields: the BSP aggregation
     // assigns, never sums, them); engine_cache_load_factor is per-engine
     // and max-merges across workers (occupancies do not add). ---
-    size_t memo_probe_batches = 0;  // batched probes into the hv+mrho memos
+    size_t memo_probe_batches = 0;  // batched probes into the M_rho memo
     size_t memo_probe_len = 0;      // total keys across those probes
-    double hv_memo_load_factor = 0.0;    // h_v memo shard occupancy [0,1]
     double hrho_memo_load_factor = 0.0;  // M_rho memo shard occupancy [0,1]
     double engine_cache_load_factor = 0.0;  // this engine's verdict table
     // Wall seconds spent restoring state from a durable snapshot (0 on a
@@ -352,14 +348,6 @@ class MatchEngine {
   /// BSP driver routes them to their owner for authoritative evaluation.
   std::vector<MatchPair> DrainNewAssumptions();
 
-  /// Caps the candidate-list memo (entries, not bytes); the BSP engine
-  /// derives this from ParallelConfig::worker_mem_budget_bytes. The memo
-  /// is a pure cache, so shrinking the cap costs recomputation only —
-  /// never correctness. 0 is clamped to 1.
-  void SetListsMemoCap(size_t cap) {
-    lists_memo_cap_ = std::max<size_t>(1, cap);
-  }
-
   /// Engine counters, with the h_v scorer telemetry refreshed from the
   /// context's (shared) VertexScorer at call time.
   const Stats& stats() const;
@@ -389,12 +377,14 @@ class MatchEngine {
   /// current verdict state wholesale.
   Status LoadEngineState(ByteReader* r);
 
-  /// Serializes the graph/parameter-determined warm caches: the lazily
-  /// filled ecache rows and the memoized per-pair candidate lists.
+  /// Serializes the graph/parameter-determined warm cache: the lazily
+  /// filled ecache rows.
   void SaveWarmCaches(ByteWriter* w) const;
 
-  /// Restores the warm caches; contents are deterministic derivations of
+  /// Restores the ecache rows; contents are deterministic derivations of
   /// the inputs, so a corrupt section is safely skipped (cold caches).
+  /// Bytes after the rows are ignored: older snapshots follow them with a
+  /// candidate-list block.
   Status LoadWarmCaches(ByteReader* r);
 
  private:
@@ -404,24 +394,12 @@ class MatchEngine {
     VertexId v2;
     double hrho;
   };
-  /// The per-property candidate lists of Fig. 4 lines 6-11 for one root
-  /// pair (u, v), each sorted by descending h_rho. Deterministic given the
-  /// graphs, models and parameters, so stale-restarts and cleanup reruns
-  /// of the same pair reuse the memoized value instead of rebuilding the
-  /// |P(u)| x |P(v)| matrix.
-  struct CandLists {
-    std::vector<std::vector<Cand>> per_property;
-  };
-
-  /// Returns the candidate lists for (u, v), from lists_memo_ when
-  /// present; otherwise builds them with one hv->ScoreBatch per property
-  /// and a single batched M_rho call over the sigma-surviving pairs, then
-  /// memoizes. The result is shared_ptr-held: deep recursion below the
-  /// caller can wholesale-clear the memo on overflow, and the caller's
-  /// copy must survive that.
-  std::shared_ptr<const CandLists> CandidateListsFor(
-      VertexId u, VertexId v, std::span<const Property> pu,
-      std::span<const Property> pv);
+  /// Builds the per-property candidate lists of Fig. 4 lines 6-11 for a
+  /// root pair with properties pu and pv, each sorted by descending h_rho:
+  /// one hv->ScoreBatch per property and a single batched M_rho call over
+  /// the sigma-surviving pairs.
+  std::vector<std::vector<Cand>> CandidateListsFor(
+      std::span<const Property> pu, std::span<const Property> pv);
 
   /// One attempt at evaluating (u, v). Returns the verdict; sets *stale if
   /// a witness consumed as true got invalidated mid-evaluation (in which
@@ -489,14 +467,6 @@ class MatchEngine {
   // vectors, so the spans PropertiesOf hands out stay valid across table
   // rehashes (the heap buffer moves with the vector object, not the slot).
   FlatTable<std::vector<Property>> ecache_[2];
-
-  // Candidate-list memo: (u, v) -> the sorted per-property lists of
-  // EvalOnce. Like ecache it is graph/parameter-determined, so it survives
-  // ClearPairCache; InvalidateForUpdate drops the affected rows. Cleared
-  // wholesale when it exceeds lists_memo_cap_ (counted as an eviction).
-  static constexpr size_t kDefaultListMemoCap = 1 << 15;
-  size_t lists_memo_cap_ = kDefaultListMemoCap;
-  FlatTable<std::shared_ptr<const CandLists>> lists_memo_;
 };
 
 }  // namespace her

@@ -79,8 +79,7 @@ void HerSystem::RebuildScorers() {
   // matrix is stale; EnsureAnnIndex/TrainOrLoad rebuild or reload it.
   ann_.reset();
   ctx_.ann = nullptr;
-  hv_cache_ = std::make_unique<CachingVertexScorer>(hv_.get());
-  ctx_.hv = hv_cache_.get();
+  ctx_.hv = hv_.get();
   ctx_.mrho = mrho_.get();
   ctx_.hr = hr_.get();
   ctx_.vocab = models_.vocab.get();

@@ -45,8 +45,8 @@ struct HerConfig {
   /// co-locates neighborhoods (streaming LDG) and cuts the cross-fragment
   /// recursion traffic; kHash is the balanced-in-expectation default.
   PartitionStrategy partition = PartitionStrategy::kHash;
-  /// Per-BSP-worker memory budget in bytes; 0 = unlimited (see
-  /// ParallelConfig::worker_mem_budget_bytes).
+  /// Per-BSP-worker memory budget in bytes; 0 = unlimited. Caps wire
+  /// batches only (see ParallelConfig::worker_mem_budget_bytes).
   size_t worker_mem_budget_bytes = 0;
 };
 
@@ -203,9 +203,6 @@ class HerSystem {
 
   TrainedModels models_;
   std::unique_ptr<EmbeddingVertexScorer> hv_;
-  // Memoizing h_v decorator installed as ctx_.hv: EvalOnce re-probes the
-  // same descendant pairs across candidate root pairs.
-  std::unique_ptr<CachingVertexScorer> hv_cache_;
   std::unique_ptr<MetricPathScorer> mrho_inner_;
   std::unique_ptr<TokenOverlapPathScorer> mrho_fallback_;
   std::unique_ptr<CachingPathScorer> mrho_;

@@ -86,8 +86,6 @@ struct PairOwner {
 void AssignSharedSnapshots(const MatchEngine::Stats& s,
                            MatchEngine::Stats* agg) {
   agg->hv_batch_calls = s.hv_batch_calls;
-  agg->hv_cache_hits = s.hv_cache_hits;
-  agg->hv_cache_evictions = s.hv_cache_evictions;
   agg->hrho_batch_calls = s.hrho_batch_calls;
   agg->hrho_hash_rejects = s.hrho_hash_rejects;
   agg->hr_batch_calls = s.hr_batch_calls;
@@ -103,7 +101,6 @@ void AssignSharedSnapshots(const MatchEngine::Stats& s,
   agg->ann_build_seconds = s.ann_build_seconds;
   agg->memo_probe_batches = s.memo_probe_batches;
   agg->memo_probe_len = s.memo_probe_len;
-  agg->hv_memo_load_factor = s.hv_memo_load_factor;
   agg->hrho_memo_load_factor = s.hrho_memo_load_factor;
 }
 
@@ -117,8 +114,6 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->hrho_evaluations += s.hrho_evaluations;
   agg->border_assumptions += s.border_assumptions;
   agg->hrho_embed_reuse += s.hrho_embed_reuse;
-  agg->hrho_list_memo_hits += s.hrho_list_memo_hits;
-  agg->hrho_list_memo_evictions += s.hrho_list_memo_evictions;
   // Load factors are occupancies, not counts: the busiest worker's table is
   // the meaningful fleet-level number.
   agg->engine_cache_load_factor =
@@ -522,18 +517,6 @@ Status TryRestoreShard(const CheckpointOptions& ckpt, uint32_t fragment,
   return LoadWorker(&r, w);
 }
 
-/// Derives the engine candidate-list memo cap from a per-worker memory
-/// budget. A memoized entry costs ~512 bytes (per-property lists of
-/// 12-byte Cands plus table overhead); the memo gets half the budget.
-/// 0 keeps the engine default; undersized budgets clamp to a useful
-/// floor — the cap costs recomputation, never correctness.
-size_t ListsMemoCapForBudget(size_t budget_bytes) {
-  if (budget_bytes == 0) return 0;
-  constexpr size_t kBytesPerEntry = 512;
-  return std::clamp<size_t>(budget_bytes / 2 / kBytesPerEntry,
-                            size_t{1} << 10, size_t{1} << 15);
-}
-
 /// Pairs per encoded wire frame under the budget: oversized outboxes ship
 /// as several frames so the encode/decode staging stays within bounds.
 /// Effectively unbounded (one frame per link) when unbudgeted.
@@ -551,7 +534,6 @@ struct RunSetup {
   PairOwner owner_of;
   const std::vector<MatchPair>& candidates;  // job input, arrival order
   const RunOptions& options;
-  size_t memo_cap;  // 0 = engine default
   FaultInjector* injector;
 
   static RunSetup For(const MatchContext& ctx, const ParallelConfig& config,
@@ -563,20 +545,17 @@ struct RunSetup {
             .owner_of = {config.pair_owner, part},
             .candidates = candidates,
             .options = options,
-            .memo_cap = ListsMemoCapForBudget(config.worker_mem_budget_bytes),
             .injector = config.faults};
   }
 
-  /// A fragment without state: locality filter, run options and the
-  /// budgeted memo cap applied. The filter borrows this setup, which
-  /// outlives the run's workers.
+  /// A fragment without state: locality filter and run options applied.
+  /// The filter borrows this setup, which outlives the run's workers.
   std::unique_ptr<Worker> Empty(uint32_t frag) const {
     auto w = std::make_unique<Worker>(ctx);
     w->engine.SetLocalityFilter([this, frag](VertexId u, VertexId v) {
       return owner_of(MatchPair{u, v}) == frag;
     });
     w->engine.SetRunOptions(options);
-    if (memo_cap != 0) w->engine.SetListsMemoCap(memo_cap);
     return w;
   }
 

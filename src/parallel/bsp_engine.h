@@ -74,11 +74,10 @@ struct ParallelConfig {
   /// scan when set (nullopt keeps the context's config). Lets a parallel
   /// run pick exact vs ANN without mutating the shared context.
   std::optional<CandidateGenConfig> candidate_gen;
-  /// Per-worker memory budget in bytes; 0 = unlimited. Sizes the engine's
-  /// candidate-list memo cap and the wire-frame batch size from the
-  /// budget (soft caps on the caches/batches the engine controls, not a
-  /// hard allocator limit). Exceeding a cap costs recomputation or an
-  /// extra frame, never correctness.
+  /// Per-worker memory budget in bytes; 0 = unlimited. Caps the pairs
+  /// per encoded wire frame (a soft cap on message batches, not a hard
+  /// allocator limit). Exceeding it costs an extra frame, never
+  /// correctness.
   size_t worker_mem_budget_bytes = 0;
 };
 

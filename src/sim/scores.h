@@ -88,15 +88,15 @@ class EmbeddingVertexScorer : public VertexScorer {
   std::vector<float> matrix_[2];
 };
 
-/// Memoizing h_v decorator (mirrors CachingPathScorer): EvalOnce probes the
-/// same descendant pairs for every candidate root pair sharing properties,
-/// so a (u, v) -> score memo pays off. Backed by a ShardedFlatMemo
-/// (cache-line-bucketed open addressing); safe to share across threads.
-/// Each shard resets wholesale when it exceeds `shard_cap` entries (cheap
-/// bounded memory, counted by CacheEvictions). ScoreBatch goes through the
-/// memo's prefetch-pipelined FindBatch: cached entries are served directly,
-/// only the misses reach inner_->ScoreBatch, and their results are
-/// inserted — so the scalar and batch paths see one coherent cache and
+/// Kept only because perfbench/apair.cc:391-393 casts ctx.hv to it.
+/// Memoizing h_v decorator (mirrors CachingPathScorer); no production
+/// wiring installs it. Backed by a ShardedFlatMemo (cache-line-bucketed
+/// open addressing); safe to share across threads. Each shard resets
+/// wholesale when it exceeds `shard_cap` entries (cheap bounded memory,
+/// counted by CacheEvictions). ScoreBatch goes through the memo's
+/// prefetch-pipelined FindBatch: cached entries are served directly, only
+/// the misses reach inner_->ScoreBatch, and their results are inserted —
+/// so the scalar and batch paths see one coherent cache and
 /// CacheHits/CacheEvictions cover both.
 class CachingVertexScorer : public VertexScorer {
  public:
@@ -225,9 +225,9 @@ class TokenOverlapPathScorer : public PathScorer {
 /// Memoizing decorator: M_rho is called with heavily repeated path pairs
 /// (every candidate pair sharing predicates), so a cache pays off. The
 /// cache is sharded by hash and lock-guarded; safe to share across threads,
-/// though the BSP workers typically own one each. Each shard is capped at
-/// `shard_cap` entries and resets wholesale on overflow (cheap bounded
-/// memory for long AllParaMatch runs), counted by CacheEvictions.
+/// and the BSP workers all share the context's one instance. Each shard is
+/// capped at `shard_cap` entries and resets wholesale on overflow (cheap
+/// bounded memory for long AllParaMatch runs), counted by CacheEvictions.
 ///
 /// Entries keep the token-path pair as key material: a 64-bit combined
 /// hash alone would silently alias distinct pairs, so every probe verifies

@@ -254,6 +254,7 @@ TEST(FlatTableTest, FindBatchDuplicateKeys) {
 // ---------------------------------------------------------------------------
 // ShardedFlatMemo: cap eviction + counters + batched probes
 // ---------------------------------------------------------------------------
+// Kept only under the h_v memo decorator that perfbench/apair.cc:391-393 pins.
 
 TEST(ShardedFlatMemoTest, FindInsertAndHitCounting) {
   ShardedFlatMemo<double> memo(1 << 10);

@@ -163,15 +163,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDriverTest,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
 
 TEST(ParallelDriverTest, EmbeddingScorerDeterminismAcrossWorkers) {
-  // The trained-path scorer (shared contiguous-matrix kernel + memo
-  // decorator) must also be safe and deterministic across BSP workers.
+  // The trained-path scorer (one contiguous-matrix kernel shared by every
+  // worker) must also be safe and deterministic across BSP workers.
   auto [g1, g2] = RandomGraphPair(777, /*roots=*/6);
   const SimulationParams params{.sigma = 0.9, .delta = 0.5, .k = 4};
   Harness h(std::move(g1), std::move(g2), params);
   const HashedTextEmbedder embedder;
   const EmbeddingVertexScorer emb_hv(h.g1, h.g2, embedder);
-  const CachingVertexScorer cached_hv(&emb_hv);
-  h.ctx.hv = &cached_hv;
+  h.ctx.hv = &emb_hv;
   const auto roots = ItemRoots(h.g1);
 
   MatchEngine serial_engine(h.ctx);

@@ -381,6 +381,44 @@ TEST(EngineStatePersistTest, VerdictsAndWarmCachesRoundTrip) {
   EXPECT_FALSE(scratch.LoadEngineState(&rbad).ok());
 }
 
+TEST(EngineStatePersistTest, OlderWarmCachesLayoutStillLoads) {
+  auto [g1, g2] = RandomEntityGraphs(21, 6);
+  ContextHarness h(std::move(g1), std::move(g2), TestParams());
+  const VertexId u = ItemRoots(h.g1)[0];
+  const VertexId v = ItemRoots(h.g2)[0];
+  MatchEngine cold(h.ctx);
+  ASSERT_FALSE(cold.PropertiesOf(0, u).empty());
+
+  // The ecache rows: one row for u in G_D, deliberately empty so a
+  // restored row is told apart from a lazily ranked one; none in G.
+  ByteWriter rows;
+  rows.PutVarint(1);
+  rows.PutVarint(u);
+  rows.PutVarint(0);
+  rows.PutVarint(0);
+  // Older snapshots follow the rows with a candidate-list block: a count,
+  // then per root pair the pair, its per-property lists and each list's
+  // (v2, h_rho) entries.
+  ByteWriter older;
+  older.PutBytes(rows.data().data(), rows.data().size());
+  older.PutVarint(1);
+  older.PutVarint(u);
+  older.PutVarint(v);
+  older.PutVarint(1);  // properties
+  older.PutVarint(1);  // candidates of that property
+  older.PutVarint(v + 1);
+  older.PutDouble(0.5);
+
+  MatchEngine restored(h.ctx);
+  ByteReader r(older.data());
+  ASSERT_TRUE(restored.LoadWarmCaches(&r).ok());
+  EXPECT_TRUE(restored.PropertiesOf(0, u).empty());  // the restored row
+  // The next save writes the ecache rows alone.
+  ByteWriter resaved;
+  restored.SaveWarmCaches(&resaved);
+  EXPECT_EQ(resaved.data(), rows.data());
+}
+
 // --- kill-and-resume matrix ---------------------------------------------
 
 /// Acceptance matrix: >= 4 seeds x {2, 4, 8} workers; a run halted after

@@ -121,6 +121,7 @@ TEST(VertexScorerTest, DefaultScoreBatchLoopsOverScore) {
   EXPECT_EQ(hv.BatchCalls(), 1u);
 }
 
+// CachingVertexScorer is kept only because perfbench/apair.cc:391-393 reads it.
 TEST(CachingVertexScorerTest, CachesAgreesAndCountsHits) {
   const TwoGraphs tg = MakeGraphs();
   const JaccardVertexScorer inner(tg.g1, tg.g2);

@@ -32,9 +32,8 @@
 //         --partition=hash|edgecut  how G is fragmented across workers
 //                                   (edgecut = streaming LDG, cuts
 //                                   cross-fragment messages; default hash)
-//         --mem-budget-mb=N      per-worker memory budget (soft caps on
-//                                the engine memos and wire batches; 0 =
-//                                unlimited)
+//         --mem-budget-mb=N      per-worker memory budget (soft cap on
+//                                the wire batches; 0 = unlimited)
 //
 //   her_cli spair <dir> <relation> <tuple-key> <vertex-id>
 //       Single-pair check with explanation.
