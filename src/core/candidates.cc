@@ -8,61 +8,39 @@ namespace her {
 
 namespace {
 
-void FinalizePostings(
-    std::unordered_map<std::string, std::vector<VertexId>>& postings,
-    size_t max_posting);
+/// The blocking document of a vertex: its own label plus its children's
+/// labels (attribute values). Blocking retrieves by any of its tokens.
+std::string DocOf(const Graph& g, VertexId v) {
+  std::string doc = g.label(v);
+  for (const Edge& e : g.OutEdges(v)) {
+    doc += ' ';
+    doc += g.label(e.dst);
+  }
+  return doc;
+}
 
 }  // namespace
 
-InvertedIndex::InvertedIndex(const Graph& g, std::vector<VertexId> vertices,
-                             size_t max_posting) {
-  if (vertices.empty()) {
-    vertices.resize(g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) vertices[v] = v;
-  }
-  for (const VertexId v : vertices) {
-    for (const auto& tok : WordTokens(g.label(v))) {
+InvertedIndex::InvertedIndex(const Graph& g, size_t max_posting) {
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const auto& tok : WordTokens(DocOf(g, v))) {
       postings_[tok].push_back(v);
     }
   }
-  FinalizePostings(postings_, max_posting);
-}
-
-InvertedIndex::InvertedIndex(
-    std::vector<std::pair<VertexId, std::string>> docs, size_t max_posting) {
-  for (const auto& [v, doc] : docs) {
-    for (const auto& tok : WordTokens(doc)) {
-      postings_[tok].push_back(v);
-    }
-  }
-  FinalizePostings(postings_, max_posting);
-}
-
-namespace {
-
-void FinalizePostings(
-    std::unordered_map<std::string, std::vector<VertexId>>& postings,
-    size_t max_posting) {
   if (max_posting > 0) {
-    for (auto it = postings.begin(); it != postings.end();) {
-      if (it->second.size() > max_posting) {
-        it = postings.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(postings_, [&](const auto& entry) {
+      return entry.second.size() > max_posting;
+    });
   }
-  for (auto& [tok, list] : postings) {
-    std::sort(list.begin(), list.end());
+  for (auto& [tok, list] : postings_) {
     list.erase(std::unique(list.begin(), list.end()), list.end());
   }
 }
 
-}  // namespace
-
-std::vector<VertexId> InvertedIndex::Lookup(std::string_view label) const {
+std::vector<VertexId> InvertedIndex::Lookup(const Graph& gd,
+                                            VertexId u) const {
   std::vector<VertexId> out;
-  for (const auto& tok : WordTokens(label)) {
+  for (const auto& tok : WordTokens(DocOf(gd, u))) {
     auto it = postings_.find(tok);
     if (it == postings_.end()) continue;
     out.insert(out.end(), it->second.begin(), it->second.end());

@@ -2,7 +2,6 @@
 #define HER_CORE_CANDIDATES_H_
 
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -10,30 +9,24 @@
 
 namespace her {
 
-/// Inverted index over the word tokens of vertex labels (Section VI:
-/// "inverted indices on critical information"). Used as the blocking step
-/// of VPair/APair: a query label retrieves every indexed vertex that shares
-/// at least one token with it; h_v then filters by sigma. Recursive
-/// descendant checks are NOT blocked — only the root candidates are.
+/// Inverted index over the "critical information" of G's vertices
+/// (Section VI: "inverted indices on critical information"), the blocking
+/// step of VPair/APair. A vertex's blocking document is its own label plus
+/// its children's labels (its attribute values); a G_D vertex retrieves
+/// every indexed vertex whose document shares at least one word token with
+/// its own document, and h_v then filters by sigma. Recursive descendant
+/// checks are NOT blocked — only the root candidates are.
 class InvertedIndex {
  public:
-  /// Indexes `vertices` of `g`; an empty list means every vertex.
-  /// `max_posting` drops tokens whose posting list would exceed the bound
-  /// (0 disables dropping) — a stop-word guard for huge graphs; dropping
-  /// can miss candidates, which the paper accepts for blocking.
-  explicit InvertedIndex(const Graph& g, std::vector<VertexId> vertices = {},
-                         size_t max_posting = 0);
+  /// Indexes the blocking document of every vertex of `g`. `max_posting`
+  /// drops tokens whose posting list would exceed the bound (0 disables
+  /// dropping) — a stop-word guard for huge graphs; dropping can miss
+  /// candidates, which the paper accepts for blocking.
+  explicit InvertedIndex(const Graph& g, size_t max_posting = 0);
 
-  /// Indexes arbitrary (vertex, document) pairs — the "critical
-  /// information" form: a vertex is retrievable by any token of its
-  /// document (typically its label plus its attribute values).
-  InvertedIndex(std::vector<std::pair<VertexId, std::string>> docs,
-                size_t max_posting);
-
-  /// Vertices sharing at least one word token with `label`, ascending ids.
-  std::vector<VertexId> Lookup(std::string_view label) const;
-
-  size_t num_tokens() const { return postings_.size(); }
+  /// Indexed vertices sharing at least one word token with the blocking
+  /// document of G_D vertex `u` of `gd`, ascending ids.
+  std::vector<VertexId> Lookup(const Graph& gd, VertexId u) const;
 
  private:
   std::unordered_map<std::string, std::vector<VertexId>> postings_;

@@ -14,38 +14,9 @@ std::vector<VertexId> AllVertices(const Graph& g) {
   return all;
 }
 
-namespace {
-
-/// Filters candidate vertices by h_v(u_t, .) >= sigma, one batch call.
-std::vector<VertexId> FilterBySigma(MatchEngine& engine, VertexId u_t,
-                                    std::span<const VertexId> candidates) {
-  const MatchContext& ctx = engine.context();
-  std::vector<double> scores(candidates.size());
-  ctx.hv->ScoreBatch(u_t, candidates, scores);
-  std::vector<VertexId> out;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (scores[i] >= ctx.params.sigma) out.push_back(candidates[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<VertexId> VParaMatch(MatchEngine& engine, VertexId u_t) {
-  const MatchContext& ctx = engine.context();
-  const auto all = ctx.all_vertices.Get(*ctx.g);
-  return engine.MatchCandidates(u_t, FilterBySigma(engine, u_t, all));
-}
-
-std::vector<VertexId> VParaMatch(MatchEngine& engine, VertexId u_t,
-                                 const InvertedIndex& index) {
-  const auto blocked = index.Lookup(engine.context().gd->label(u_t));
-  return engine.MatchCandidates(u_t, FilterBySigma(engine, u_t, blocked));
-}
-
 std::vector<MatchPair> GenerateCandidates(
     const MatchContext& ctx, std::span<const VertexId> tuple_vertices,
-    const InvertedIndex* index, size_t num_threads) {
+    const InvertedIndex* blocking, size_t num_threads) {
   // Fig. 8 lines 1-3: candidate set C across G_D and G. One ScoreBatch
   // per tuple vertex over its pool; tuple vertices fan out across the
   // ParallelFor workers into per-vertex buffers.
@@ -53,27 +24,33 @@ std::vector<MatchPair> GenerateCandidates(
     VertexId u, v;
     size_t degree;  // of v, for the increasing-degree order (line 4)
   };
-  const std::span<const VertexId> all = index == nullptr
+  // With the degree order off every candidate gets key 0, and the merge
+  // below degenerates to the (u, v) order.
+  const auto DegreeKey = [&](VertexId v) -> size_t {
+    return ctx.enable_degree_sort ? ctx.g->Degree(v) : 0;
+  };
+  const std::span<const VertexId> all = blocking == nullptr
                                             ? ctx.all_vertices.Get(*ctx.g)
                                             : std::span<const VertexId>{};
   std::vector<std::vector<Cand>> per_tuple(tuple_vertices.size());
 
-  // Exhaustive sigma scan over the full pool for one tuple vertex. The
-  // exact path, the ANN recall probes, and the ANN fallback all share it.
-  const auto ExactSurvivors = [&](VertexId u, std::vector<Cand>& out) {
-    std::vector<double> scores(all.size());
-    ctx.hv->ScoreBatch(u, all, scores);
-    for (size_t j = 0; j < all.size(); ++j) {
+  // The sigma filter over one tuple vertex's pool. The exact path, the
+  // blocked path, the ANN recall probes and the ANN fallback all share it.
+  const auto SigmaSurvivors = [&](VertexId u, std::span<const VertexId> pool,
+                                  std::vector<Cand>& out) {
+    std::vector<double> scores(pool.size());
+    ctx.hv->ScoreBatch(u, pool, scores);
+    for (size_t j = 0; j < pool.size(); ++j) {
       if (scores[j] >= ctx.params.sigma) {
-        out.push_back(Cand{u, all[j], ctx.g->Degree(all[j])});
+        out.push_back(Cand{u, pool[j], DegreeKey(pool[j])});
       }
     }
   };
 
   // The ANN probe only ever prunes the pool: scanned vertices get scores
   // bit-identical to the exact kernel, so its sigma-survivors are a subset
-  // of the exact ones. Blocked (InvertedIndex) calls keep the label pool.
-  bool ann_active = index == nullptr && ctx.ann != nullptr &&
+  // of the exact ones. Blocked calls keep the index's pool.
+  bool ann_active = blocking == nullptr && ctx.ann != nullptr &&
                     !ctx.ann->empty() &&
                     ctx.candidate_gen.mode == CandidateMode::kAnn;
   std::vector<char> validated(tuple_vertices.size(), 0);
@@ -92,7 +69,7 @@ std::vector<MatchPair> GenerateCandidates(
     ParallelFor(k, num_threads, [&](size_t s) {
       const size_t i = sample[s];
       const VertexId u = tuple_vertices[i];
-      ExactSurvivors(u, per_tuple[i]);
+      SigmaSurvivors(u, all, per_tuple[i]);
       exact_hits[s] = per_tuple[i].size();
       static thread_local std::vector<AnnHit> hits;
       hits.clear();
@@ -131,25 +108,18 @@ std::vector<MatchPair> GenerateCandidates(
       out.reserve(hits.size());
       for (const AnnHit& h : hits) {
         if (h.score >= ctx.params.sigma) {
-          out.push_back(Cand{u, h.v, ctx.g->Degree(h.v)});
+          out.push_back(Cand{u, h.v, DegreeKey(h.v)});
         }
       }
       return;
     }
-    if (index == nullptr) {
-      ExactSurvivors(u, out);
-      return;
-    }
-    const std::vector<VertexId> pool = index->Lookup(ctx.gd->label(u));
-    std::vector<double> scores(pool.size());
-    ctx.hv->ScoreBatch(u, pool, scores);
-    for (size_t j = 0; j < pool.size(); ++j) {
-      if (scores[j] >= ctx.params.sigma) {
-        out.push_back(Cand{u, pool[j], ctx.g->Degree(pool[j])});
-      }
+    if (blocking == nullptr) {
+      SigmaSurvivors(u, all, out);
+    } else {
+      SigmaSurvivors(u, blocking->Lookup(*ctx.gd, u), out);
     }
   });
-  // Merge (Fig. 8 line 4): increasing degree, ties broken by (u, v).
+  // Merge (Fig. 8 line 4): increasing degree key, ties broken by (u, v).
   // Each per-tuple buffer holds one u and is already v-sorted, so a
   // stable counting scatter by degree -- visiting buffers in u-ascending
   // order -- yields exactly the (degree, u, v) sequence a comparison
@@ -171,7 +141,8 @@ std::vector<MatchPair> GenerateCandidates(
   // degree-d elements land exactly where the serial order-sequence
   // scatter would put them, so the output stays byte-identical for every
   // num_threads.
-  const size_t nbuckets = ctx.g->MaxDegree() + 1;
+  const size_t nbuckets =
+      ctx.enable_degree_sort ? ctx.g->MaxDegree() + 1 : 1;
   const size_t chunks =
       std::max<size_t>(1, std::min(num_threads, per_tuple.size()));
   const auto chunk_begin = [&](size_t t) { return t * order.size() / chunks; };
@@ -203,15 +174,28 @@ std::vector<MatchPair> GenerateCandidates(
   return out;
 }
 
-namespace {
+std::vector<VertexId> VParaMatch(MatchEngine& engine, VertexId u_t,
+                                 const InvertedIndex* blocking) {
+  // Fig. 5 scans exactly: VPair never probes the IVF index.
+  MatchContext scan = engine.context();
+  scan.candidate_gen.mode = CandidateMode::kExact;
+  const VertexId roots[] = {u_t};
+  std::vector<VertexId> matches;
+  for (const MatchPair& c : GenerateCandidates(scan, roots, blocking)) {
+    if (engine.Match(c.first, c.second)) matches.push_back(c.second);
+  }
+  std::sort(matches.begin(), matches.end());
+  return matches;
+}
 
-std::vector<MatchPair> AllParaMatchImpl(
-    MatchEngine& engine, std::span<const VertexId> tuple_vertices,
-    const InvertedIndex* index, const RunOptions* options = nullptr) {
+std::vector<MatchPair> AllParaMatch(MatchEngine& engine,
+                                    std::span<const VertexId> tuple_vertices,
+                                    const InvertedIndex* blocking,
+                                    const RunOptions* options) {
   if (options != nullptr) engine.SetRunOptions(*options);
   WallTimer gen_timer;
   const std::vector<MatchPair> candidates =
-      GenerateCandidates(engine.context(), tuple_vertices, index);
+      GenerateCandidates(engine.context(), tuple_vertices, blocking);
   engine.RecordCandidateGen(gen_timer.Seconds());
   // Line 5 of Fig. 8: verify each candidate as in VParaMatch (cache-aware).
   // After a stop every Match call is a cheap refusal that records the pair
@@ -226,8 +210,10 @@ std::vector<MatchPair> AllParaMatchImpl(
     // support-closure resolver and account every non-proved candidate as
     // unresolved or disproved explicitly.
     result.clear();
-    const std::vector<PairOutcome> outcomes =
-        engine.ResolveOutcomes(candidates);
+    const std::vector<PairOutcome> outcomes = ResolveOutcomes(
+        candidates, /*stopped=*/true, [&](const MatchPair& p) {
+          return engine.Lookup(p.first, p.second);
+        });
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (outcomes[i] == PairOutcome::kProved) {
         result.push_back(candidates[i]);
@@ -238,32 +224,6 @@ std::vector<MatchPair> AllParaMatchImpl(
   }
   std::sort(result.begin(), result.end());
   return result;
-}
-
-}  // namespace
-
-std::vector<MatchPair> AllParaMatch(MatchEngine& engine,
-                                    std::span<const VertexId> tuple_vertices) {
-  return AllParaMatchImpl(engine, tuple_vertices, nullptr);
-}
-
-std::vector<MatchPair> AllParaMatch(MatchEngine& engine,
-                                    std::span<const VertexId> tuple_vertices,
-                                    const InvertedIndex& index) {
-  return AllParaMatchImpl(engine, tuple_vertices, &index);
-}
-
-std::vector<MatchPair> AllParaMatch(MatchEngine& engine,
-                                    std::span<const VertexId> tuple_vertices,
-                                    const RunOptions& options) {
-  return AllParaMatchImpl(engine, tuple_vertices, nullptr, &options);
-}
-
-std::vector<MatchPair> AllParaMatch(MatchEngine& engine,
-                                    std::span<const VertexId> tuple_vertices,
-                                    const InvertedIndex& index,
-                                    const RunOptions& options) {
-  return AllParaMatchImpl(engine, tuple_vertices, &index, &options);
 }
 
 }  // namespace her

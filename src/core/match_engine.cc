@@ -155,7 +155,6 @@ const MatchEngine::Stats& MatchEngine::stats() const {
       stats_.memo_probe_len = caching->ProbeLen();
     }
   }
-  stats_.engine_cache_load_factor = cache_.LoadFactor();
   if (ctx_.hr != nullptr) {
     stats_.hr_batch_calls = ctx_.hr->BatchCalls();
     if (const auto* lstm = dynamic_cast<const LstmPraRanker*>(ctx_.hr)) {
@@ -185,28 +184,6 @@ bool MatchEngine::Match(VertexId u, VertexId v) {
     return e->valid;
   }
   return ParaMatch(u, v);
-}
-
-std::vector<VertexId> MatchEngine::MatchCandidates(
-    VertexId u, std::span<const VertexId> candidates) {
-  // VParaMatch line 4: increasing degree order — low-degree vertices settle
-  // candidate verdicts early and their cache entries get reused.
-  std::vector<VertexId> order(candidates.begin(), candidates.end());
-  if (ctx_.enable_degree_sort) {
-    std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-      const size_t da = ctx_.g->Degree(a);
-      const size_t db = ctx_.g->Degree(b);
-      return da != db ? da < db : a < b;
-    });
-  } else {
-    std::sort(order.begin(), order.end());
-  }
-  std::vector<VertexId> matches;
-  for (const VertexId v : order) {
-    if (Match(u, v)) matches.push_back(v);
-  }
-  std::sort(matches.begin(), matches.end());
-  return matches;
 }
 
 bool MatchEngine::ConsumeBudget(const MatchPair& key) {
@@ -622,14 +599,15 @@ std::vector<MatchPair> MatchEngine::Witness(VertexId u, VertexId v) const {
   return out;
 }
 
-std::vector<PairOutcome> MatchEngine::ResolveOutcomes(
-    std::span<const MatchPair> roots) const {
+std::vector<PairOutcome> ResolveOutcomes(std::span<const MatchPair> roots,
+                                         bool stopped,
+                                         const VerdictLookup& lookup) {
   std::vector<PairOutcome> out(roots.size(), PairOutcome::kUnresolved);
-  if (!stopped_) {
+  if (!stopped) {
     // Completed run: at the fixpoint every valid entry's witness closure is
     // valid by construction, so the cached bit is the outcome.
     for (size_t i = 0; i < roots.size(); ++i) {
-      const CacheEntry* e = Lookup(roots[i].first, roots[i].second);
+      const MatchEngine::CacheEntry* e = lookup(roots[i]);
       if (e == nullptr) continue;
       out[i] = e->valid ? PairOutcome::kProved : PairOutcome::kDisproved;
     }
@@ -641,19 +619,24 @@ std::vector<PairOutcome> MatchEngine::ResolveOutcomes(
   // semantics); anything resting on a missing/abandoned/false pair does not.
   // The demotion is monotone (kProved -> kUnresolved only), so the fixpoint
   // is unique regardless of the table's iteration order.
-  FlatTable<PairOutcome> value;
+  struct Node {
+    PairOutcome outcome;
+    const MatchEngine::CacheEntry* entry;
+  };
+  FlatTable<Node> value;
   std::deque<MatchPair> queue(roots.begin(), roots.end());
   while (!queue.empty()) {
     const MatchPair p = queue.front();
     queue.pop_front();
     if (value.Find(KeyOf(p)) != nullptr) continue;
-    const CacheEntry* e = Lookup(p.first, p.second);
+    const MatchEngine::CacheEntry* e = lookup(p);
     if (e == nullptr) {
-      value.TryEmplace(KeyOf(p), PairOutcome::kUnresolved);
+      value.TryEmplace(KeyOf(p), Node{PairOutcome::kUnresolved, nullptr});
       continue;
     }
-    value.TryEmplace(KeyOf(p), e->valid ? PairOutcome::kProved
-                                        : PairOutcome::kDisproved);
+    value.TryEmplace(KeyOf(p), Node{e->valid ? PairOutcome::kProved
+                                             : PairOutcome::kDisproved,
+                                    e});
     if (e->valid) {
       for (const MatchPair& w : e->witnesses) queue.push_back(w);
     }
@@ -661,13 +644,11 @@ std::vector<PairOutcome> MatchEngine::ResolveOutcomes(
   bool changed = true;
   while (changed) {
     changed = false;
-    value.ForEach([&](uint64_t packed, PairOutcome& val) {
-      if (val != PairOutcome::kProved) return;
-      const MatchPair p = PairOf(packed);
-      const CacheEntry* e = Lookup(p.first, p.second);
-      for (const MatchPair& w : e->witnesses) {
-        if (*value.Find(KeyOf(w)) != PairOutcome::kProved) {
-          val = PairOutcome::kUnresolved;
+    value.ForEach([&](uint64_t, Node& node) {
+      if (node.outcome != PairOutcome::kProved) return;
+      for (const MatchPair& w : node.entry->witnesses) {
+        if (value.Find(KeyOf(w))->outcome != PairOutcome::kProved) {
+          node.outcome = PairOutcome::kUnresolved;
           changed = true;
           break;
         }
@@ -675,38 +656,10 @@ std::vector<PairOutcome> MatchEngine::ResolveOutcomes(
     });
   }
   for (size_t i = 0; i < roots.size(); ++i) {
-    out[i] = *value.Find(KeyOf(roots[i]));
+    out[i] = value.Find(KeyOf(roots[i]))->outcome;
   }
   return out;
 }
-
-PairOutcome MatchEngine::OutcomeOf(VertexId u, VertexId v) const {
-  const MatchPair roots[] = {MatchPair{u, v}};
-  return ResolveOutcomes(roots).front();
-}
-
-MatchEngine::Snapshot MatchEngine::SnapshotLocalState() const {
-  Snapshot s;
-  s.verdicts.reserve(cache_.Size());
-  cache_.ForEach([&](uint64_t packed, const CacheEntry& entry) {
-    const MatchPair key = PairOf(packed);
-    // Border assumptions about remote pairs are the owner's to checkpoint.
-    if (is_local_ && !is_local_(key.first, key.second)) return;
-    s.verdicts.emplace_back(key, entry);
-  });
-  std::sort(s.verdicts.begin(), s.verdicts.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (int g = 0; g < 2; ++g) {
-    s.ecache[g].reserve(ecache_[g].Size());
-    ecache_[g].ForEach([&](uint64_t v, const std::vector<Property>& props) {
-      s.ecache[g].emplace_back(static_cast<VertexId>(v), props);
-    });
-    std::sort(s.ecache[g].begin(), s.ecache[g].end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
-  return s;
-}
-
 
 // --- durable snapshot serialization (src/persist consumes these) ---
 
@@ -875,40 +828,6 @@ Status MatchEngine::LoadEngineState(ByteReader* r) {
     const MatchPair key = PairOf(packed);
     for (const MatchPair& wit : entry.witnesses) dependents_[wit].insert(key);
   });
-  return Status::OK();
-}
-
-void MatchEngine::SaveWarmCaches(ByteWriter* w) const {
-  for (int gi = 0; gi < 2; ++gi) {
-    std::vector<VertexId> vs;
-    vs.reserve(ecache_[gi].Size());
-    ecache_[gi].ForEach([&](uint64_t v, const std::vector<Property>&) {
-      vs.push_back(static_cast<VertexId>(v));
-    });
-    std::sort(vs.begin(), vs.end());
-    w->PutVarint(vs.size());
-    for (const VertexId v : vs) {
-      w->PutVarint(v);
-      PutProperties(w, *ecache_[gi].Find(v));
-    }
-  }
-}
-
-Status MatchEngine::LoadWarmCaches(ByteReader* r) {
-  FlatTable<std::vector<Property>> ecache[2];
-  for (int gi = 0; gi < 2; ++gi) {
-    uint64_t n = 0;
-    HER_RETURN_NOT_OK(r->GetCount(&n));
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t v = 0;
-      HER_RETURN_NOT_OK(r->GetVarint(&v));
-      std::vector<Property> props;
-      HER_RETURN_NOT_OK(GetProperties(r, &props));
-      ecache[gi].TryEmplace(v, std::move(props));
-    }
-  }
-  ecache_[0] = std::move(ecache[0]);
-  ecache_[1] = std::move(ecache[1]);
   return Status::OK();
 }
 

@@ -196,15 +196,12 @@ class MatchEngine {
     size_t ann_fallbacks = 0;      // calls demoted to exact on low recall
     double ann_recall = 1.0;       // measured recall over sampled probes
     double ann_build_seconds = 0.0;  // IvfIndex::Build wall time
-    // --- flat-table memo telemetry. The probe counters and the M_rho
-    // load factor are snapshots of the context's shared CachingPathScorer
-    // (same aggregation caveat as the h_v fields: the BSP aggregation
-    // assigns, never sums, them); engine_cache_load_factor is per-engine
-    // and max-merges across workers (occupancies do not add). ---
+    // --- flat-table memo telemetry: snapshots of the context's shared
+    // CachingPathScorer (same aggregation caveat as the h_v fields: the
+    // BSP aggregation assigns, never sums, them) ---
     size_t memo_probe_batches = 0;  // batched probes into the M_rho memo
     size_t memo_probe_len = 0;      // total keys across those probes
     double hrho_memo_load_factor = 0.0;  // M_rho memo shard occupancy [0,1]
-    double engine_cache_load_factor = 0.0;  // this engine's verdict table
     // Wall seconds spent restoring state from a durable snapshot (0 on a
     // cold run); with ptable_build_seconds == 0 it is the observable proof
     // that a warm start skipped the build (bench_micro reports both).
@@ -233,7 +230,8 @@ class MatchEngine {
   /// and resets any previous stop state. Expiry is checked cooperatively at
   /// every (recursive) pair evaluation: once it fires, no further pairs are
   /// evaluated, in-flight evaluations abort without caching a verdict, and
-  /// the abandoned pairs are reported via UnresolvedPairs()/OutcomeOf().
+  /// the abandoned pairs are reported via UnresolvedPairs() and
+  /// ResolveOutcomes().
   void SetRunOptions(const RunOptions& options) {
     run_options_ = options;
     stopped_ = false;
@@ -243,7 +241,7 @@ class MatchEngine {
 
   /// True once a deadline/cancellation stopped this engine; verdicts
   /// produced afterwards are refusals (false without caching), and Pi must
-  /// be recomputed through ResolveOutcomes/OutcomeOf.
+  /// be recomputed through ResolveOutcomes.
   bool Stopped() const { return stopped_; }
 
   /// Pairs abandoned without a verdict because the run stopped.
@@ -261,46 +259,12 @@ class MatchEngine {
   /// intermediate candidate verdicts) are cached across calls.
   bool Match(VertexId u, VertexId v);
 
-  /// VPair core loop: checks `candidates` (pairs (u, v_g)) in increasing
-  /// order of deg(v_g) and returns the matching v_g. The candidate set is
-  /// produced by the caller (typically via an inverted index + h_v filter).
-  std::vector<VertexId> MatchCandidates(VertexId u,
-                                        std::span<const VertexId> candidates);
-
   /// Cached verdict for a pair, if any.
   const CacheEntry* Lookup(VertexId u, VertexId v) const;
 
   /// The witness Pi(u, v): every pair transitively referenced from (u, v)
   /// through lineage sets. Empty if (u, v) is not a cached valid match.
   std::vector<MatchPair> Witness(VertexId u, VertexId v) const;
-
-  /// Classifies each root pair as proved / disproved / unresolved. In a
-  /// completed run this is exactly the cached verdict. After a stop
-  /// (deadline/cancellation), a pair only counts as proved when its whole
-  /// witness closure is still cached valid: verdicts are demoted to
-  /// unresolved when any pair in their support chain is missing, was
-  /// abandoned, or flipped false without the cleanup stage having rerun —
-  /// this keeps the degraded Pi a subset of the fault-free Pi. Cycles of
-  /// valid pairs count as proved (the optimistic greatest-fixpoint
-  /// semantics of Proposition 4).
-  std::vector<PairOutcome> ResolveOutcomes(
-      std::span<const MatchPair> roots) const;
-
-  /// Single-pair convenience wrapper around ResolveOutcomes.
-  PairOutcome OutcomeOf(VertexId u, VertexId v) const;
-
-  /// The authoritative local state of this fragment: its pair verdicts
-  /// (locality-filtered when a filter is set — border assumptions about
-  /// remote pairs are the owner's state, not this fragment's) plus the
-  /// lazily-built ecache rows. The parallel engine collects these when a
-  /// degraded run must assemble a trustworthy global verdict map.
-  struct Snapshot {
-    std::vector<std::pair<MatchPair, CacheEntry>> verdicts;
-    std::vector<std::pair<VertexId, std::vector<Property>>> ecache[2];
-  };
-
-  /// Captures the local verdicts + ecache rows (see Snapshot).
-  Snapshot SnapshotLocalState() const;
 
   /// Top-k properties of a vertex (`graph` 0 = G_D, 1 = G), from the
   /// context's precomputed PropertyTable when present, otherwise via the
@@ -376,16 +340,6 @@ class MatchEngine {
   /// rebuilt from the witnesses (it is derived state). Replaces the
   /// current verdict state wholesale.
   Status LoadEngineState(ByteReader* r);
-
-  /// Serializes the graph/parameter-determined warm cache: the lazily
-  /// filled ecache rows.
-  void SaveWarmCaches(ByteWriter* w) const;
-
-  /// Restores the ecache rows; contents are deterministic derivations of
-  /// the inputs, so a corrupt section is safely skipped (cold caches).
-  /// Bytes after the rows are ignored: older snapshots follow them with a
-  /// candidate-list block.
-  Status LoadWarmCaches(ByteReader* r);
 
  private:
   /// One candidate for a selected descendant u' of u: a descendant v' of v
@@ -468,6 +422,24 @@ class MatchEngine {
   // rehashes (the heap buffer moves with the vector object, not the slot).
   FlatTable<std::vector<Property>> ecache_[2];
 };
+
+/// The authoritative cached verdict of a pair, or null when it has none.
+using VerdictLookup =
+    std::function<const MatchEngine::CacheEntry*(const MatchPair&)>;
+
+/// The one outcome resolver of every APair/VPair driver, serial and BSP:
+/// classifies each root pair as proved / disproved / unresolved from the
+/// verdicts `lookup` returns. In a completed run (`stopped` false) this is
+/// exactly the cached verdict. After a stop (deadline/cancellation), a
+/// pair only counts as proved when its whole witness closure is still
+/// cached valid: verdicts are demoted to unresolved when any pair in their
+/// support chain is missing, was abandoned, or flipped false without the
+/// cleanup stage having rerun — this keeps the degraded Pi a subset of the
+/// fault-free Pi. Cycles of valid pairs count as proved (the optimistic
+/// greatest-fixpoint semantics of Proposition 4).
+std::vector<PairOutcome> ResolveOutcomes(std::span<const MatchPair> roots,
+                                         bool stopped,
+                                         const VerdictLookup& lookup);
 
 }  // namespace her
 

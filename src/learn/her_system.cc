@@ -6,28 +6,12 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "core/incremental.h"
 #include "persist/fingerprint.h"
 #include "persist/snapshot.h"
 
 namespace her {
-
-namespace {
-
-/// The "critical information" document of a vertex: its own label plus its
-/// children's labels (attribute values). Blocking retrieves by any token.
-std::string DocOf(const Graph& g, VertexId v) {
-  std::string doc = g.label(v);
-  for (const Edge& e : g.OutEdges(v)) {
-    doc += ' ';
-    doc += g.label(e.dst);
-  }
-  return doc;
-}
-
-}  // namespace
 
 HerSystem::HerSystem(const CanonicalGraph& canonical, const Graph& g,
                      HerConfig config)
@@ -145,7 +129,6 @@ Status HerSystem::SaveSnapshot(const std::string& path, Env* env) const {
     ann_->SaveState(snap.AddSection("ann_index"));
   }
   engine_->SaveEngineState(snap.AddSection("engine_state"));
-  engine_->SaveWarmCaches(snap.AddSection("warm_caches"));
   return snap.WriteToFile(path, env);
 }
 
@@ -304,7 +287,7 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
   }
 
   // Tuned thresholds: restoring them skips the random search (and is what
-  // makes the warm caches below safe to reuse — verdicts are only valid
+  // makes the verdict cache below safe to reuse — verdicts are only valid
   // under the thresholds they were computed with).
   bool warm_params = false;
   if (snap.has_value()) {
@@ -337,21 +320,17 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
     SetParams(tuned.best);
   }
 
-  // Layer 2: the engine's verdict cache and warm score caches. Bound to
-  // the thresholds, so they are only restored when the exact params they
-  // were saved under are in effect (i.e. the params section validated).
+  // Layer 2: the engine's verdict cache. Bound to the thresholds, so it is
+  // only restored when the exact params it was saved under are in effect
+  // (i.e. the params section validated).
   if (snap.has_value() && warm_params) {
     WallTimer t;
     auto es = snap->Section("engine_state");
     Status st = es.ok() ? engine_->LoadEngineState(&es.value())
                         : es.status();
-    if (st.ok()) {
-      auto wc = snap->Section("warm_caches");
-      st = wc.ok() ? engine_->LoadWarmCaches(&wc.value()) : wc.status();
-    }
     snap_seconds += t.Seconds();
     if (!st.ok()) {
-      std::cerr << "her: snapshot warm caches rejected ("
+      std::cerr << "her: snapshot engine state rejected ("
                 << st.ToString() << "); starting with cold caches"
                 << std::endl;
       engine_ = std::make_unique<MatchEngine>(ctx_);  // drop partial load
@@ -386,24 +365,19 @@ void HerSystem::EnsureBlockingIndex() {
   if (cap == 0) {
     cap = std::max<size_t>(64, g_->num_vertices() / 20);
   }
-  std::vector<std::pair<VertexId, std::string>> docs;
-  docs.reserve(g_->num_vertices());
-  for (VertexId v = 0; v < g_->num_vertices(); ++v) {
-    docs.emplace_back(v, DocOf(*g_, v));
-  }
-  blocking_ = std::make_unique<InvertedIndex>(std::move(docs), cap);
+  blocking_ = std::make_unique<InvertedIndex>(*g_, cap);
 }
 
-std::vector<VertexId> HerSystem::BlockedSigmaCandidates(VertexId u_t) {
-  const std::vector<VertexId> pool =
-      blocking_->Lookup(DocOf(canonical_->graph(), u_t));
-  std::vector<double> scores(pool.size());
-  ctx_.hv->ScoreBatch(u_t, pool, scores);
-  std::vector<VertexId> out;
-  for (size_t i = 0; i < pool.size(); ++i) {
-    if (scores[i] >= ctx_.params.sigma) out.push_back(pool[i]);
+const InvertedIndex* HerSystem::CandidatePool(bool use_blocking) {
+  if (config_.candidate_gen.mode == CandidateMode::kAnn) {
+    // ANN replaces label blocking as the pruning device: the unblocked
+    // scan probes the index (APair) or sweeps G exactly (VPair).
+    EnsureAnnIndex();
+    return nullptr;
   }
-  return out;
+  if (!use_blocking) return nullptr;
+  EnsureBlockingIndex();
+  return blocking_.get();
 }
 
 std::vector<VertexId> HerSystem::VPair(TupleRef t, bool use_blocking) {
@@ -411,13 +385,8 @@ std::vector<VertexId> HerSystem::VPair(TupleRef t, bool use_blocking) {
 }
 
 std::vector<VertexId> HerSystem::VPairVertex(VertexId u_t, bool use_blocking) {
-  std::vector<VertexId> matches;
-  if (use_blocking) {
-    EnsureBlockingIndex();
-    matches = engine_->MatchCandidates(u_t, BlockedSigmaCandidates(u_t));
-  } else {
-    matches = VParaMatch(*engine_, u_t);
-  }
+  std::vector<VertexId> matches =
+      VParaMatch(*engine_, u_t, CandidatePool(use_blocking));
   // Apply user-verified verdicts on top.
   std::erase_if(matches, [&](VertexId v) {
     auto it = feedback_.find(MatchPair{u_t, v});
@@ -435,24 +404,8 @@ std::vector<VertexId> HerSystem::VPairVertex(VertexId u_t, bool use_blocking) {
 }
 
 std::vector<MatchPair> HerSystem::APair(bool use_blocking) {
-  const auto tuples = canonical_->TupleVertices();
-  if (config_.candidate_gen.mode == CandidateMode::kAnn) {
-    // ANN replaces label blocking as the pruning device: route through
-    // the unblocked driver, whose GenerateCandidates probes the index.
-    EnsureAnnIndex();
-    return AllParaMatch(*engine_, tuples);
-  }
-  if (!use_blocking) return AllParaMatch(*engine_, tuples);
-  EnsureBlockingIndex();
-  std::vector<MatchPair> result;
-  for (const VertexId u_t : tuples) {
-    for (const VertexId v :
-         engine_->MatchCandidates(u_t, BlockedSigmaCandidates(u_t))) {
-      result.emplace_back(u_t, v);
-    }
-  }
-  std::sort(result.begin(), result.end());
-  return result;
+  return AllParaMatch(*engine_, canonical_->TupleVertices(),
+                      CandidatePool(use_blocking));
 }
 
 void HerSystem::EnsureRootOwners() {
@@ -481,7 +434,6 @@ ParallelResult HerSystem::APairParallel(uint32_t workers, bool use_blocking,
                                         const RunOptions& options,
                                         CheckpointOptions ckpt) {
   EnsureRootOwners();
-  const auto tuples = canonical_->TupleVertices();
   ParallelConfig pcfg;
   pcfg.num_workers = workers;
   pcfg.strategy = config_.partition;
@@ -497,19 +449,8 @@ ParallelResult HerSystem::APairParallel(uint32_t workers, bool use_blocking,
     return static_cast<uint32_t>(Mix64(gd_root_[p.first]) % workers);
   };
   BspAllMatch bsp(ctx_, pcfg);
-  if (config_.candidate_gen.mode == CandidateMode::kAnn) {
-    EnsureAnnIndex();
-    return bsp.Run(tuples, nullptr, options);
-  }
-  if (!use_blocking) return bsp.Run(tuples, nullptr, options);
-  EnsureBlockingIndex();
-  std::vector<MatchPair> candidates;
-  for (const VertexId u_t : tuples) {
-    for (const VertexId v : BlockedSigmaCandidates(u_t)) {
-      candidates.emplace_back(u_t, v);
-    }
-  }
-  return bsp.RunOnCandidates(std::move(candidates), options);
+  return bsp.Run(canonical_->TupleVertices(), CandidatePool(use_blocking),
+                 options);
 }
 
 std::string HerSystem::Explain(TupleRef t, VertexId v_g) {

@@ -34,7 +34,8 @@ struct HerConfig {
   /// How the APair drivers scan G for sigma-survivors (exact |T| x |V|
   /// sweep vs IVF probe over the h_v embeddings). ANN mode replaces label
   /// blocking as the pruning device: APair/APairParallel route through
-  /// the unblocked driver, which probes the index.
+  /// the unblocked driver, which probes the index, and VPair scans all of
+  /// G exactly.
   CandidateGenConfig candidate_gen;
   /// IVF build knobs (nlist/seed/iterations); nlist 0 derives from |V|.
   IvfBuildConfig ann_build;
@@ -66,7 +67,7 @@ class HerSystem {
              std::span<const Annotation> validation);
 
   /// Train() with a durable warm start: restores trained models, tuned
-  /// thresholds, the property table and the engine's warm caches from the
+  /// thresholds, the property table and the engine's verdict cache from the
   /// snapshot at `snapshot_path` when they validate (magic, version, CRC,
   /// fingerprint); every section that does not validate is rebuilt cold
   /// with the reason logged — never a crash, never silently wrong — and
@@ -79,7 +80,7 @@ class HerSystem {
                    Env* env = nullptr);
 
   /// Saves trained models, tuned thresholds, the property table and the
-  /// engine's warm caches to `path` (checksummed snapshot, atomically
+  /// engine's verdict cache to `path` (checksummed snapshot, atomically
   /// installed). Requires a trained system.
   Status SaveSnapshot(const std::string& path, Env* env = nullptr) const;
 
@@ -192,9 +193,10 @@ class HerSystem {
   void EnsureBlockingIndex();
   void EnsureRootOwners();
   void RebuildScorers();
-  /// Blocked candidate pool of a tuple vertex filtered by h_v >= sigma
-  /// (one ScoreBatch call). Requires the blocking index.
-  std::vector<VertexId> BlockedSigmaCandidates(VertexId u_t);
+  /// The blocking pool the VPair/APair drivers scan: null in ANN mode
+  /// (after building the IVF index) and without blocking, otherwise the
+  /// blocking index.
+  const InvertedIndex* CandidatePool(bool use_blocking);
 
   const CanonicalGraph* canonical_;
   const Graph* g_;

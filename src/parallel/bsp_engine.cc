@@ -1,7 +1,6 @@
 #include "parallel/bsp_engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -114,103 +113,33 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->hrho_evaluations += s.hrho_evaluations;
   agg->border_assumptions += s.border_assumptions;
   agg->hrho_embed_reuse += s.hrho_embed_reuse;
-  // Load factors are occupancies, not counts: the busiest worker's table is
-  // the meaningful fleet-level number.
-  agg->engine_cache_load_factor =
-      std::max(agg->engine_cache_load_factor, s.engine_cache_load_factor);
   AssignSharedSnapshots(s, agg);
 }
 
 /// Fills matches/outcomes/unresolved_pairs from the workers' verdicts for
-/// the (sorted, deduplicated) root candidates.
-///
-/// Completed runs: the owner's cached verdict is the fixpoint answer.
-///
-/// Degraded runs (deadline/cancellation): only owner-side (authoritative)
-/// verdicts are trusted — a worker's own border assumptions may never have
-/// been confirmed — and a pair counts proved only when its whole witness
-/// closure across all fragments is proved. Valid verdicts are demoted to
-/// unresolved until that greatest fixpoint is reached (the cross-worker
-/// analogue of MatchEngine::ResolveOutcomes), which keeps the degraded Pi
-/// a subset of the fault-free Pi.
+/// the (sorted, deduplicated) root candidates, through ResolveOutcomes.
+/// Only owner-side (authoritative) verdicts are consulted — a worker's own
+/// border assumptions may never have been confirmed — so in a degraded run
+/// (deadline/cancellation) a pair counts proved only when its whole
+/// witness closure across all fragments is proved by its owners.
 void CollectResults(const std::vector<std::unique_ptr<Worker>>& workers,
                     const PairOwner& owner_of,
                     const std::vector<MatchPair>& roots,
                     ParallelResult* result) {
+  const std::vector<PairOutcome> outcomes = ResolveOutcomes(
+      roots, result->degraded, [&](const MatchPair& p) {
+        return workers[owner_of(p)]->engine.Lookup(p.first, p.second);
+      });
   result->outcomes.reserve(roots.size());
-  if (!result->degraded) {
-    for (const MatchPair& c : roots) {
-      const auto* e =
-          workers[owner_of(c)]->engine.Lookup(c.first, c.second);
-      PairOutcome o = e == nullptr
-                          ? PairOutcome::kUnresolved
-                          : (e->valid ? PairOutcome::kProved
-                                      : PairOutcome::kDisproved);
-      if (o == PairOutcome::kProved) result->matches.push_back(c);
-      if (o == PairOutcome::kUnresolved) ++result->unresolved_pairs;
-      result->outcomes.push_back({c, o});
+  for (size_t i = 0; i < roots.size(); ++i) {
+    if (outcomes[i] == PairOutcome::kProved) {
+      result->matches.push_back(roots[i]);
     }
-    result->stats.unresolved_pairs = result->unresolved_pairs;
-    return;
-  }
-  // Authoritative global verdict map: each fragment contributes its
-  // locality-filtered entries (assumption replicas about remote pairs are
-  // excluded by the snapshot's filter).
-  std::vector<MatchEngine::Snapshot> snaps;
-  snaps.reserve(workers.size());
-  for (size_t i = 0; i < workers.size(); ++i) {
-    snaps.push_back(workers[i]->engine.SnapshotLocalState());
-  }
-  const auto key_of = [](const MatchPair& p) {
-    return PairKey(p.first, p.second);
-  };
-  // TryEmplace keeps the first contribution per pair — the emplace
-  // semantics the unordered_map merge had.
-  FlatTable<const MatchEngine::CacheEntry*> global;
-  for (const auto& snap : snaps) {
-    for (const auto& [p, e] : snap.verdicts) global.TryEmplace(key_of(p), &e);
-  }
-  // Demotion to the greatest fixpoint is monotone (kProved ->
-  // kUnresolved only), so the result is iteration-order independent.
-  FlatTable<PairOutcome> value;
-  std::deque<MatchPair> queue(roots.begin(), roots.end());
-  while (!queue.empty()) {
-    const MatchPair p = queue.front();
-    queue.pop_front();
-    if (value.Find(key_of(p)) != nullptr) continue;
-    const auto* const* entry = global.Find(key_of(p));
-    if (entry == nullptr) {
-      value.TryEmplace(key_of(p), PairOutcome::kUnresolved);
-      continue;
-    }
-    value.TryEmplace(key_of(p), (*entry)->valid ? PairOutcome::kProved
-                                                : PairOutcome::kDisproved);
-    if ((*entry)->valid) {
-      for (const MatchPair& w : (*entry)->witnesses) queue.push_back(w);
-    }
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    value.ForEach([&](uint64_t packed, PairOutcome& val) {
-      if (val != PairOutcome::kProved) return;
-      for (const MatchPair& w : (*global.Find(packed))->witnesses) {
-        if (*value.Find(key_of(w)) != PairOutcome::kProved) {
-          val = PairOutcome::kUnresolved;
-          changed = true;
-          break;
-        }
-      }
-    });
-  }
-  for (const MatchPair& c : roots) {
-    const PairOutcome o = *value.Find(key_of(c));
-    if (o == PairOutcome::kProved) result->matches.push_back(c);
-    if (o == PairOutcome::kUnresolved) ++result->unresolved_pairs;
-    result->outcomes.push_back({c, o});
+    if (outcomes[i] == PairOutcome::kUnresolved) ++result->unresolved_pairs;
+    result->outcomes.push_back({roots[i], outcomes[i]});
   }
   result->stats.unresolved_pairs = result->unresolved_pairs;
-  result->stats.deadline_expired = 1;
+  if (result->degraded) result->stats.deadline_expired = 1;
 }
 
 std::vector<MatchPair> SortedUnique(std::span<const MatchPair> candidates) {
@@ -1150,11 +1079,11 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
 }
 
 ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
-                                const InvertedIndex* index,
+                                const InvertedIndex* blocking,
                                 const RunOptions& options) {
   WallTimer gen_timer;
   std::vector<MatchPair> candidates =
-      GenerateCandidates(ScanContext(), tuple_vertices, index);
+      GenerateCandidates(ScanContext(), tuple_vertices, blocking);
   const double gen_seconds = gen_timer.Seconds();
   ParallelResult result = RunOnCandidates(std::move(candidates), options);
   if (result.status.ok()) {
@@ -1163,12 +1092,6 @@ ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
     result.stats.candidate_gen_runs = 1;
   }
   return result;
-}
-
-ParallelResult BspAllMatch::RunVPair(VertexId u_t, const InvertedIndex* index,
-                                     const RunOptions& options) {
-  const VertexId roots[] = {u_t};
-  return Run(roots, index, options);
 }
 
 MatchContext BspAllMatch::ScanContext() const {

@@ -70,7 +70,7 @@ struct ParallelConfig {
   FaultInjector* faults = nullptr;
   /// Durable on-disk checkpoint/resume policy.
   CheckpointOptions checkpoint;
-  /// Overrides MatchContext::candidate_gen for the Run/RunVPair candidate
+  /// Overrides MatchContext::candidate_gen for the Run candidate
   /// scan when set (nullopt keeps the context's config). Lets a parallel
   /// run pick exact vs ANN without mutating the shared context.
   std::optional<CandidateGenConfig> candidate_gen;
@@ -171,16 +171,15 @@ class BspAllMatch {
   BspAllMatch(const MatchContext& ctx, ParallelConfig config)
       : ctx_(ctx), config_(config) {}
 
-  /// APair over `tuple_vertices`; `index` enables inverted-index blocking.
+  /// APair over `tuple_vertices` (VPair with a single one): one
+  /// GenerateCandidates scan, outside every worker, over all of G or
+  /// `blocking`'s pool, then RunOnCandidates.
   ParallelResult Run(std::span<const VertexId> tuple_vertices,
-                     const InvertedIndex* index = nullptr,
+                     const InvertedIndex* blocking = nullptr,
                      const RunOptions& options = {});
 
-  /// VPair for a single tuple vertex (parallelized along the same lines).
-  ParallelResult RunVPair(VertexId u_t, const InvertedIndex* index = nullptr,
-                          const RunOptions& options = {});
-
-  /// Runs on an explicit candidate-pair set (callers with custom blocking).
+  /// Runs on an explicit candidate-pair set (Run's second half; benches
+  /// pass a fixed candidate set here).
   ParallelResult RunOnCandidates(std::vector<MatchPair> candidates,
                                  const RunOptions& options = {});
 

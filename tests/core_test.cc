@@ -317,10 +317,38 @@ TEST(VParaMatchTest, BlockedVariantAgreesWithExhaustive) {
   Harness h(std::move(g1), std::move(g2),
             {.sigma = 1.0, .delta = 0.4, .k = 5});
   const InvertedIndex index(h.g2);
-  const auto blocked = VParaMatch(*h.engine, 0, index);
+  const auto blocked = VParaMatch(*h.engine, 0, &index);
   Harness h2(Graph(h.g1), Graph(h.g2), h.ctx.params);
   const auto full = VParaMatch(*h2.engine, 0);
   EXPECT_EQ(blocked, full);
+}
+
+TEST(InvertedIndexTest, BlocksOnLabelAndChildLabels) {
+  // G: three items, each with one attribute value.
+  GraphBuilder b2;
+  for (const char* value : {"white", "red", "blue"}) {
+    const VertexId item = b2.AddVertex("item");
+    b2.AddEdge(item, b2.AddVertex(value), "color");
+  }
+  const Graph g = std::move(b2).Build();  // items 0, 2, 4; values 1, 3, 5
+  // G_D: a bare item, and an item whose only child is "white".
+  GraphBuilder b1;
+  const VertexId bare = b1.AddVertex("item");
+  const VertexId white_item = b1.AddVertex("item");
+  b1.AddEdge(white_item, b1.AddVertex("white"), "color");
+  const Graph gd = std::move(b1).Build();
+
+  // Results are ascending and unique: item 0 shares both "item" and
+  // "white" with the query and is listed once.
+  const InvertedIndex all(g);
+  EXPECT_EQ(all.Lookup(gd, bare), (std::vector<VertexId>{0, 2, 4}));
+  EXPECT_EQ(all.Lookup(gd, white_item), (std::vector<VertexId>{0, 1, 2, 4}));
+
+  // "item" posts 3 vertices, over the cap of 2, and is dropped; the query
+  // still reaches item 0 and its value through the child label "white".
+  const InvertedIndex capped(g, /*max_posting=*/2);
+  EXPECT_TRUE(capped.Lookup(gd, bare).empty());
+  EXPECT_EQ(capped.Lookup(gd, white_item), (std::vector<VertexId>{0, 1}));
 }
 
 TEST(AllParaMatchTest, ComputesCrossProductMatches) {

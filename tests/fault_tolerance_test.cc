@@ -365,13 +365,14 @@ TEST(DeadlineTest, SerialDriverDegradesAndReRunConverges) {
   RunOptions options;
   options.deadline = std::chrono::steady_clock::now() -
                      std::chrono::milliseconds(1);
-  const auto degraded = AllParaMatch(engine, roots, options);
+  const auto degraded = AllParaMatch(engine, roots, nullptr, &options);
   for (const MatchPair& p : degraded) {
     EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), p));
   }
   EXPECT_GT(engine.stats().unresolved_pairs, 0u);
   // Fresh options without a deadline: the same engine converges.
-  const auto rerun = AllParaMatch(engine, roots, RunOptions{});
+  const RunOptions unbounded;
+  const auto rerun = AllParaMatch(engine, roots, nullptr, &unbounded);
   EXPECT_EQ(rerun, expected);
 }
 

@@ -256,6 +256,8 @@ TEST(LearnPipelineTest, ParallelApairEqualsSequential) {
   const auto seq = sys.APair(/*use_blocking=*/true);
   const auto par = sys.APairParallel(4, /*use_blocking=*/true);
   EXPECT_EQ(par.matches, seq);
+  // The blocked scan runs once, through BspAllMatch::Run, and is reported.
+  EXPECT_EQ(par.stats.candidate_gen_runs, 1u);
 }
 
 }  // namespace

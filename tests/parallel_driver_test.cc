@@ -133,7 +133,7 @@ TEST_P(ParallelDriverTest, BlockedVariantAgreesAcrossWorkerCounts) {
   const auto roots = ItemRoots(h.g1);
   const InvertedIndex index(h.g2);
 
-  const auto serial = AllParaMatch(*h.engine, roots, index);
+  const auto serial = AllParaMatch(*h.engine, roots, &index);
   for (const uint32_t workers : {1u, 2u, 8u}) {
     EXPECT_EQ(Bsp(h.ctx, roots, workers, &index).matches, serial)
         << "workers=" << workers;

@@ -75,7 +75,8 @@ TEST(BspAllMatchTest, VPairMatchesSequentialVPair) {
   const auto expected = VParaMatch(seq, u_t);
 
   BspAllMatch bsp(h.ctx, {.num_workers = 4});
-  const auto result = bsp.RunVPair(u_t);
+  const VertexId one_root[] = {u_t};
+  const auto result = bsp.Run(one_root);
   std::vector<VertexId> got;
   for (const auto& [u, v] : result.matches) {
     EXPECT_EQ(u, u_t);

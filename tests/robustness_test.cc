@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/rng.h"
@@ -40,6 +41,13 @@ TEST_P(StrategyInvarianceTest, DegreeSortDoesNotChangeResults) {
   MatchEngine ea(a.ctx);
   MatchEngine eb(b.ctx);
   const auto roots_a = ItemRoots(a.g1);
+  // The switch is live: the same candidates reach the engine in another
+  // order, and Pi does not change.
+  auto sorted = GenerateCandidates(a.ctx, roots_a, nullptr);
+  const auto unsorted = GenerateCandidates(b.ctx, roots_a, nullptr);
+  EXPECT_NE(sorted, unsorted);
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, unsorted);
   EXPECT_EQ(AllParaMatch(ea, roots_a), AllParaMatch(eb, roots_a));
 }
 
@@ -279,15 +287,16 @@ TEST(EngineEdgeCaseTest, LeafUAgainstNonLeafVMatchesOnLabel) {
   EXPECT_TRUE(e.Match(u, v));
 }
 
-TEST(EngineEdgeCaseTest, EmptyCandidateSpanIsFine) {
+TEST(EngineEdgeCaseTest, VParaMatchWithoutSigmaSurvivorsIsEmpty) {
   GraphBuilder b1;
   const VertexId u = b1.AddVertex("item");
   GraphBuilder b2;
-  b2.AddVertex("item");
+  b2.AddVertex("noise");
   ContextHarness h(std::move(b1).Build(), std::move(b2).Build(),
                    {.sigma = 1.0, .delta = 0.4, .k = 5});
   MatchEngine e(h.ctx);
-  EXPECT_TRUE(e.MatchCandidates(u, {}).empty());
+  EXPECT_TRUE(VParaMatch(e, u).empty());
+  EXPECT_EQ(e.stats().para_match_calls, 0u);
 }
 
 }  // namespace
