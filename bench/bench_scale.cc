@@ -14,11 +14,14 @@
 // the varint-delta wire format ships >= 2x fewer bytes than the raw
 // struct exchange, and kEdgeCut exchanges no more cross-fragment
 // messages than kHash. Writes BENCH_scale.json (path overridable via
-// argv[1]); --smoke runs only the 10k tier for CI.
+// argv[1]), whose header records the host's nproc and the build type so
+// worker-scaling numbers can be read against the host; --smoke runs only
+// the 10k tier for CI.
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -214,6 +217,8 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n"
       << JsonPeakRssField()
+      << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"build_type\": \"" << HER_BUILD_TYPE << "\",\n"
       << "  \"workload\": \"parallel datagen ScalingSpec tiers, "
          "ground-truth + shifted candidate pairs, deterministic scorers\",\n"
       << "  \"worker_mem_budget_bytes\": " << kMemBudget << ",\n"

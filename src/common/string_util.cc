@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <unordered_set>
 
 namespace her {
 
@@ -51,33 +50,61 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 
 std::vector<std::string> WordTokens(std::string_view s) {
   std::vector<std::string> out;
-  std::string cur;
-  auto flush = [&] {
-    if (!cur.empty()) {
-      out.push_back(cur);
-      cur.clear();
-    }
-  };
-  char prev = '\0';
-  for (char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c)) {
-      // camelCase boundary: lower/digit followed by upper starts a new token.
-      if (std::isupper(c) &&
-          (std::islower(static_cast<unsigned char>(prev)) ||
-           std::isdigit(static_cast<unsigned char>(prev)))) {
-        flush();
-      }
-      // letter<->digit boundary also splits ("D7" stays; "gen7" -> gen,7 is
-      // too aggressive, so we only split upper-camel boundaries above).
-      cur += static_cast<char>(std::tolower(c));
-    } else {
-      flush();
-    }
-    prev = raw;
-  }
-  flush();
+  ForEachWordToken(s,
+                   [&](std::string_view tok) { out.push_back(ToLower(tok)); });
   return out;
+}
+
+namespace {
+
+// Token bytes are ASCII letters and digits only; setting bit 0x20 lowercases
+// a letter and leaves a digit unchanged.
+inline unsigned char FoldCase(char c) {
+  return static_cast<unsigned char>(c) | 0x20;
+}
+
+}  // namespace
+
+WordTokenSet::WordTokenSet(std::string_view s) {
+  ForEachWordToken(s, [&](std::string_view tok) {
+    Token t{0, tok.data(), static_cast<uint32_t>(tok.size())};
+    const size_t n = std::min<size_t>(tok.size(), 8);
+    for (size_t i = 0; i < n; ++i) {
+      t.head |= static_cast<uint64_t>(FoldCase(tok[i])) << (56 - 8 * i);
+    }
+    if (size_ < kInline) {
+      inline_[size_] = t;
+    } else {
+      if (size_ == kInline) heap_.assign(inline_, inline_ + kInline);
+      heap_.push_back(t);
+    }
+    ++size_;
+  });
+  if (size_ < 2) return;
+  Token* first = heap_.empty() ? inline_ : heap_.data();
+  Token* last = first + size_;
+  std::sort(first, last,
+            [](const Token& a, const Token& b) { return Compare(a, b) < 0; });
+  size_ = std::unique(first, last,
+                      [](const Token& a, const Token& b) {
+                        return Compare(a, b) == 0;
+                      }) -
+          first;
+}
+
+// Lexicographic order of the lowercased tokens. Tokens hold no zero byte,
+// so equal heads of two tokens of at most 8 bytes mean equal tokens, and a
+// head of 8 non-zero bytes means the token is at least 8 bytes long.
+int WordTokenSet::Compare(const Token& a, const Token& b) {
+  if (a.head != b.head) return a.head < b.head ? -1 : 1;
+  const uint32_t n = std::min(a.size, b.size);
+  for (uint32_t i = 8; i < n; ++i) {
+    const unsigned char ca = FoldCase(a.data[i]);
+    const unsigned char cb = FoldCase(b.data[i]);
+    if (ca != cb) return ca < cb ? -1 : 1;
+  }
+  if (a.size == b.size) return 0;
+  return a.size < b.size ? -1 : 1;
 }
 
 std::vector<std::string> CharNgrams(std::string_view s, int n) {
@@ -122,17 +149,24 @@ double NormalizedEditSimilarity(std::string_view a, std::string_view b) {
   return 1.0 - static_cast<double>(EditDistance(a, b)) / static_cast<double>(m);
 }
 
-double TokenJaccard(std::string_view a, std::string_view b) {
-  const auto ta = WordTokens(a);
-  const auto tb = WordTokens(b);
-  if (ta.empty() && tb.empty()) return 1.0;
-  std::unordered_set<std::string> sa(ta.begin(), ta.end());
-  std::unordered_set<std::string> sb(tb.begin(), tb.end());
-  size_t inter = 0;
-  for (const auto& t : sa) inter += sb.count(t);
-  const size_t uni = sa.size() + sb.size() - inter;
-  if (uni == 0) return 1.0;
+double TokenJaccard(const WordTokenSet& a, const WordTokenSet& b) {
+  if (a.size_ == 0 && b.size_ == 0) return 1.0;
+  // Sorted merge of the two de-duplicated token lists.
+  const WordTokenSet::Token* ta = a.tokens();
+  const WordTokenSet::Token* tb = b.tokens();
+  size_t i = 0, j = 0, inter = 0;
+  while (i < a.size_ && j < b.size_) {
+    const int c = WordTokenSet::Compare(ta[i], tb[j]);
+    if (c <= 0) ++i;
+    if (c >= 0) ++j;
+    if (c == 0) ++inter;
+  }
+  const size_t uni = a.size_ + b.size_ - inter;
   return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+double TokenJaccard(std::string_view a, std::string_view b) {
+  return TokenJaccard(WordTokenSet(a), WordTokenSet(b));
 }
 
 bool ParseDouble(std::string_view s, double* out) {

@@ -134,6 +134,16 @@ double JaccardVertexScorer::Score(VertexId u, VertexId v) const {
   return TokenJaccard(g1_->label(u), g2_->label(v));
 }
 
+void JaccardVertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
+                                     std::span<double> out) const {
+  HER_DCHECK(vs.size() == out.size());
+  batch_calls_.fetch_add(1, std::memory_order_relaxed);
+  const WordTokenSet tu(g1_->label(u));
+  for (size_t i = 0; i < vs.size(); ++i) {
+    out[i] = TokenJaccard(tu, WordTokenSet(g2_->label(vs[i])));
+  }
+}
+
 void PathScorer::ScoreBatch(std::span<const EmbeddedPath> p1s,
                             std::span<const EmbeddedPath> p2s,
                             std::span<double> out) const {

@@ -125,13 +125,17 @@ class CachingVertexScorer : public VertexScorer {
   mutable ShardedFlatMemo<double> memo_;
 };
 
-/// Deterministic h_v for unit tests: token-set Jaccard of the two labels
-/// (1.0 for equal label strings).
+/// Deterministic, training-free h_v: word-token-set Jaccard of the two
+/// labels (TokenJaccard; 1.0 for equal label strings). It is the h_v of the
+/// perfbench apair-scale workload, bench_scale and the tests. It keeps no
+/// per-vertex state; ScoreBatch tokenizes u's label once per call.
 class JaccardVertexScorer : public VertexScorer {
  public:
   JaccardVertexScorer(const Graph& g1, const Graph& g2)
       : g1_(&g1), g2_(&g2) {}
   double Score(VertexId u, VertexId v) const override;
+  void ScoreBatch(VertexId u, std::span<const VertexId> vs,
+                  std::span<double> out) const override;
 
  private:
   const Graph* g1_;

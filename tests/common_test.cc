@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -171,6 +174,118 @@ TEST(StringTest, TokenJaccard) {
   EXPECT_DOUBLE_EQ(TokenJaccard("country", "brandCountry"), 0.5);
   EXPECT_DOUBLE_EQ(TokenJaccard("a b", "a b"), 1.0);
   EXPECT_DOUBLE_EQ(TokenJaccard("x", "y"), 0.0);
+}
+
+// The token-boundary rule written directly against <cctype> (the C
+// locale), independent of ForEachWordToken.
+std::vector<std::string> CctypeWordTokens(const std::string& s) {
+  std::vector<std::string> out;
+  std::string cur;
+  unsigned char prev = 0;
+  for (const char raw : s) {
+    const auto c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c)) {
+      if (std::isupper(c) && (std::islower(prev) || std::isdigit(prev)) &&
+          !cur.empty()) {
+        out.push_back(cur);
+        cur.clear();
+      }
+      cur += static_cast<char>(std::tolower(c));
+    } else if (!cur.empty()) {
+      out.push_back(cur);
+      cur.clear();
+    }
+    prev = c;
+  }
+  if (!cur.empty()) out.push_back(cur);
+  return out;
+}
+
+// Jaccard by the set definition over WordTokens.
+double SetJaccard(const std::string& a, const std::string& b) {
+  const auto wa = WordTokens(a);
+  const auto wb = WordTokens(b);
+  const std::set<std::string> sa(wa.begin(), wa.end());
+  const std::set<std::string> sb(wb.begin(), wb.end());
+  if (sa.empty() && sb.empty()) return 1.0;
+  size_t inter = 0;
+  for (const auto& t : sa) inter += sb.count(t);
+  const size_t uni = sa.size() + sb.size() - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+// Up to ~200 bytes of words (case variants, shared 8-byte prefixes, camel
+// and digit boundaries) and single characters from an alphabet of letters,
+// digits, '_', space, punctuation and bytes >= 0x80.
+std::string RandomLabel(Rng& rng) {
+  static const char* const kWords[] = {
+      "item",        "Item",          "ITEM",
+      "country",     "brandCountry",  "gen7X",
+      "7",           "a",             "made_in",
+      "factorySite", "abcdefgh",      "abcdefghi",
+      "ABCDEFGHIJ",  "internationalization", "INTERNATIONALIZE",
+      "x"};
+  static const std::string kChars =
+      "ABCXYZabcxyz0189_ .,-/()!\x80\xc3\xa9\xff";
+  const size_t target = rng.Below(201);
+  std::string s;
+  while (s.size() < target) {
+    if (rng.Below(2) == 0) {
+      s += kWords[rng.Below(std::size(kWords))];
+    } else {
+      s += kChars[rng.Below(kChars.size())];
+    }
+  }
+  return s;
+}
+
+TEST(StringTest, WordTokensMatchCctypeRule) {
+  EXPECT_EQ(WordTokens("gen7X factorySite made_in"),
+            (std::vector<std::string>{"gen7", "x", "factory", "site", "made",
+                                      "in"}));
+  Rng rng(18);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::string s = RandomLabel(rng);
+    EXPECT_EQ(WordTokens(s), CctypeWordTokens(s)) << s;
+  }
+}
+
+TEST(StringTest, TokenJaccardMatchesSetDefinition) {
+  const std::pair<std::string, std::string> fixed[] = {
+      {"", ""},
+      {"", "a"},
+      {"a a A", "a"},
+      {"a a A", "A b"},
+      {"gen7X", "gen7 x"},
+      {"gen7X", "gen 7x"},
+      {"factorySite", "factory site"},
+      {"factorySite", "FactorySITE"},
+      {"_-. ,", "\xc3\xa9 !"},
+      {"_-. ,", "a"},
+      {"abcdefghi", "ABCDEFGHI abcdefgh"},
+  };
+  for (const auto& [a, b] : fixed) {
+    EXPECT_EQ(TokenJaccard(a, b), SetJaccard(a, b)) << a << " | " << b;
+    EXPECT_EQ(TokenJaccard(b, a), SetJaccard(a, b)) << a << " | " << b;
+  }
+  EXPECT_EQ(TokenJaccard("", ""), 1.0);
+  EXPECT_EQ(TokenJaccard("_-. ,", "\xc3\xa9 !"), 1.0);
+  EXPECT_EQ(TokenJaccard("a a A", "a"), 1.0);
+
+  Rng rng(29);
+  size_t spilled = 0;
+  size_t partial = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string a = RandomLabel(rng);
+    const std::string b = RandomLabel(rng);
+    const double want = SetJaccard(a, b);
+    EXPECT_EQ(TokenJaccard(a, b), want) << a << " | " << b;
+    if (WordTokenSet(a).size() > WordTokenSet::kInline) ++spilled;
+    if (want > 0.0 && want < 1.0) ++partial;
+  }
+  // The random inputs reach the heap spill and non-trivial overlaps.
+  EXPECT_GT(spilled, 100u);
+  EXPECT_GT(partial, 1000u);
 }
 
 TEST(StringTest, ParseDouble) {

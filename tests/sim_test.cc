@@ -110,15 +110,40 @@ TEST(EmbeddingVertexScorerTest, ScoreBatchBitIdenticalToScore) {
 }
 
 TEST(VertexScorerTest, DefaultScoreBatchLoopsOverScore) {
-  const TwoGraphs tg = MakeGraphs();
-  const JaccardVertexScorer hv(tg.g1, tg.g2);
+  // A scorer that keeps the default ScoreBatch.
+  struct SumScorer : VertexScorer {
+    double Score(VertexId u, VertexId v) const override {
+      return 0.25 * u + 0.125 * v;
+    }
+  };
+  const SumScorer hv;
   const std::vector<VertexId> vs = {0, 1, 2};
   std::vector<double> out(vs.size());
-  hv.ScoreBatch(0, vs, out);
+  hv.ScoreBatch(1, vs, out);
   for (size_t i = 0; i < vs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], hv.Score(0, vs[i]));
+    EXPECT_DOUBLE_EQ(out[i], hv.Score(1, vs[i]));
   }
   EXPECT_EQ(hv.BatchCalls(), 1u);
+}
+
+TEST(JaccardVertexScorerTest, BatchEqualsScalar) {
+  const int n = 37;
+  const TwoGraphs tg = MakeWideGraphs(n);
+  const JaccardVertexScorer hv(tg.g1, tg.g2);
+  std::vector<VertexId> vs(n);
+  for (int v = 0; v < n; ++v) vs[v] = static_cast<VertexId>(v);
+  std::vector<double> out(vs.size());
+  for (int u = 0; u < n; ++u) {
+    const size_t calls = hv.BatchCalls();
+    hv.ScoreBatch(static_cast<VertexId>(u), vs, out);
+    EXPECT_EQ(hv.BatchCalls(), calls + 1);
+    for (size_t i = 0; i < vs.size(); ++i) {
+      EXPECT_EQ(out[i], hv.Score(static_cast<VertexId>(u), vs[i]))
+          << "u=" << u << " v=" << vs[i];
+    }
+  }
+  hv.ScoreBatch(0, {}, {});
+  EXPECT_EQ(hv.BatchCalls(), static_cast<size_t>(n) + 1);
 }
 
 // CachingVertexScorer is kept only because perfbench/apair.cc:391-393 reads it.

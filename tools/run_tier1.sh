@@ -3,9 +3,10 @@
 # build of the parallel-driver determinism tests — the shared read-only
 # MatchContext fan-out must be data-race free (tsan) and leak/UB free
 # (asan/ubsan) — plus the batched-kernel bit-identity tests (StepProbBatch,
-# TopKBatch, PropertyTable build determinism) and the ANN candidate-
-# generation suite (IVF probe parity, sampled-recall fallback) under the
-# same sanitizer.
+# TopKBatch, PropertyTable build determinism), the ANN candidate-
+# generation suite (IVF probe parity, sampled-recall fallback) and the
+# common suite (the token-Jaccard kernel and its inline-to-heap spill)
+# under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
 #   sanitizer: tsan (default) | asan | ubsan | none
 set -euo pipefail
@@ -36,8 +37,11 @@ if [ -n "$HER_SANITIZE" ]; then
     -DHER_SANITIZE="$HER_SANITIZE"
   cmake --build "$SAN_DIR" -j --target parallel_driver_test ml_test \
     sim_test property_test persist_test ann_test flat_table_test \
-    partition_test serve_test
+    partition_test serve_test common_test
   "$SAN_DIR/tests/parallel_driver_test"
+  # String kernels (token-Jaccard against its set definition, including
+  # inputs past the inline token buffer), thread pool, status, hashing.
+  "$SAN_DIR/tests/common_test"
   # Partitioner invariants + wire-codec corruption suite (the UB target
   # for the varint-delta frame decoder).
   "$SAN_DIR/tests/partition_test"
@@ -47,7 +51,8 @@ if [ -n "$HER_SANITIZE" ]; then
   "$SAN_DIR/tests/ann_test"
   "$SAN_DIR/tests/ml_test" \
     --gtest_filter='LstmTest.StepProbBatch*:MlpTest.PredictBatch*'
-  "$SAN_DIR/tests/sim_test" --gtest_filter='LstmPraRankerTest.*'
+  "$SAN_DIR/tests/sim_test" \
+    --gtest_filter='LstmPraRankerTest.*:JaccardVertexScorerTest.*'
   "$SAN_DIR/tests/property_test" --gtest_filter='PropertyTableTest.*'
   # Durable snapshot/checkpoint suite; WarmStartTest trains twice and is
   # covered by plain ctest above, so it is skipped under the sanitizer.
