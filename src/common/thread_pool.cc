@@ -1,60 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 namespace her {
-
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) num_threads = 1;
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  task_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
-  }
-}
 
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& fn) {

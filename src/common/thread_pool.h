@@ -1,50 +1,15 @@
 #ifndef HER_COMMON_THREAD_POOL_H_
 #define HER_COMMON_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace her {
 
-/// Fixed-size worker pool. Tasks are std::function<void()>; Wait() blocks
-/// until all submitted tasks have completed. Used by candidate generation
-/// and the bench harness; the BSP engine manages its own threads because
-/// its workers own long-lived per-fragment state.
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  size_t num_threads() const { return threads_.size(); }
-
-  /// Enqueues a task for execution.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> threads_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable task_cv_;
-  std::condition_variable done_cv_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-};
-
 /// Runs fn(i) for i in [0, n) across `num_threads` threads with static
-/// chunking. Blocks until complete. num_threads == 1 runs inline.
+/// chunking. Blocks until complete. num_threads == 1 runs inline. Used by
+/// candidate generation and the bench harness; the BSP engine manages its
+/// own threads because its workers own long-lived per-fragment state.
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& fn);
 

@@ -665,20 +665,6 @@ std::vector<PairOutcome> ResolveOutcomes(std::span<const MatchPair> roots,
 
 namespace {
 
-void PutPair(ByteWriter* w, const MatchPair& p) {
-  w->PutVarint(p.first);
-  w->PutVarint(p.second);
-}
-
-Status GetPair(ByteReader* r, MatchPair* p) {
-  uint64_t u = 0, v = 0;
-  HER_RETURN_NOT_OK(r->GetVarint(&u));
-  HER_RETURN_NOT_OK(r->GetVarint(&v));
-  p->first = static_cast<VertexId>(u);
-  p->second = static_cast<VertexId>(v);
-  return Status::OK();
-}
-
 void PutProperty(ByteWriter* w, const Property& p) {
   w->PutVarint(p.descendant);
   w->PutIntVec(p.labels);

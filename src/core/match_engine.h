@@ -22,6 +22,23 @@ namespace her {
 /// A candidate match: u in G_D paired with v in G.
 using MatchPair = std::pair<VertexId, VertexId>;
 
+/// The one byte codec of a pair (two varints), shared by the engine-state
+/// snapshot and the BSP checkpoint shards.
+inline void PutPair(ByteWriter* w, const MatchPair& p) {
+  w->PutVarint(p.first);
+  w->PutVarint(p.second);
+}
+
+inline Status GetPair(ByteReader* r, MatchPair* p) {
+  uint64_t u = 0;
+  uint64_t v = 0;
+  HER_RETURN_NOT_OK(r->GetVarint(&u));
+  HER_RETURN_NOT_OK(r->GetVarint(&v));
+  p->first = static_cast<VertexId>(u);
+  p->second = static_cast<VertexId>(v);
+  return Status::OK();
+}
+
 /// Verdict classification of a candidate pair at the end of a (possibly
 /// degraded) run. In a completed run every pair is proved or disproved; a
 /// run cut short by a deadline or cancellation additionally reports pairs

@@ -157,27 +157,12 @@ std::vector<MatchPair> SortedUnique(std::span<const MatchPair> candidates) {
 // since the previous write are rewritten — checkpoint cost is O(changed
 // fragments) — and the meta is installed last, so the on-disk set is
 // always a consistent boundary (shards newer than the meta fail the
-// epoch check and cold-start, never mix rounds silently). Checkpoints
+// epoch check and the run starts cold, never mixing rounds). Checkpoints
 // are taken at the superstep boundary where inboxes are full (routed,
 // audit-repaired) and outboxes are empty, so a resumed run entering the
 // stored round re-executes exactly the computation the interrupted run
 // would have — the greedy lineage matching is not confluent, so any
 // weaker capture could land on a different fixpoint.
-
-void PutPair(ByteWriter* w, const MatchPair& p) {
-  w->PutVarint(p.first);
-  w->PutVarint(p.second);
-}
-
-Status GetPair(ByteReader* r, MatchPair* p) {
-  uint64_t a = 0;
-  uint64_t b = 0;
-  HER_RETURN_NOT_OK(r->GetVarint(&a));
-  HER_RETURN_NOT_OK(r->GetVarint(&b));
-  p->first = static_cast<VertexId>(a);
-  p->second = static_cast<VertexId>(b);
-  return Status::OK();
-}
 
 void PutPairs(ByteWriter* w, const std::vector<MatchPair>& ps) {
   w->PutVarint(ps.size());
@@ -308,8 +293,8 @@ constexpr char kBspShardSection[] = "bsp_frag";
 /// fragments' files already hold their current state under the epoch the
 /// meta names, so the write is O(changed fragments), not O(total state).
 /// A crash between a shard write and the meta install leaves shards newer
-/// than the meta: their epoch check fails on resume and only those
-/// fragments cold-start — never a silently mixed-round checkpoint.
+/// than the meta: their epoch check fails on resume and the whole run
+/// starts cold — never a silently mixed-round checkpoint.
 Status WriteBspCheckpoint(const CheckpointOptions& ckpt, size_t next_round,
                           uint64_t roots_digest, const ParallelResult& result,
                           const std::vector<std::unique_ptr<Worker>>& workers,
@@ -409,10 +394,11 @@ Status TryRestoreBspMeta(const CheckpointOptions& ckpt, uint64_t roots_digest,
   return Status::OK();
 }
 
-/// Restores one fragment's shard in place, validated independently: file
+/// Restores one fragment's shard into `w`, a fresh fragment: file
 /// CRC/fingerprint (SnapshotReader), fragment id, epoch against the
 /// meta's record (a shard newer or older than the meta's view is stale),
-/// and candidate digest. A failure costs only THIS fragment a cold start.
+/// and candidate digest. A failure leaves `w` partly written; the caller
+/// discards it and, with it, the whole warm start.
 Status TryRestoreShard(const CheckpointOptions& ckpt, uint32_t fragment,
                        uint64_t expected_epoch, uint64_t roots_digest,
                        Worker* w) {
@@ -455,7 +441,7 @@ size_t FramePairCapForBudget(size_t budget_bytes) {
 }
 
 /// One run's job input and settings: what every fragment is built from —
-/// cold start, partial rebuild or crash restore — and what the finished
+/// cold start, disk resume or crash restore — and what the finished
 /// workers are summarized against.
 struct RunSetup {
   const MatchContext& ctx;
@@ -488,16 +474,12 @@ struct RunSetup {
     return w;
   }
 
-  /// Replaces every fragment f with cold[f] set by a fresh one holding
-  /// its job input: the root candidates it owns, in arrival order.
-  void ColdStart(const std::vector<uint8_t>& cold,
-                 std::vector<std::unique_ptr<Worker>>* workers) const {
-    for (uint32_t f = 0; f < workers->size(); ++f) {
-      if (cold[f] != 0) (*workers)[f] = Empty(f);
-    }
+  /// Replaces every fragment with a fresh one holding its job input: the
+  /// root candidates it owns, in arrival order.
+  void ColdStart(std::vector<std::unique_ptr<Worker>>* workers) const {
+    for (uint32_t f = 0; f < workers->size(); ++f) (*workers)[f] = Empty(f);
     for (const MatchPair& c : candidates) {
-      const uint32_t f = owner_of(c);
-      if (cold[f] != 0) (*workers)[f]->owned_candidates.push_back(c);
+      (*workers)[owner_of(c)]->owned_candidates.push_back(c);
     }
   }
 
@@ -615,7 +597,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   for (uint32_t i = 0; i < n; ++i) host_of[i] = i;
 
   std::vector<std::unique_ptr<Worker>> workers(n);
-  run.ColdStart(std::vector<uint8_t>(n, 1), &workers);
+  run.ColdStart(&workers);
   const std::vector<MatchPair> roots = SortedUnique(candidates);
 
   std::vector<bool> alive(n, true);  // hosts, not fragments
@@ -641,13 +623,6 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   // changed since the last write. Everything is dirty on a cold start.
   std::vector<uint8_t> dirty(n, 1);
   std::vector<uint64_t> shard_epochs(n, 0);
-  // Fragments cold-started by a PARTIAL rebuild (their shard was missing,
-  // corrupt or stale on resume while the meta was fine): they re-run
-  // their owned candidates at the resumed round — PPSim for them, IncPSim
-  // for everyone else — and the assumption audit re-derives the messages
-  // the lost shard state exchanged with the rest.
-  std::vector<uint8_t> bootstrap(n, 0);
-  bool any_bootstrap = false;
   if (ckpt_enabled && ckpt.resume) {
     // A crash mid-install leaves orphaned *.tmp files next to the shards;
     // sweep them before restore so debris never accumulates across runs.
@@ -659,9 +634,26 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
                 << " stale checkpoint tmp file(s) in " << ckpt.dir
                 << std::endl;
     }
+    // All or nothing: the meta and every shard restore into fresh
+    // fragments, adopted only if all of them load. The greedy lineage
+    // matching is not confluent, so a cold fragment beside restored peers
+    // could land on a different fixpoint; any invalid file — meta or
+    // shard, missing, corrupt or stale — costs the whole warm start,
+    // never correctness.
     RestoredProgress progress;
-    const Status st = TryRestoreBspMeta(ckpt, roots_digest, n, &progress);
+    Status st = TryRestoreBspMeta(ckpt, roots_digest, n, &progress);
+    std::vector<std::unique_ptr<Worker>> restored(n);
+    for (uint32_t f = 0; f < n && st.ok(); ++f) {
+      restored[f] = run.Empty(f);
+      st = TryRestoreShard(ckpt, f, progress.shard_epochs[f], roots_digest,
+                           restored[f].get());
+      if (!st.ok()) {
+        st = Status(st.code(), "shard " + std::to_string(f) + ": " +
+                                   st.message());
+      }
+    }
     if (st.ok()) {
+      workers = std::move(restored);
       result.resumed_from_checkpoint = true;
       start_round = progress.next_round;
       result.supersteps = progress.next_round;
@@ -670,29 +662,10 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       result.message_bytes_wire = progress.message_bytes_wire;
       result.simulated_seconds = progress.simulated_seconds;
       shard_epochs = progress.shard_epochs;
-      for (uint32_t f = 0; f < n; ++f) {
-        const Status ss = TryRestoreShard(ckpt, f, shard_epochs[f],
-                                          roots_digest, workers[f].get());
-        if (ss.ok()) {
-          dirty[f] = 0;
-          continue;
-        }
-        // Partial rebuild: only this fragment cold-starts.
-        std::cerr << "her: checkpoint shard " << f << " invalid ("
-                  << ss.ToString() << "); cold-starting fragment " << f
-                  << std::endl;
-        bootstrap[f] = 1;
-        any_bootstrap = true;
-      }
-      // A failed shard restore may have partially overwritten its
-      // fragment, so those fragments are rebuilt from the job input.
-      if (any_bootstrap) run.ColdStart(bootstrap, &workers);
+      std::fill(dirty.begin(), dirty.end(), 0);
     } else {
-      // Graceful degradation: a missing/corrupt/stale meta costs the warm
-      // start, never correctness. No shard was read, so the fragments are
-      // still the cold start's.
-      std::cerr << "her: checkpoint resume failed ("
-                << st.ToString() << "); starting cold" << std::endl;
+      std::cerr << "her: checkpoint resume failed (" << st.ToString()
+                << "); starting cold" << std::endl;
     }
   }
   // The first crash checkpoint: the boundary this run starts from (job
@@ -700,17 +673,13 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   // superstep recovers onto the same trajectory.
   if (injector != nullptr) take_checkpoints();
 
-  // Superstep body: PPSim on round 0, IncPSim afterwards. A fragment
-  // cold-started by a partial rebuild (`boot`) re-runs its owned
-  // candidates at the resumed round — its PPSim — before consuming the
-  // inboxes the audit re-derived for it.
-  auto superstep = [&](Worker& w, size_t round, bool boot) {
-    if (round == 0 || boot) {
+  // Superstep body: PPSim on round 0, IncPSim afterwards.
+  auto superstep = [&](Worker& w, size_t round) {
+    if (round == 0) {
       for (const MatchPair& c : w.owned_candidates) {
         w.engine.Match(c.first, c.second);
       }
-    }
-    if (round != 0) {
+    } else {
       // Inboxes are processed in sorted, deduplicated order so the
       // superstep is invariant to arrival order: duplicated messages,
       // retransmissions and audit-reconstructed deliveries then leave the
@@ -807,13 +776,6 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     return delivered;
   };
 
-  if (any_bootstrap) {
-    // Partial rebuild: the cold fragments' inboxes died with their shard
-    // state. Re-derive every message owed to or by them before the first
-    // resumed superstep, exactly as crash recovery does.
-    result.messages += audit();
-  }
-
   std::vector<double> busy(n, 0.0);
   for (size_t round = start_round;; ++round) {
     // --- fault hook: host crash at the start of this superstep ---
@@ -853,13 +815,12 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     // fault-free trajectory. Each host's busy time is taken from its
     // thread CPU clock so the simulated makespan is meaningful even on
     // machines with fewer cores than workers.
-    // Fragments whose state this superstep will touch: everything on a
-    // PPSim round (round 0 / bootstrap), plus every fragment with pending
-    // inbox deliveries. Clean fragments' shards on disk stay valid and
-    // the next checkpoint write skips them.
+    // Fragments whose state this superstep will touch: everything on the
+    // PPSim round 0, plus every fragment with pending inbox deliveries.
+    // Clean fragments' shards on disk stay valid and the next checkpoint
+    // write skips them.
     for (uint32_t f = 0; f < n; ++f) {
-      if (round == 0 || bootstrap[f] != 0 ||
-          !workers[f]->request_inbox.empty() ||
+      if (round == 0 || !workers[f]->request_inbox.empty() ||
           !workers[f]->invalid_inbox.empty()) {
         dirty[f] = 1;
       }
@@ -872,18 +833,12 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
         threads.emplace_back([&, h] {
           const double start = ThreadCpuSeconds();
           for (uint32_t f = 0; f < n; ++f) {
-            if (host_of[f] == h) {
-              superstep(*workers[f], round, bootstrap[f] != 0);
-            }
+            if (host_of[f] == h) superstep(*workers[f], round);
           }
           busy[h] = ThreadCpuSeconds() - start;
         });
       }
       for (auto& t : threads) t.join();
-    }
-    if (any_bootstrap) {
-      std::fill(bootstrap.begin(), bootstrap.end(), 0);
-      any_bootstrap = false;
     }
     double round_max = 0.0;
     for (uint32_t h = 0; h < n; ++h) {
@@ -1083,7 +1038,7 @@ ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
                                 const RunOptions& options) {
   WallTimer gen_timer;
   std::vector<MatchPair> candidates =
-      GenerateCandidates(ScanContext(), tuple_vertices, blocking);
+      GenerateCandidates(ctx_, tuple_vertices, blocking);
   const double gen_seconds = gen_timer.Seconds();
   ParallelResult result = RunOnCandidates(std::move(candidates), options);
   if (result.status.ok()) {
@@ -1092,16 +1047,6 @@ ParallelResult BspAllMatch::Run(std::span<const VertexId> tuple_vertices,
     result.stats.candidate_gen_runs = 1;
   }
   return result;
-}
-
-MatchContext BspAllMatch::ScanContext() const {
-  // Shallow copy (borrowed pointers + the shared vertex-pool handle) with
-  // the run's candidate-generation override applied, if any.
-  MatchContext scan = ctx_;
-  if (config_.candidate_gen.has_value()) {
-    scan.candidate_gen = *config_.candidate_gen;
-  }
-  return scan;
 }
 
 }  // namespace her

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,11 +27,11 @@ namespace her {
 /// O(total state). Every file is installed atomically (tmp + fsync +
 /// rename), with the meta written last, so a crash mid-write leaves a
 /// consistent previous checkpoint. With `resume` set, a run restores the
-/// meta and then validates every shard independently: a missing, corrupt
-/// or stale shard costs only THAT fragment a cold start (partial
-/// rebuild — the assumption audit re-derives its lost messages), while a
-/// failed meta falls back to a full cold start. Never a crash, never a
-/// silently wrong Pi.
+/// meta and every shard, and adopts them only if all of them load: a
+/// missing, corrupt or stale meta or shard falls back to a full cold
+/// start (see DESIGN.md "Fragments vs hosts" for why a lone cold fragment
+/// beside restored peers is not sound). Never a crash, never a silently
+/// wrong Pi.
 struct CheckpointOptions {
   std::string dir;
   /// Checkpoint cadence in supersteps; 0 disables periodic writes (a
@@ -70,10 +69,6 @@ struct ParallelConfig {
   FaultInjector* faults = nullptr;
   /// Durable on-disk checkpoint/resume policy.
   CheckpointOptions checkpoint;
-  /// Overrides MatchContext::candidate_gen for the Run candidate
-  /// scan when set (nullopt keeps the context's config). Lets a parallel
-  /// run pick exact vs ANN without mutating the shared context.
-  std::optional<CandidateGenConfig> candidate_gen;
   /// Per-worker memory budget in bytes; 0 = unlimited. Caps the pairs
   /// per encoded wire frame (a soft cap on message batches, not a hard
   /// allocator limit). Exceeding it costs an extra frame, never
@@ -187,10 +182,6 @@ class BspAllMatch {
   /// Rejects invalid configurations/candidates before any worker state is
   /// built (see ParallelResult::status).
   Status Validate(std::span<const MatchPair> candidates) const;
-
-  /// The context the candidate scan runs under: ctx_ with the config's
-  /// candidate_gen override applied (a shallow, borrowed-pointer copy).
-  MatchContext ScanContext() const;
 
   const MatchContext& ctx_;
   ParallelConfig config_;

@@ -56,12 +56,6 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// True when the plan kills `worker` at the start of `superstep`.
-  bool ShouldCrash(uint32_t worker, size_t superstep) const {
-    return plan_.crash.has_value() && plan_.crash->worker == worker &&
-           plan_.crash->superstep == superstep;
-  }
-
   /// True when this message's first transmission is lost (the caller
   /// retransmits and delivers it anyway). Counts the injection.
   bool DropMessage(FaultChannel channel, const MatchPair& pair, uint32_t from,
@@ -71,8 +65,8 @@ class FaultInjector {
   bool DuplicateMessage(FaultChannel channel, const MatchPair& pair,
                         uint32_t from, uint32_t to);
 
-  /// Records one injected fault (used by the crash path, whose decision is
-  /// taken by the engine via ShouldCrash).
+  /// Records one injected fault (used by the crash path, whose decision
+  /// the engine takes itself from plan().crash).
   void CountInjection() {
     injected_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <iterator>
 #include <set>
@@ -295,26 +296,6 @@ TEST(StringTest, ParseDouble) {
   EXPECT_TRUE(ParseDouble(" 42 ", &v));
   EXPECT_FALSE(ParseDouble("abc", &v));
   EXPECT_FALSE(ParseDouble("", &v));
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
 }
 
 TEST(ParallelForTest, CoversRangeOnce) {

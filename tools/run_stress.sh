@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Fault-injection stress run: the fault matrix + deadline tests under
-# ThreadSanitizer, with rotating seeds. Every graph seed in
-# fault_tolerance_test is offset by HER_STRESS_SEED, so consecutive runs
-# cover fresh — but fully deterministic and replayable — fault schedules:
-# to reproduce a CI failure locally, re-run with the seed CI printed.
+# Fault-injection stress run: the fault matrix + deadline tests and the
+# BSP kill-and-resume contract under ThreadSanitizer, with rotating seeds.
+# Every graph seed in fault_tolerance_test and the lost-shard resume test
+# is offset by HER_STRESS_SEED, so consecutive runs cover fresh — but
+# fully deterministic and replayable — fault schedules: to reproduce a CI
+# failure locally, re-run with the seed CI printed.
 #
 # Usage: tools/run_stress.sh [seed] [rounds] [build-dir]
 #   seed:      base seed offset (default 0; CI passes the run number)
@@ -19,7 +20,7 @@ BUILD_DIR="${3:-build-stress}"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHER_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j --target fault_tolerance_test parallel_test \
-  serve_test faultfs_test
+  serve_test faultfs_test persist_test
 
 for ((i = 0; i < ROUNDS; ++i)); do
   offset=$((SEED + i))
@@ -29,6 +30,11 @@ for ((i = 0; i < ROUNDS; ++i)); do
   # FaultFs schedules (checkpoint write faults, fsync gates) shift each
   # round while the op-indexed crash matrices stay pinned.
   HER_STRESS_SEED="$offset" "$BUILD_DIR/tests/faultfs_test"
+  # Resume contract under the same seed: an intact checkpoint resumes and
+  # a checkpoint missing any one shard starts cold, both to the
+  # uninterrupted Pi.
+  HER_STRESS_SEED="$offset" "$BUILD_DIR/tests/persist_test" \
+    --gtest_filter='KillResumeTest.*'
 done
 # The fault-free parallel suite under the same TSan build: the injection
 # probes must not have introduced races on the clean path either.

@@ -40,7 +40,7 @@ if [ -n "$HER_SANITIZE" ]; then
     partition_test serve_test common_test
   "$SAN_DIR/tests/parallel_driver_test"
   # String kernels (token-Jaccard against its set definition, including
-  # inputs past the inline token buffer), thread pool, status, hashing.
+  # inputs past the inline token buffer), ParallelFor, status, hashing.
   "$SAN_DIR/tests/common_test"
   # Partitioner invariants + wire-codec corruption suite (the UB target
   # for the varint-delta frame decoder).
