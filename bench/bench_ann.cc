@@ -21,35 +21,11 @@
 #include "common/timer.h"
 #include "core/drivers.h"
 
-namespace {
-
 using namespace her;
 using namespace her::bench;
 
-/// Best-of-`reps` wall time of `fn` (seconds).
-template <typename Fn>
-double BestOf(int reps, const Fn& fn) {
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    fn();
-    best = std::min(best, t.Seconds());
-  }
-  return best;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_ann.json";
-  bool smoke = false;  // CI regression check: tiny workload, 1 rep
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const auto [out_path, smoke] = ParseBenchArgs(argc, argv, "BENCH_ann.json");
   const int reps = smoke ? 1 : 3;
   const size_t threads = 8;
 

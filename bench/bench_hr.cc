@@ -39,30 +39,10 @@ class ScalarizedRanker : public DescendantRanker {
   const DescendantRanker* inner_;
 };
 
-/// Best-of-`reps` wall time of `fn` (seconds).
-template <typename Fn>
-double BestOf(int reps, const Fn& fn) {
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    fn();
-    best = std::min(best, t.Seconds());
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_hr.json";
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const auto [out_path, smoke] = ParseBenchArgs(argc, argv, "BENCH_hr.json");
   const int reps = smoke ? 1 : 3;
 
   DatasetSpec spec = ScalingSpec(smoke ? 150 : 1200);

@@ -31,30 +31,10 @@ struct PairWork {
   std::span<const Property> pu, pv;
 };
 
-/// Best-of-`reps` wall time of `fn` (seconds).
-template <typename Fn>
-double BestOf(int reps, const Fn& fn) {
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    fn();
-    best = std::min(best, t.Seconds());
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_hrho.json";
-  bool smoke = false;  // CI kernel-regression check: tiny workload, 1 rep
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const auto [out_path, smoke] = ParseBenchArgs(argc, argv, "BENCH_hrho.json");
   const int reps = smoke ? 1 : 3;
 
   DatasetSpec spec = ScalingSpec(smoke ? 150 : 1200);

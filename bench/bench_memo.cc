@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/flat_table.h"
 #include "common/proc_stats.h"
 #include "common/rng.h"
@@ -33,18 +34,7 @@
 namespace {
 
 using namespace her;
-
-/// Best-of-`reps` wall time of `fn` (seconds).
-template <typename Fn>
-double BestOf(int reps, const Fn& fn) {
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    fn();
-    best = std::min(best, t.Seconds());
-  }
-  return best;
-}
+using namespace her::bench;
 
 struct RegimeResult {
   size_t entries = 0, probes = 0, hits = 0;
@@ -176,15 +166,7 @@ void EmitRegime(std::ofstream& out, const char* name, const RegimeResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_memo.json";
-  bool smoke = false;  // CI regression check: tiny workload, 1 rep
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const auto [out_path, smoke] = ParseBenchArgs(argc, argv, "BENCH_memo.json");
   const int reps = smoke ? 1 : 5;
 
   // The gated regime: capped-memo scale, LLC-resident.

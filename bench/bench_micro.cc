@@ -384,8 +384,6 @@ void BM_BspAllMatch(benchmark::State& state) {
   state.counters["recoveries"] = static_cast<double>(last.stats.recoveries);
   state.counters["faults_injected"] =
       static_cast<double>(last.stats.faults_injected);
-  state.counters["fault_retries"] =
-      static_cast<double>(last.stats.fault_retries);
   state.counters["deadline_expired"] =
       static_cast<double>(last.stats.deadline_expired);
   state.counters["unresolved_pairs"] =
@@ -406,9 +404,9 @@ void BM_BspAllMatch(benchmark::State& state) {
 BENCHMARK(BM_BspAllMatch)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_BspAllMatchFaulted(benchmark::State& state) {
-  // Same run under an injected fault plan (crash at superstep 1 plus 20%
-  // drop / 10% duplication): measures the checkpoint + recovery + audit
-  // overhead relative to BM_BspAllMatch.
+  // Same run under an injected fault plan (crash at superstep 1 plus 10%
+  // duplication): measures the checkpoint + recovery + audit + inbox
+  // dedupe overhead relative to BM_BspAllMatch.
   BenchSystem& bs = Shared();
   const auto& ctx = bs.system->context();
   const auto tuples = bs.data.canonical.TupleVertices();
@@ -418,7 +416,6 @@ void BM_BspAllMatchFaulted(benchmark::State& state) {
     FaultPlan plan;
     plan.seed = 7;
     plan.crash = CrashFault{.worker = 1, .superstep = 1};
-    plan.drop_prob = 0.2;
     plan.dup_prob = 0.1;
     FaultInjector injector(plan);
     BspAllMatch bsp(ctx, {.num_workers = workers, .faults = &injector});

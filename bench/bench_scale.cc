@@ -67,15 +67,7 @@ struct TierRecord {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_scale.json";
-  bool smoke = false;  // CI regression check: 10k tier only
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const auto [out_path, smoke] = ParseBenchArgs(argc, argv, "BENCH_scale.json");
 
   // Entity counts calibrated so the generated G clears each vertex
   // target (the generator renders ~8.6 G vertices per entity).

@@ -1,6 +1,7 @@
 #ifndef HER_BENCH_BENCH_UTIL_H_
 #define HER_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,6 +21,38 @@
 #include "learn/metrics.h"
 
 namespace her::bench {
+
+/// Command line of the kernel benches: `--smoke` shrinks the workload for
+/// CI; any other argument overrides the BENCH_*.json output path.
+struct BenchArgs {
+  std::string out_path;
+  bool smoke = false;
+};
+
+inline BenchArgs ParseBenchArgs(int argc, char** argv,
+                                std::string default_out) {
+  BenchArgs args{std::move(default_out)};
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--smoke") {
+      args.smoke = true;
+    } else {
+      args.out_path = argv[i];
+    }
+  }
+  return args;
+}
+
+/// Best-of-`reps` wall time of `fn` (seconds).
+template <typename Fn>
+double BestOf(int reps, const Fn& fn) {
+  double best = 1e100;
+  for (int r = 0; r < reps; ++r) {
+    WallTimer t;
+    fn();
+    best = std::min(best, t.Seconds());
+  }
+  return best;
+}
 
 /// A generated dataset with a trained HER system over it.
 struct BenchSystem {

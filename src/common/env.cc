@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "common/hash.h"
+#include "common/rng.h"
 
 namespace her {
 namespace {
@@ -190,8 +191,6 @@ class PosixEnv : public Env {
     return names;
   }
 };
-
-double HashToUniform(uint64_t h) { return (h >> 11) * 0x1.0p-53; }
 
 Status CrashedStatus() {
   return Status::IOError("storage: environment crashed (faultfs)");

@@ -23,6 +23,10 @@ inline uint64_t Mix64(uint64_t x) {
   return SplitMix64(s);
 }
 
+/// Uniform double in [0, 1) from the top 53 bits of a 64-bit value; the
+/// one construction behind Rng::Uniform and every stateless hashed draw.
+inline double HashToUniform(uint64_t h) { return (h >> 11) * 0x1.0p-53; }
+
 /// Deterministic xoshiro256** PRNG. All randomness in the library flows
 /// through explicitly seeded instances of this class so that datasets,
 /// model initialization and experiments are reproducible.
@@ -63,7 +67,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double Uniform() { return (Next() >> 11) * 0x1.0p-53; }
+  double Uniform() { return HashToUniform(Next()); }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }

@@ -143,37 +143,41 @@ const MatchEngine::CacheEntry* MatchEngine::Lookup(VertexId u,
   return cache_.Find(PairKey(u, v));
 }
 
-const MatchEngine::Stats& MatchEngine::stats() const {
-  if (ctx_.hv != nullptr) stats_.hv_batch_calls = ctx_.hv->BatchCalls();
-  if (ctx_.mrho != nullptr) {
-    stats_.hrho_batch_calls = ctx_.mrho->BatchCalls();
+void SnapshotContextStats(const MatchContext& ctx, MatchEngine::Stats* stats) {
+  if (ctx.hv != nullptr) stats->hv_batch_calls = ctx.hv->BatchCalls();
+  if (ctx.mrho != nullptr) {
+    stats->hrho_batch_calls = ctx.mrho->BatchCalls();
     if (const auto* caching =
-            dynamic_cast<const CachingPathScorer*>(ctx_.mrho)) {
-      stats_.hrho_hash_rejects = caching->HashRejects();
-      stats_.hrho_memo_load_factor = caching->MemoLoadFactor();
-      stats_.memo_probe_batches = caching->ProbeBatches();
-      stats_.memo_probe_len = caching->ProbeLen();
+            dynamic_cast<const CachingPathScorer*>(ctx.mrho)) {
+      stats->hrho_hash_rejects = caching->HashRejects();
+      stats->hrho_memo_load_factor = caching->MemoLoadFactor();
+      stats->memo_probe_batches = caching->ProbeBatches();
+      stats->memo_probe_len = caching->ProbeLen();
     }
   }
-  if (ctx_.hr != nullptr) {
-    stats_.hr_batch_calls = ctx_.hr->BatchCalls();
-    if (const auto* lstm = dynamic_cast<const LstmPraRanker*>(ctx_.hr)) {
-      stats_.hr_lstm_batch_calls = lstm->LstmBatchCalls();
-      stats_.hr_lstm_lanes = lstm->LstmBatchLanes();
-      stats_.hr_walk_rounds = lstm->WalkRounds();
+  if (ctx.hr != nullptr) {
+    stats->hr_batch_calls = ctx.hr->BatchCalls();
+    if (const auto* lstm = dynamic_cast<const LstmPraRanker*>(ctx.hr)) {
+      stats->hr_lstm_batch_calls = lstm->LstmBatchCalls();
+      stats->hr_lstm_lanes = lstm->LstmBatchLanes();
+      stats->hr_walk_rounds = lstm->WalkRounds();
     }
   }
-  if (ctx_.properties != nullptr) {
-    stats_.ptable_build_seconds = ctx_.properties->build_seconds();
+  if (ctx.properties != nullptr) {
+    stats->ptable_build_seconds = ctx.properties->build_seconds();
   }
-  if (ctx_.ann != nullptr) {
-    stats_.ann_probes = ctx_.ann->Probes();
-    stats_.ann_lists_scanned = ctx_.ann->ListsScanned();
-    stats_.ann_points_scanned = ctx_.ann->PointsScanned();
-    stats_.ann_fallbacks = ctx_.ann->Fallbacks();
-    stats_.ann_recall = ctx_.ann->MeasuredRecall();
-    stats_.ann_build_seconds = ctx_.ann->build_seconds();
+  if (ctx.ann != nullptr) {
+    stats->ann_probes = ctx.ann->Probes();
+    stats->ann_lists_scanned = ctx.ann->ListsScanned();
+    stats->ann_points_scanned = ctx.ann->PointsScanned();
+    stats->ann_fallbacks = ctx.ann->Fallbacks();
+    stats->ann_recall = ctx.ann->MeasuredRecall();
+    stats->ann_build_seconds = ctx.ann->build_seconds();
   }
+}
+
+const MatchEngine::Stats& MatchEngine::stats() const {
+  SnapshotContextStats(ctx_, &stats_);
   stats_.unresolved_pairs = unresolved_.size();
   return stats_;
 }

@@ -186,7 +186,7 @@ class MatchEngine {
     size_t border_assumptions = 0;  // pairs optimistically assumed (BSP)
     // --- h_v kernel telemetry (snapshots of the context's scorer, which
     // is shared: across engines these are global counters, not per-engine
-    // deltas, so the BSP aggregation does not sum them) ---
+    // deltas; SnapshotContextStats assigns them, never sums) ---
     size_t hv_batch_calls = 0;     // ScoreBatch invocations
     // --- h_rho kernel telemetry. The first two are snapshots of the
     // shared PathScorer (same aggregation caveat as the h_v fields); the
@@ -232,8 +232,7 @@ class MatchEngine {
     size_t deadline_expired = 0;   // 1 if this run stopped on deadline/cancel
     size_t unresolved_pairs = 0;   // pairs abandoned without a verdict
     // Filled by the parallel engine (per-engine they are always zero):
-    size_t faults_injected = 0;    // crash/drop/dup/scorer faults fired
-    size_t fault_retries = 0;      // transient scorer failures retried
+    size_t faults_injected = 0;    // crash/duplicate faults fired
     size_t checkpoints = 0;        // superstep-boundary snapshots taken
     size_t recoveries = 0;         // crashed fragments reassigned + replayed
     size_t disk_checkpoints = 0;   // durable snapshots written to disk
@@ -439,6 +438,11 @@ class MatchEngine {
   // rehashes (the heap buffer moves with the vector object, not the slot).
   FlatTable<std::vector<Property>> ecache_[2];
 };
+
+/// Copies the counters of `ctx`'s shared scorers, table and index (the
+/// Stats fields marked "snapshots") into `stats`. Every engine on one
+/// context sees the same values, so aggregates assign them, never sum.
+void SnapshotContextStats(const MatchContext& ctx, MatchEngine::Stats* stats);
 
 /// The authoritative cached verdict of a pair, or null when it has none.
 using VerdictLookup =

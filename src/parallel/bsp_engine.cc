@@ -78,31 +78,6 @@ struct PairOwner {
   }
 };
 
-/// Copies the shared-scorer/table snapshot fields of one worker's stats
-/// into the aggregate. Every engine snapshots the same shared objects, so
-/// these are assigned (any worker's copy is the global value), never
-/// summed like the per-engine counters.
-void AssignSharedSnapshots(const MatchEngine::Stats& s,
-                           MatchEngine::Stats* agg) {
-  agg->hv_batch_calls = s.hv_batch_calls;
-  agg->hrho_batch_calls = s.hrho_batch_calls;
-  agg->hrho_hash_rejects = s.hrho_hash_rejects;
-  agg->hr_batch_calls = s.hr_batch_calls;
-  agg->hr_lstm_batch_calls = s.hr_lstm_batch_calls;
-  agg->hr_lstm_lanes = s.hr_lstm_lanes;
-  agg->hr_walk_rounds = s.hr_walk_rounds;
-  agg->ptable_build_seconds = s.ptable_build_seconds;
-  agg->ann_probes = s.ann_probes;
-  agg->ann_lists_scanned = s.ann_lists_scanned;
-  agg->ann_points_scanned = s.ann_points_scanned;
-  agg->ann_fallbacks = s.ann_fallbacks;
-  agg->ann_recall = s.ann_recall;
-  agg->ann_build_seconds = s.ann_build_seconds;
-  agg->memo_probe_batches = s.memo_probe_batches;
-  agg->memo_probe_len = s.memo_probe_len;
-  agg->hrho_memo_load_factor = s.hrho_memo_load_factor;
-}
-
 /// Sums one worker's per-engine counters into the aggregate.
 void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->para_match_calls += s.para_match_calls;
@@ -113,7 +88,6 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->hrho_evaluations += s.hrho_evaluations;
   agg->border_assumptions += s.border_assumptions;
   agg->hrho_embed_reuse += s.hrho_embed_reuse;
-  AssignSharedSnapshots(s, agg);
 }
 
 /// Fills matches/outcomes/unresolved_pairs from the workers' verdicts for
@@ -498,9 +472,9 @@ struct RunSetup {
   }
 
   /// Fills the run-wide half of `result` once every worker has stopped:
-  /// summed engine counters, the busiest worker, injected-fault and
-  /// flaky-scorer counters, partition quality, peak RSS and — unless the
-  /// run halted — Pi over the sorted, deduplicated `roots`.
+  /// summed engine counters, the shared scorers' snapshot counters, the
+  /// busiest worker, injected faults, partition quality, peak RSS and —
+  /// unless the run halted — Pi over the sorted, deduplicated `roots`.
   void Finish(const std::vector<std::unique_ptr<Worker>>& workers,
               const std::vector<MatchPair>& roots,
               ParallelResult* result) const {
@@ -510,12 +484,10 @@ struct RunSetup {
       result->max_worker_calls =
           std::max(result->max_worker_calls, s.para_match_calls);
     }
+    // Every engine shares ctx's scorers: snapshot them once, never sum.
+    SnapshotContextStats(ctx, &result->stats);
     if (injector != nullptr) {
       result->stats.faults_injected = injector->injected();
-    }
-    if (const auto* flaky = dynamic_cast<const FlakyVertexScorer*>(ctx.hv)) {
-      result->stats.fault_retries += flaky->Retries();
-      result->stats.faults_injected += flaky->FaultedCalls();
     }
     result->partition.edge_cut_edges = part.edge_cut_edges;
     result->partition.edge_cut_fraction = part.EdgeCutFraction(*ctx.g);
@@ -681,9 +653,9 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       }
     } else {
       // Inboxes are processed in sorted, deduplicated order so the
-      // superstep is invariant to arrival order: duplicated messages,
-      // retransmissions and audit-reconstructed deliveries then leave the
-      // trajectory bit-identical to the fault-free run.
+      // superstep is invariant to arrival order: duplicated messages and
+      // audit-reconstructed deliveries then leave the trajectory
+      // bit-identical to the fault-free run.
       std::sort(w.invalid_inbox.begin(), w.invalid_inbox.end());
       w.invalid_inbox.erase(
           std::unique(w.invalid_inbox.begin(), w.invalid_inbox.end()),
@@ -861,19 +833,13 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     const double sync_start = ThreadCpuSeconds();
 
     // Synchronization phase: route outboxes between fragments, with
-    // drop/duplication faults applied per message when a plan is
-    // installed. A dropped message is a transient channel fault: the
-    // sender retransmits within the sync phase until acknowledged, so the
-    // message still arrives this superstep — counted as a fault plus a
-    // retry, never a changed trajectory. (Losing a whole inbox for good
-    // is the crash story, handled by checkpoint recovery + audit.)
+    // duplication faults applied per message when a plan is installed. A
+    // duplicate reaches the destination's inbox twice and is absorbed by
+    // its sort+dedupe. (Losing a whole inbox is the crash story, handled
+    // by checkpoint recovery + audit.)
     auto deliveries = [&](FaultChannel channel, const MatchPair& p,
                           uint32_t from, uint32_t to) -> int {
       if (injector == nullptr) return 1;
-      if (injector->DropMessage(channel, p, from, to)) {
-        ++result.stats.fault_retries;  // retransmitted, then delivered
-        return 1;
-      }
       return injector->DuplicateMessage(channel, p, from, to) ? 2 : 1;
     };
     bool any_message = false;

@@ -158,9 +158,10 @@ struct ParallelResult {
 /// FaultPlan the BSP loop checkpoints each worker's fragment state at
 /// superstep boundaries (in the durable shard format), reassigns a crashed
 /// worker's fragments to a survivor (restoring the last checkpoint
-/// through the disk-resume serializer), and repairs
-/// dropped/duplicated messages with an assumption audit at quiescence, so
-/// faulted runs still converge to the fault-free Pi bit for bit.
+/// through the disk-resume serializer), re-derives the messages lost with
+/// it through an assumption audit, and absorbs duplicated messages in the
+/// receiver's inbox dedupe, so faulted runs still converge to the
+/// fault-free Pi bit for bit.
 class BspAllMatch {
  public:
   BspAllMatch(const MatchContext& ctx, ParallelConfig config)

@@ -1,9 +1,6 @@
 #include "parallel/fault_injection.h"
 
-#include <algorithm>
-#include <chrono>
-#include <string>
-#include <thread>
+#include "common/rng.h"
 
 namespace her {
 
@@ -21,122 +18,17 @@ uint64_t MessageKey(uint64_t seed, FaultChannel channel, const MatchPair& pair,
   return h;
 }
 
-/// Uniform [0, 1) from a 64-bit hash (same construction as Rng::Uniform).
-double HashToUniform(uint64_t h) { return (h >> 11) * 0x1.0p-53; }
-
 }  // namespace
-
-double FaultInjector::Draw(FaultChannel channel, const MatchPair& pair,
-                           uint32_t from, uint32_t to, uint64_t salt) const {
-  return HashToUniform(
-      MessageKey(plan_.seed, channel, pair, from, to, salt));
-}
-
-bool FaultInjector::DropMessage(FaultChannel channel, const MatchPair& pair,
-                                uint32_t from, uint32_t to) {
-  if (plan_.drop_prob <= 0.0) return false;
-  if (Draw(channel, pair, from, to, /*salt=*/0x9d0b) >= plan_.drop_prob) {
-    return false;
-  }
-  CountInjection();
-  return true;
-}
 
 bool FaultInjector::DuplicateMessage(FaultChannel channel,
                                      const MatchPair& pair, uint32_t from,
                                      uint32_t to) {
   if (plan_.dup_prob <= 0.0) return false;
-  if (Draw(channel, pair, from, to, /*salt=*/0xd0bb) >= plan_.dup_prob) {
-    return false;
-  }
+  const uint64_t h =
+      MessageKey(plan_.seed, channel, pair, from, to, /*salt=*/0xd0bb);
+  if (HashToUniform(h) >= plan_.dup_prob) return false;
   CountInjection();
   return true;
-}
-
-int FlakyVertexScorer::PlannedFailures(uint64_t key) const {
-  const uint64_t h = Mix64(seed_ ^ key);
-  if (HashToUniform(h) >= fail_prob_) return 0;
-  if (exhaust_prob_ > 0.0 &&
-      HashToUniform(Mix64(h ^ 0xe4a75bd1)) < exhaust_prob_) {
-    // Permanently down: more failures than the retry budget covers.
-    return max_failures_ + 1;
-  }
-  // A selected call fails 1..max_failures_ times, recoverable.
-  return 1 + static_cast<int>(Mix64(h) %
-                              static_cast<uint64_t>(max_failures_));
-}
-
-bool FlakyVertexScorer::RetryLoop(uint64_t key, int failures) const {
-  if (failures <= 0) return true;
-  faulted_calls_.fetch_add(1, std::memory_order_relaxed);
-  const int attempts = std::min(failures, max_failures_);
-  size_t backoff = backoff_micros_;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    if (backoff > 0) {
-      // Half fixed, half seeded jitter in [0, backoff/2 + 1): workers
-      // retrying the same superstep no longer sleep in lockstep (which
-      // re-synchronizes their next attempts against a struggling shared
-      // service), yet the draw is a pure function of (seed, call,
-      // attempt), so a rerun with the same seed sleeps identically.
-      const uint64_t jh = Mix64(seed_ ^ Mix64(key + 0x9e3779b97f4a7c15ULL) ^
-                                static_cast<uint64_t>(attempt));
-      const size_t half = backoff / 2;
-      const size_t jitter =
-          static_cast<size_t>(HashToUniform(jh) * (half + 1));
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(backoff - half + jitter));
-      backoff *= 2;
-    }
-  }
-  if (failures > max_failures_) {
-    exhausted_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-namespace {
-
-uint64_t ScoreKey(VertexId u, VertexId v) {
-  return Mix64(static_cast<uint64_t>(u) << 32 |
-               static_cast<uint64_t>(static_cast<uint32_t>(v)));
-}
-
-}  // namespace
-
-double FlakyVertexScorer::Score(VertexId u, VertexId v) const {
-  const uint64_t key = ScoreKey(u, v);
-  // The VertexScorer interface has no error channel: exhaustion is masked
-  // here (counted in Exhausted()); TryScore surfaces it as a Status.
-  RetryLoop(key, PlannedFailures(key));
-  return inner_->Score(u, v);
-}
-
-Result<double> FlakyVertexScorer::TryScore(VertexId u, VertexId v) const {
-  const uint64_t key = ScoreKey(u, v);
-  if (!RetryLoop(key, PlannedFailures(key))) {
-    return Status::ResourceExhausted(
-        "h_v scorer: retries exhausted for pair (" + std::to_string(u) +
-        ", " + std::to_string(v) + ")");
-  }
-  return inner_->Score(u, v);
-}
-
-void FlakyVertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
-                                   std::span<double> out) const {
-  // One failure decision per batch call, keyed by the batch identity (the
-  // candidate generators issue one batch per tuple vertex, so this models
-  // "the model-server RPC for u failed and was retried").
-  uint64_t key = Mix64(static_cast<uint64_t>(u) + 0x9e3779b97f4a7c15ULL);
-  key = Mix64(key ^ vs.size());
-  if (!vs.empty()) {
-    key = Mix64(key ^ static_cast<uint64_t>(vs.front()));
-    key = Mix64(key ^ static_cast<uint64_t>(vs.back()));
-  }
-  RetryLoop(key, PlannedFailures(key));
-  batch_calls_.fetch_add(1, std::memory_order_relaxed);
-  inner_->ScoreBatch(u, vs, out);
 }
 
 }  // namespace her

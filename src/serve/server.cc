@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <iostream>
 #include <mutex>
-#include <thread>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -26,8 +25,6 @@ constexpr char kStateMetaSection[] = "serve_meta";
 /// to phase changes, light enough that one outlier does not whipsaw the
 /// gate.
 constexpr double kEwmaAlpha = 0.25;
-
-double HashToUniform(uint64_t h) { return (h >> 11) * 0x1.0p-53; }
 
 double SecondsOf(std::chrono::milliseconds ms) {
   return std::chrono::duration<double>(ms).count();
@@ -217,10 +214,10 @@ Status HerServer::ReplayWalRecords(const std::vector<std::string>& records) {
     if (m.seq <= applied_seq_) continue;  // already covered by the snapshot
     last_seq_ = std::max(last_seq_, m.seq);
     ++replayed;
-    // The SAME fault/quarantine decision the live server took: a pure
+    // The SAME quarantine decision the live server took: a pure
     // function of (fault_seed, seq), so replay converges on the exact
     // pre-crash state, poisoned ops included.
-    if (PlannedFailures(m.seq) > config_.max_apply_retries) {
+    if (Poisoned(m.seq)) {
       quarantined_.push_back(m.seq);
       ++stats_.quarantined;
       continue;
@@ -384,31 +381,9 @@ Graph HerServer::BuildCurrentGraph() const {
   return std::move(b).Build();
 }
 
-int HerServer::PlannedFailures(uint64_t seq) const {
-  if (config_.apply_fail_prob <= 0.0) return 0;
-  const uint64_t h = Mix64(config_.fault_seed ^ Mix64(seq ^ 0x5e7fa017));
-  if (HashToUniform(h) >= config_.apply_fail_prob) return 0;
-  if (config_.poison_prob > 0.0 &&
-      HashToUniform(Mix64(h ^ 0x901500af)) < config_.poison_prob) {
-    return config_.max_apply_retries + 1;
-  }
-  const int span = std::max(1, config_.max_apply_retries);
-  return 1 + static_cast<int>(Mix64(h ^ 0x3e7) % span);
-}
-
-void HerServer::Backoff(int attempt) {
-  ++stats_.apply_retries;
-  if (config_.backoff_base.count() <= 0) return;
-  auto sleep = config_.backoff_base * (1ll << std::min(attempt, 20));
-  if (sleep > config_.backoff_cap) sleep = config_.backoff_cap;
-  // Half the delay is a seeded jitter draw: workers that fault together
-  // retry apart, yet a given (seed, seq, attempt) always sleeps the same.
-  const uint64_t jh = Mix64(config_.fault_seed ^ Mix64(last_seq_) ^
-                            Mix64(static_cast<uint64_t>(attempt)));
-  const auto half = sleep / 2;
-  sleep = half + std::chrono::microseconds(static_cast<int64_t>(
-                     HashToUniform(jh) * static_cast<double>(half.count())));
-  std::this_thread::sleep_for(sleep);
+bool HerServer::Poisoned(uint64_t seq) const {
+  return HashToUniform(Mix64(config_.fault_seed ^ Mix64(seq ^ 0x901500af))) <
+         config_.poison_prob;
 }
 
 void HerServer::ApplyPending(std::chrono::milliseconds read_deadline) {
@@ -420,16 +395,6 @@ void HerServer::ApplyPending(std::chrono::milliseconds read_deadline) {
   };
 
   if (!pending_.empty()) {
-    // Injected transient apply faults: the whole pass "fails" as many
-    // times as the worst op in the batch planned, each failure retried
-    // after a capped, doubling, jittered backoff — then succeeds (the
-    // fault is masked, only the retries surface as telemetry).
-    int attempts = 0;
-    for (const Mutation& m : pending_) {
-      attempts = std::max(attempts, PlannedFailures(m.seq));
-    }
-    for (int attempt = 0; attempt < attempts; ++attempt) Backoff(attempt);
-
     WallTimer timer;
     auto next = std::make_unique<Graph>(BuildCurrentGraph());
     system_->UpdateGraph(*next, options_for_attempt());
@@ -446,7 +411,7 @@ void HerServer::ApplyPending(std::chrono::milliseconds read_deadline) {
     pending_.clear();
   }
 
-  // A pass the deadline parked: retry with backoff. Progress is monotone
+  // A pass the deadline parked: retry it. Progress is monotone
   // (re-ranked rows never repeat), and when no read is waiting the final
   // attempt runs unbounded — correctness over latency. With a read
   // waiting we stop at its deadline and serve it degraded instead.
@@ -455,7 +420,7 @@ void HerServer::ApplyPending(std::chrono::milliseconds read_deadline) {
     for (int attempt = 0;
          attempt < config_.max_apply_retries && !system_->UpdateComplete();
          ++attempt) {
-      Backoff(attempt);
+      ++stats_.apply_retries;
       (void)system_->CompleteUpdate(options_for_attempt());
     }
     if (!system_->UpdateComplete() && !bounded) {
@@ -561,7 +526,7 @@ OpResult HerServer::ServeWrite(const ServeOp& op) {
   }
   last_seq_ = op.seq;
 
-  if (PlannedFailures(m.seq) > config_.max_apply_retries) {
+  if (Poisoned(m.seq)) {
     // Poisoned op: durably logged but permanently failing to apply.
     // Quarantine it — deterministically, so recovery re-reaches the same
     // decision — instead of letting it wedge every later mutation.

@@ -109,25 +109,19 @@ struct ServeConfig {
   size_t queue_soft_limit = 64;
   size_t queue_hard_limit = 256;
   /// Per-attempt budget of one maintenance pass (0 = unbounded). Expiry
-  /// parks the pass; it is retried with backoff, never abandoned.
+  /// parks the pass; it is retried, never abandoned.
   std::chrono::milliseconds maintenance_deadline{0};
-  /// Retry budget of a parked/faulted maintenance pass before the final
+  /// Retry budget of a parked maintenance pass before the final
   /// unbounded attempt (correctness over latency).
   int max_apply_retries = 4;
-  /// Base backoff sleep; attempt k sleeps base * 2^k (capped), half of it
-  /// jittered by a seeded draw so retry storms decorrelate. 0 = no sleep
-  /// (tests).
-  std::chrono::microseconds backoff_base{0};
-  std::chrono::microseconds backoff_cap{100000};
   /// Applied mutations per automatic snapshot + WAL truncation (0 = only
   /// at Drain/Checkpoint).
   size_t checkpoint_every = 0;
-  /// Deterministic maintenance-fault plan (inert while apply_fail_prob is
-  /// 0): each accepted graph mutation draws by (seed, seq) —
-  /// transient faults burn retries, a poisoned op exceeds the budget and
-  /// is quarantined instead of wedging the queue.
+  /// Deterministic poison plan (inert while poison_prob is 0, test-only):
+  /// each accepted mutation takes one draw keyed by (fault_seed, seq); a
+  /// poisoned op is logged but quarantined instead of applied, so it
+  /// cannot wedge the queue.
   uint64_t fault_seed = 0;
-  double apply_fail_prob = 0.0;
   double poison_prob = 0.0;
   /// Filesystem every durable byte goes through — model.snap, serve.state,
   /// serve.wal, tmp sweeps. Null = Env::Default(); tests and the chaos
@@ -143,7 +137,7 @@ struct ServeStats {
   uint64_t rejected_reads = 0;
   uint64_t applied_mutations = 0;
   uint64_t apply_batches = 0;
-  uint64_t apply_retries = 0;     // transient-fault + parked-pass retries
+  uint64_t apply_retries = 0;     // parked-pass retries
   uint64_t apply_parked = 0;      // maintenance passes parked on a deadline
   uint64_t quarantined = 0;       // poisoned ops set aside
   uint64_t wal_records_replayed = 0;
@@ -180,7 +174,7 @@ class HerServer {
  public:
   /// Warm-starts (TrainOrLoad), then recovers: state snapshot first, then
   /// the WAL suffix beyond it — re-running every replayed mutation through
-  /// the same fault/quarantine decisions, which are pure functions of
+  /// the same quarantine decision, a pure function of
   /// (fault_seed, seq), so a recovered server reaches the exact state of
   /// one that never crashed. `data` is borrowed and must outlive the
   /// server. Fails only on unusable inputs (unreadable WAL header, alien
@@ -259,15 +253,13 @@ class HerServer {
   /// Mutates the logical edge/feedback state (no engine work).
   void ApplyToState(const Mutation& m);
   /// Drains the queue through one UpdateGraph pass under the maintenance
-  /// deadline, retrying transient faults and parked passes with capped
-  /// exponential backoff + seeded jitter. `options_deadline` further caps
-  /// the work when a fresh read is waiting (0 = maintenance default).
+  /// deadline, retrying a parked pass up to max_apply_retries times.
+  /// `read_deadline` further caps the work when a fresh read is waiting
+  /// (0 = maintenance default).
   void ApplyPending(std::chrono::milliseconds read_deadline);
 
-  /// Injected planned-failure count of a mutation (0 when not selected;
-  /// > max_apply_retries = poisoned).
-  int PlannedFailures(uint64_t seq) const;
-  void Backoff(int attempt);
+  /// True when the poison plan quarantines mutation `seq`.
+  bool Poisoned(uint64_t seq) const;
 
   OpResult ServeRead(const ServeOp& op);
   OpResult ServeWrite(const ServeOp& op);

@@ -43,51 +43,33 @@ std::vector<MatchPair> FaultFreePi(const ContextHarness& h,
 /// Fault-free baseline of the *same* parallel configuration. The injected
 /// runs must be bit-identical to this, for any seed — serial equivalence
 /// (Theorem 3) is parallel_test's concern, on its own seed set.
-std::vector<MatchPair> FaultFreeParallelPi(const ContextHarness& h,
-                                           const std::vector<VertexId>& roots,
-                                           uint32_t workers) {
+ParallelResult FaultFreeParallelRun(const ContextHarness& h,
+                                    const std::vector<VertexId>& roots,
+                                    uint32_t workers) {
   BspAllMatch clean(h.ctx, {.num_workers = workers});
-  return clean.Run(roots).matches;
+  return clean.Run(roots);
 }
 
-enum class FaultKind { kCrash, kDrop, kDuplicate, kFlakyScorer };
+enum class FaultKind { kCrash, kDuplicate };
 
 const char* Name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kDrop:
-      return "drop";
-    case FaultKind::kDuplicate:
-      return "duplicate";
-    case FaultKind::kFlakyScorer:
-      return "flaky_scorer";
-  }
-  return "?";
+  return k == FaultKind::kCrash ? "crash" : "duplicate";
 }
 
 FaultPlan PlanFor(FaultKind kind, uint64_t seed, uint32_t workers) {
   FaultPlan plan;
   plan.seed = seed;
-  switch (kind) {
-    case FaultKind::kCrash:
-      plan.crash = CrashFault{.worker = static_cast<uint32_t>(seed % workers),
-                              .superstep = 1};
-      break;
-    case FaultKind::kDrop:
-      plan.drop_prob = 0.5;
-      break;
-    case FaultKind::kDuplicate:
-      plan.dup_prob = 0.5;
-      break;
-    case FaultKind::kFlakyScorer:
-      break;  // faults live in the scorer decorator, not the channels
+  if (kind == FaultKind::kCrash) {
+    plan.crash = CrashFault{.worker = static_cast<uint32_t>(seed % workers),
+                            .superstep = 1};
+  } else {
+    plan.dup_prob = 0.5;
   }
   return plan;
 }
 
-/// The acceptance matrix: >= 6 seeds x 4 fault kinds x {2, 4, 8} workers,
-/// every cell recovering to the fault-free Pi bit for bit.
+/// The acceptance matrix: >= 6 seeds x {crash, duplicate} x {2, 4, 8}
+/// workers, every cell recovering to the fault-free Pi bit for bit.
 class FaultMatrixTest
     : public ::testing::TestWithParam<
           std::tuple<uint64_t, FaultKind, uint32_t>> {};
@@ -98,22 +80,14 @@ TEST_P(FaultMatrixTest, RecoversToFaultFreePi) {
   auto [g1, g2] = RandomEntityGraphs(seed, 8);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());
   const auto roots = ItemRoots(h.g1);
-  const auto expected = FaultFreeParallelPi(h, roots, workers);
+  const ParallelResult fault_free = FaultFreeParallelRun(h, roots, workers);
 
   FaultInjector injector(PlanFor(kind, seed, workers));
-  MatchContext ctx = h.ctx;
-  std::unique_ptr<FlakyVertexScorer> flaky;
-  if (kind == FaultKind::kFlakyScorer) {
-    flaky = std::make_unique<FlakyVertexScorer>(h.hv.get(), seed,
-                                                /*fail_prob=*/0.3,
-                                                /*max_failures=*/3);
-    ctx.hv = flaky.get();
-  }
-  BspAllMatch bsp(ctx, {.num_workers = workers, .faults = &injector});
+  BspAllMatch bsp(h.ctx, {.num_workers = workers, .faults = &injector});
   const auto result = bsp.Run(roots);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_FALSE(result.degraded);
-  EXPECT_EQ(result.matches, expected)
+  EXPECT_EQ(result.matches, fault_free.matches)
       << "seed=" << seed << " fault=" << Name(kind) << " workers=" << workers;
   EXPECT_EQ(result.unresolved_pairs, 0u);
   // Every root candidate is decisively proved or disproved.
@@ -128,11 +102,14 @@ TEST_P(FaultMatrixTest, RecoversToFaultFreePi) {
       EXPECT_GT(result.stats.faults_injected, 0u);
     }
     EXPECT_GT(result.stats.checkpoints, 0u);
-  }
-  if (kind == FaultKind::kFlakyScorer) {
-    // The decorator's retry telemetry surfaces through the result stats.
-    EXPECT_GT(result.stats.fault_retries, 0u);
-    EXPECT_EQ(result.stats.fault_retries, flaky->Retries());
+  } else {
+    // Duplicates change the trajectory in no way: every extra copy reaches
+    // an inbox (one more message each) and is absorbed by its dedupe.
+    EXPECT_EQ(result.supersteps, fault_free.supersteps);
+    EXPECT_EQ(result.stats.para_match_calls,
+              fault_free.stats.para_match_calls);
+    EXPECT_EQ(result.messages,
+              fault_free.messages + result.stats.faults_injected);
   }
 }
 
@@ -140,8 +117,7 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsByFaultByWorkers, FaultMatrixTest,
     ::testing::Combine(
         ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u),
-        ::testing::Values(FaultKind::kCrash, FaultKind::kDrop,
-                          FaultKind::kDuplicate, FaultKind::kFlakyScorer),
+        ::testing::Values(FaultKind::kCrash, FaultKind::kDuplicate),
         ::testing::Values(2u, 4u, 8u)),
     [](const auto& info) {
       return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
@@ -152,87 +128,21 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FaultInjectionTest, DecisionsAreDeterministic) {
   FaultPlan plan;
   plan.seed = 99;
-  plan.drop_prob = 0.5;
+  plan.crash = CrashFault{.worker = 1, .superstep = 2};
   plan.dup_prob = 0.25;
   FaultInjector a(plan);
   FaultInjector b(plan);
   for (uint32_t u = 0; u < 16; ++u) {
     for (uint32_t v = 0; v < 16; ++v) {
       const MatchPair p{u, v};
-      EXPECT_EQ(a.DropMessage(FaultChannel::kRequest, p, 0, 1),
-                b.DropMessage(FaultChannel::kRequest, p, 0, 1));
+      EXPECT_EQ(a.DuplicateMessage(FaultChannel::kRequest, p, 0, 1),
+                b.DuplicateMessage(FaultChannel::kRequest, p, 0, 1));
       EXPECT_EQ(a.DuplicateMessage(FaultChannel::kInvalidation, p, 1, 0),
                 b.DuplicateMessage(FaultChannel::kInvalidation, p, 1, 0));
     }
   }
+  EXPECT_GT(a.injected(), 0u);
   EXPECT_EQ(a.injected(), b.injected());
-}
-
-TEST(FlakyScorerTest, MasksFailuresAndCountsRetries) {
-  auto [g1, g2] = RandomEntityGraphs(5, 4);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  FlakyVertexScorer flaky(h.hv.get(), /*seed=*/42, /*fail_prob=*/0.5,
-                          /*max_failures=*/3);
-  size_t faulted = 0;
-  for (VertexId u = 0; u < h.g1.num_vertices(); ++u) {
-    for (VertexId v = 0; v < h.g2.num_vertices(); ++v) {
-      EXPECT_DOUBLE_EQ(flaky.Score(u, v), h.hv->Score(u, v));
-    }
-  }
-  faulted = flaky.FaultedCalls();
-  EXPECT_GT(faulted, 0u);
-  // Every faulted call retries between 1 and max_failures times.
-  EXPECT_GE(flaky.Retries(), faulted);
-  EXPECT_LE(flaky.Retries(), faulted * 3);
-}
-
-TEST(FlakyScorerTest, TryScoreSurfacesExhaustionDeterministically) {
-  auto [g1, g2] = RandomEntityGraphs(6, 4);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  FlakyVertexScorer a(h.hv.get(), /*seed=*/7, /*fail_prob=*/0.6,
-                      /*max_failures=*/2, /*backoff_micros=*/0,
-                      /*exhaust_prob=*/0.5);
-  FlakyVertexScorer b(h.hv.get(), /*seed=*/7, /*fail_prob=*/0.6,
-                      /*max_failures=*/2, /*backoff_micros=*/0,
-                      /*exhaust_prob=*/0.5);
-  size_t exhausted = 0;
-  for (VertexId u = 0; u < h.g1.num_vertices(); ++u) {
-    for (VertexId v = 0; v < h.g2.num_vertices(); ++v) {
-      const Result<double> ra = a.TryScore(u, v);
-      const Result<double> rb = b.TryScore(u, v);
-      // Same seed + same call content => same outcome, value or error.
-      ASSERT_EQ(ra.ok(), rb.ok()) << "u=" << u << " v=" << v;
-      if (ra.ok()) {
-        EXPECT_DOUBLE_EQ(*ra, h.hv->Score(u, v));
-        EXPECT_DOUBLE_EQ(*ra, *rb);
-      } else {
-        // Exhaustion is a distinct, retryable-by-caller error code.
-        EXPECT_EQ(ra.status().code(), StatusCode::kResourceExhausted);
-        EXPECT_EQ(rb.status().code(), StatusCode::kResourceExhausted);
-        ++exhausted;
-      }
-    }
-  }
-  EXPECT_GT(exhausted, 0u);
-  EXPECT_EQ(a.Exhausted(), exhausted);
-  EXPECT_EQ(a.Exhausted(), b.Exhausted());
-}
-
-TEST(FlakyScorerTest, PlainScoreMasksExhaustion) {
-  auto [g1, g2] = RandomEntityGraphs(6, 4);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  FlakyVertexScorer flaky(h.hv.get(), /*seed=*/7, /*fail_prob=*/0.6,
-                          /*max_failures=*/2, /*backoff_micros=*/0,
-                          /*exhaust_prob=*/0.5);
-  // The plain VertexScorer interface has no error channel: permanently
-  // down calls still return the inner value after the budget runs out,
-  // so Pi never changes — but the exhaustion is counted.
-  for (VertexId u = 0; u < h.g1.num_vertices(); ++u) {
-    for (VertexId v = 0; v < h.g2.num_vertices(); ++v) {
-      EXPECT_DOUBLE_EQ(flaky.Score(u, v), h.hv->Score(u, v));
-    }
-  }
-  EXPECT_GT(flaky.Exhausted(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -135,8 +135,9 @@ TEST(BspAllMatchTest, EmptyCandidateSetTerminatesImmediately) {
 }
 
 TEST(BspAllMatchTest, StatsCarrySharedScorerSnapshots) {
-  // The h_v / M_rho scorers are shared by every worker: their counters are
-  // global, so the aggregate carries them (assigned, never summed).
+  // The h_v / M_rho / h_r scorers are shared by every worker: their
+  // counters are global, so the aggregate carries them (assigned, never
+  // summed).
   auto [g1, g2] = RandomEntityGraphs(31, 8);
   ContextHarness h(std::move(g1), std::move(g2), TestParams());
   BspAllMatch bsp(h.ctx, {.num_workers = 4});
@@ -145,6 +146,7 @@ TEST(BspAllMatchTest, StatsCarrySharedScorerSnapshots) {
   EXPECT_GT(result.stats.hv_batch_calls, 0u);
   EXPECT_EQ(result.stats.hv_batch_calls, h.ctx.hv->BatchCalls());
   EXPECT_EQ(result.stats.hrho_batch_calls, h.ctx.mrho->BatchCalls());
+  EXPECT_EQ(result.stats.hr_batch_calls, h.ctx.hr->BatchCalls());
 }
 
 TEST(BspAllMatchTest, RunReportsCandidateScan) {

@@ -52,7 +52,7 @@
 //         --ops=N --qps=Q --write-ratio=R --deadline-ms=D --seed=S
 //         --apply-batch=N --queue-soft-limit=N --queue-hard-limit=N
 //         --maintenance-deadline-ms=N --checkpoint-every=N
-//         --fault-seed=S --apply-fail-prob=P --poison-prob=P
+//         --fault-seed=S --poison-prob=P
 //         --kill-at-op=N         raise SIGKILL after submitting N ops
 //         --bench-out=FILE       write the run report as JSON
 //         --verdicts-out=FILE    write post-drain SPair verdicts over the
@@ -120,7 +120,7 @@ int Usage() {
                "      [--seed=S] [--apply-batch=N] [--queue-soft-limit=N]\n"
                "      [--queue-hard-limit=N] [--maintenance-deadline-ms=N]\n"
                "      [--checkpoint-every=N] [--fault-seed=S]\n"
-               "      [--apply-fail-prob=P] [--poison-prob=P]\n"
+               "      [--poison-prob=P]\n"
                "      [--kill-at-op=N] [--bench-out=FILE]\n"
                "      [--verdicts-out=FILE]\n"
                "      [--faultfs-seed=S] [--faultfs-enospc-after-mb=N]\n"
@@ -556,8 +556,6 @@ int CmdServe(int argc, char** argv) {
       config.checkpoint_every = std::strtoull(a.c_str() + 19, nullptr, 10);
     } else if (a.rfind("--fault-seed=", 0) == 0) {
       config.fault_seed = std::strtoull(a.c_str() + 13, nullptr, 10);
-    } else if (a.rfind("--apply-fail-prob=", 0) == 0) {
-      config.apply_fail_prob = std::strtod(a.c_str() + 18, nullptr);
     } else if (a.rfind("--poison-prob=", 0) == 0) {
       config.poison_prob = std::strtod(a.c_str() + 14, nullptr);
     } else if (a.rfind("--kill-at-op=", 0) == 0) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Fault-injection stress run: the fault matrix + deadline tests and the
-# BSP kill-and-resume contract under ThreadSanitizer, with rotating seeds.
+# Fault-injection stress run: the crash/duplicate fault matrix + deadline
+# tests and the BSP kill-and-resume contract under ThreadSanitizer, with
+# rotating seeds.
 # Every graph seed in fault_tolerance_test and the lost-shard resume test
 # is offset by HER_STRESS_SEED, so consecutive runs cover fresh — but
 # fully deterministic and replayable — fault schedules: to reproduce a CI
