@@ -273,7 +273,7 @@ size_t IvfIndex::Probe(VertexId u, size_t nprobe,
                     });
 
   // Scan the selected lists with the exact blocked kernel, then order the
-  // union by vertex id — the layout the drivers' counting scatter expects.
+  // union by vertex id, the order of the exact scan's pool.
   size_t npts = 0;
   for (size_t s = 0; s < scan; ++s) npts += list_ids_[order[s]].size();
   hits->reserve(hits->size() + npts);

@@ -21,11 +21,14 @@ std::vector<MatchPair> GenerateCandidates(
   // per tuple vertex over its pool; tuple vertices fan out across the
   // ParallelFor workers into per-vertex buffers.
   struct Cand {
-    VertexId u, v;
     size_t degree;  // of v, for the increasing-degree order (line 4)
+    VertexId v;
+    bool operator<(const Cand& o) const {
+      return degree != o.degree ? degree < o.degree : v < o.v;
+    }
   };
-  // With the degree order off every candidate gets key 0, and the merge
-  // below degenerates to the (u, v) order.
+  // With the degree order off every candidate gets key 0, and each
+  // tuple's buffer stays in v order.
   const auto DegreeKey = [&](VertexId v) -> size_t {
     return ctx.enable_degree_sort ? ctx.g->Degree(v) : 0;
   };
@@ -42,7 +45,7 @@ std::vector<MatchPair> GenerateCandidates(
     ctx.hv->ScoreBatch(u, pool, scores);
     for (size_t j = 0; j < pool.size(); ++j) {
       if (scores[j] >= ctx.params.sigma) {
-        out.push_back(Cand{u, pool[j], DegreeKey(pool[j])});
+        out.push_back(Cand{DegreeKey(pool[j]), pool[j]});
       }
     }
   };
@@ -95,37 +98,33 @@ std::vector<MatchPair> GenerateCandidates(
   }
 
   ParallelFor(tuple_vertices.size(), num_threads, [&](size_t i) {
-    if (validated[i]) return;  // already holds the exact survivor list
     const VertexId u = tuple_vertices[i];
     auto& out = per_tuple[i];
-    if (ann_active) {
-      // Probe returns hits sorted by vertex id, so `out` stays v-sorted
-      // exactly as the counting-scatter merge below requires. The buffer
-      // is per-thread scratch, reused across tuple vertices.
+    if (validated[i]) {
+      // Already holds the exact survivor list.
+    } else if (ann_active) {
+      // The buffer is per-thread scratch, reused across tuple vertices.
       static thread_local std::vector<AnnHit> hits;
       hits.clear();
       ctx.ann->Probe(u, ctx.candidate_gen.nprobe, &hits);
       out.reserve(hits.size());
       for (const AnnHit& h : hits) {
         if (h.score >= ctx.params.sigma) {
-          out.push_back(Cand{u, h.v, DegreeKey(h.v)});
+          out.push_back(Cand{DegreeKey(h.v), h.v});
         }
       }
-      return;
-    }
-    if (blocking == nullptr) {
+    } else if (blocking == nullptr) {
       SigmaSurvivors(u, all, out);
     } else {
       SigmaSurvivors(u, blocking->Lookup(*ctx.gd, u), out);
     }
+    // Fig. 8 line 4 inside the tuple: increasing degree, ties by v.
+    std::sort(out.begin(), out.end());
   });
-  // Merge (Fig. 8 line 4): increasing degree key, ties broken by (u, v).
-  // Each per-tuple buffer holds one u and is already v-sorted, so a
-  // stable counting scatter by degree -- visiting buffers in u-ascending
-  // order -- yields exactly the (degree, u, v) sequence a comparison
-  // sort would, in O(N + max_degree) instead of O(N log N). Buffers are
-  // indexed by tuple position, never completion order, so the output is
-  // byte-identical for every num_threads.
+  // Concatenate the tuples' buffers in increasing u (ties by tuple
+  // position), so each u's candidates form one run for MatchRoots.
+  // Buffers are indexed by tuple position, never completion order, so the
+  // output is identical for every num_threads.
   std::vector<size_t> order(per_tuple.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -134,43 +133,13 @@ std::vector<MatchPair> GenerateCandidates(
     }
     return a < b;
   });
-  // The scatter runs in parallel: `order` splits into contiguous chunks,
-  // each chunk histograms its buffers' degrees, a serial pass turns the
-  // histograms into absolute write cursors (exclusive prefix in (degree,
-  // chunk) order), and each chunk then scatters independently. Chunk t's
-  // degree-d elements land exactly where the serial order-sequence
-  // scatter would put them, so the output stays byte-identical for every
-  // num_threads.
-  const size_t nbuckets =
-      ctx.enable_degree_sort ? ctx.g->MaxDegree() + 1 : 1;
-  const size_t chunks =
-      std::max<size_t>(1, std::min(num_threads, per_tuple.size()));
-  const auto chunk_begin = [&](size_t t) { return t * order.size() / chunks; };
-  std::vector<std::vector<size_t>> cursor(chunks,
-                                          std::vector<size_t>(nbuckets, 0));
-  ParallelFor(chunks, num_threads, [&](size_t t) {
-    auto& hist = cursor[t];
-    for (size_t k = chunk_begin(t); k < chunk_begin(t + 1); ++k) {
-      for (const Cand& c : per_tuple[order[k]]) ++hist[c.degree];
-    }
-  });
   size_t total = 0;
-  for (size_t d = 0; d < nbuckets; ++d) {
-    for (size_t t = 0; t < chunks; ++t) {
-      const size_t count = cursor[t][d];
-      cursor[t][d] = total;
-      total += count;
-    }
+  for (const auto& buffer : per_tuple) total += buffer.size();
+  std::vector<MatchPair> out;
+  out.reserve(total);
+  for (const size_t i : order) {
+    for (const Cand& c : per_tuple[i]) out.emplace_back(tuple_vertices[i], c.v);
   }
-  std::vector<MatchPair> out(total);
-  ParallelFor(chunks, num_threads, [&](size_t t) {
-    auto& cur = cursor[t];
-    for (size_t k = chunk_begin(t); k < chunk_begin(t + 1); ++k) {
-      for (const Cand& c : per_tuple[order[k]]) {
-        out[cur[c.degree]++] = MatchPair(c.u, c.v);
-      }
-    }
-  });
   return out;
 }
 
@@ -180,9 +149,12 @@ std::vector<VertexId> VParaMatch(MatchEngine& engine, VertexId u_t,
   MatchContext scan = engine.context();
   scan.candidate_gen.mode = CandidateMode::kExact;
   const VertexId roots[] = {u_t};
+  const std::vector<MatchPair> candidates =
+      GenerateCandidates(scan, roots, blocking);
+  const std::vector<bool> verdicts = engine.MatchRoots(candidates);
   std::vector<VertexId> matches;
-  for (const MatchPair& c : GenerateCandidates(scan, roots, blocking)) {
-    if (engine.Match(c.first, c.second)) matches.push_back(c.second);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (verdicts[i]) matches.push_back(candidates[i].second);
   }
   std::sort(matches.begin(), matches.end());
   return matches;
@@ -198,11 +170,12 @@ std::vector<MatchPair> AllParaMatch(MatchEngine& engine,
       GenerateCandidates(engine.context(), tuple_vertices, blocking);
   engine.RecordCandidateGen(gen_timer.Seconds());
   // Line 5 of Fig. 8: verify each candidate as in VParaMatch (cache-aware).
-  // After a stop every Match call is a cheap refusal that records the pair
-  // as unresolved, so the loop still terminates promptly.
+  // After a stop every later pair is a cheap refusal that records it as
+  // unresolved, so the run still terminates promptly.
+  const std::vector<bool> verdicts = engine.MatchRoots(candidates);
   std::vector<MatchPair> result;
-  for (const MatchPair& c : candidates) {
-    if (engine.Match(c.first, c.second)) result.push_back(c);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (verdicts[i]) result.push_back(candidates[i]);
   }
   if (engine.Stopped()) {
     // Degraded run: call-time verdicts are unreliable (a pair proved early

@@ -190,15 +190,76 @@ bool MatchEngine::Match(VertexId u, VertexId v) {
   return ParaMatch(u, v);
 }
 
+std::vector<bool> MatchEngine::MatchRoots(std::span<const MatchPair> roots) {
+  // Roots per list batch: enough for a tuple's candidates to share their
+  // descendants' h_v rows, few enough that a VPair over a large pool keeps
+  // its lists small and cache-resident.
+  constexpr size_t kMaxRun = 256;
+  std::vector<bool> verdicts(roots.size(), false);
+  std::vector<size_t> rows;  // positions in `roots` of the batched pairs
+  std::vector<std::span<const Property>> pvs;
+  for (size_t begin = 0, end = 0; begin < roots.size(); begin = end) {
+    const VertexId u = roots[begin].first;
+    end = begin + 1;
+    while (end < roots.size() && end - begin < kMaxRun &&
+           roots[end].first == u) {
+      ++end;
+    }
+    // Batch the pairs that would reach Fig. 4's list stage: u internal, the
+    // pair uncached and local. The rest take the per-pair path below.
+    rows.clear();
+    pvs.clear();
+    CandidateLists lists;
+    if (!ShouldStop() && !ctx_.gd->IsLeaf(u)) {
+      for (size_t r = begin; r < end; ++r) {
+        const VertexId v = roots[r].second;
+        if (Lookup(u, v) != nullptr || (is_local_ && !is_local_(u, v))) {
+          continue;
+        }
+        rows.push_back(r);
+        pvs.push_back(PropertiesOf(1, v));
+      }
+      if (!rows.empty()) lists = CandidateListsFor(PropertiesOf(0, u), pvs);
+    }
+    const double delta = ctx_.params.delta;
+    const bool bounded = ctx_.enable_early_termination && delta > 0.0;
+    for (size_t r = begin, row = 0; r < end; ++r) {
+      const VertexId v = roots[r].second;
+      const bool batched = row < rows.size() && rows[row] == r;
+      if (const CacheEntry* e = Lookup(u, v)) {  // maybe cached by recursion
+        ++stats_.cache_hits;
+        verdicts[r] = e->valid;
+      } else if (!batched) {
+        verdicts[r] = ParaMatch(u, v);
+      } else if (bounded && lists.MaxSco(row) < delta) {
+        // Lines 12-14 from the batch: the bound reads no verdict, so the
+        // pair is false whatever is cached. The per-pair path's root sigma
+        // test would say false too, so h_v(u, v) is not scored.
+        if (!ConsumeBudget(MatchPair{u, v})) {
+          ++stats_.budget_exhausted;
+        } else {
+          ++stats_.para_match_calls;
+        }
+        Store(u, v, false, {});
+      } else {
+        verdicts[r] = ParaMatch(u, v, &lists, row);
+      }
+      if (batched) ++row;
+    }
+  }
+  return verdicts;
+}
+
 bool MatchEngine::ConsumeBudget(const MatchPair& key) {
   // The paper bounds ParaMatch invocations per candidate at k^2 + 1
-  // (Section V, analysis). We enforce the bound so the quadratic worst
-  // case holds even under adversarial (inconsistent) score functions.
+  // (Section V, analysis). We enforce k^2 + 4 so the quadratic worst case
+  // holds even under adversarial (inconsistent) score functions.
   const int limit = ctx_.params.k * ctx_.params.k + 4;
   return ++*eval_count_.TryEmplace(KeyOf(key), 0).first <= limit;
 }
 
-bool MatchEngine::ParaMatch(VertexId u, VertexId v) {
+bool MatchEngine::ParaMatch(VertexId u, VertexId v,
+                            const CandidateLists* lists, size_t row) {
   const MatchPair key{u, v};
   if (ShouldStop()) {
     // Expired: refuse without caching a verdict — false is the sound
@@ -222,7 +283,7 @@ bool MatchEngine::ParaMatch(VertexId u, VertexId v) {
       return false;
     }
     bool stale = false;
-    const bool result = EvalOnce(u, v, &stale);
+    const bool result = EvalOnce(u, v, &stale, lists, row);
     if (stopped_ && Lookup(u, v) == nullptr) {
       // EvalOnce aborted on expiry (it unsets its optimistic placeholder);
       // a completed evaluation would have left a cache entry.
@@ -234,54 +295,79 @@ bool MatchEngine::ParaMatch(VertexId u, VertexId v) {
   }
 }
 
-std::vector<std::vector<MatchEngine::Cand>> MatchEngine::CandidateListsFor(
-    std::span<const Property> pu, std::span<const Property> pv) {
-  std::vector<std::vector<Cand>> lists(pu.size());
+MatchEngine::CandidateLists MatchEngine::CandidateListsFor(
+    std::span<const Property> pu,
+    std::span<const std::span<const Property>> pvs) {
+  CandidateLists out;
+  out.num_props = pu.size();
+  out.num_rows = pvs.size();
   const double sigma = ctx_.params.sigma;
 
+  // The rows' descendants, de-duplicated (a tuple's candidates share
+  // many), with `at` mapping each (row, j) to its column in `vs`.
+  std::vector<VertexId> vs;
+  for (const auto& pv : pvs) {
+    for (const Property& p : pv) vs.push_back(p.descendant);
+  }
+  std::vector<uint32_t> at(vs.size());
+  std::sort(vs.begin(), vs.end());
+  vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
+  size_t n = 0;
+  for (const auto& pv : pvs) {
+    for (const Property& p : pv) {
+      at[n++] = static_cast<uint32_t>(
+          std::lower_bound(vs.begin(), vs.end(), p.descendant) - vs.begin());
+    }
+  }
+
   // Sigma filter (Fig. 4 line 8): one batched h_v evaluation per selected
-  // descendant of u over ALL of v's descendants, replacing the
-  // |P(u)| x |P(v)| scalar Score calls.
-  std::vector<VertexId> vs(pv.size());
-  for (size_t j = 0; j < pv.size(); ++j) vs[j] = pv[j].descendant;
-  std::vector<double> hv(pv.size());
+  // descendant of u over the union. Survivors are appended in (i, row, j)
+  // order, so list (row, i) is one contiguous segment of `cands`.
+  std::vector<double> hv(vs.size());
   std::vector<EmbeddedPath> p1s, p2s;
-  std::vector<std::pair<size_t, size_t>> pair_ij;
+  out.offsets.reserve(pu.size() * pvs.size() + 1);
+  out.offsets.push_back(0);
   for (size_t i = 0; i < pu.size(); ++i) {
     if (!vs.empty()) ctx_.hv->ScoreBatch(pu[i].descendant, vs, hv);
-    for (size_t j = 0; j < pv.size(); ++j) {
-      if (hv[j] < sigma) continue;
-      p1s.push_back(OperandOf(pu[i]));
-      p2s.push_back(OperandOf(pv[j]));
-      if (!pu[i].embedding.empty()) ++stats_.hrho_embed_reuse;
-      if (!pv[j].embedding.empty()) ++stats_.hrho_embed_reuse;
-      pair_ij.emplace_back(i, j);
+    size_t base = 0;  // first `at` entry of the current row
+    for (const auto& pv : pvs) {
+      for (size_t j = 0; j < pv.size(); ++j) {
+        if (hv[at[base + j]] < sigma) continue;
+        p1s.push_back(OperandOf(pu[i]));
+        p2s.push_back(OperandOf(pv[j]));
+        if (!pu[i].embedding.empty()) ++stats_.hrho_embed_reuse;
+        if (!pv[j].embedding.empty()) ++stats_.hrho_embed_reuse;
+        out.cands.push_back(Cand{pv[j].descendant, 0.0});
+      }
+      out.offsets.push_back(out.cands.size());
+      base += pv.size();
     }
   }
 
-  // One batched M_rho call for every surviving pair; h_rho's length
+  // One batched M_rho call for every survivor; h_rho's length
   // normalization (Eq. 2) is applied per pair exactly as HRho does, so
   // scores are bit-identical to the scalar path.
-  if (!pair_ij.empty()) {
-    std::vector<double> m(pair_ij.size());
+  if (!out.cands.empty()) {
+    std::vector<double> m(out.cands.size());
     ctx_.mrho->ScoreBatch(p1s, p2s, m);
-    stats_.hrho_evaluations += pair_ij.size();
-    for (size_t n = 0; n < pair_ij.size(); ++n) {
-      const auto [i, j] = pair_ij[n];
-      const double hrho =
-          m[n] / static_cast<double>(pu[i].joint.size() + pv[j].joint.size());
-      lists[i].push_back(Cand{pv[j].descendant, hrho});
+    stats_.hrho_evaluations += m.size();
+    for (size_t c = 0; c < m.size(); ++c) {
+      out.cands[c].hrho = m[c] / static_cast<double>(p1s[c].tokens.size() +
+                                                     p2s[c].tokens.size());
     }
   }
-  for (auto& list : lists) {
-    std::sort(list.begin(), list.end(), [](const Cand& a, const Cand& b) {
-      return a.hrho != b.hrho ? a.hrho > b.hrho : a.v2 < b.v2;
-    });
+  for (size_t l = 0; l + 1 < out.offsets.size(); ++l) {
+    std::sort(out.cands.begin() + out.offsets[l],
+              out.cands.begin() + out.offsets[l + 1],
+              [](const Cand& a, const Cand& b) {
+                return a.hrho != b.hrho ? a.hrho > b.hrho : a.v2 < b.v2;
+              });
   }
-  return lists;
+  return out;
 }
 
-bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale) {
+bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale,
+                           const CandidateLists* lists, size_t row) {
   *stale = false;
   ++stats_.para_match_calls;
   const double sigma = ctx_.params.sigma;
@@ -301,7 +387,6 @@ bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale) {
   Store(u, v, true, {});
 
   const auto& pu = PropertiesOf(0, u);
-  const auto& pv = PropertiesOf(1, v);
   if (ShouldStop()) {
     // Abort without a verdict: drop the optimistic placeholder so the pair
     // (and anything that consumed the placeholder) resolves as unresolved.
@@ -310,18 +395,24 @@ bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale) {
   }
 
   // Lines 6-11: per-descendant candidate lists sorted by descending h_rho,
-  // built with the batched kernel.
-  const auto lists = CandidateListsFor(pu, pv);
+  // built with the batched kernel unless MatchRoots already batched them.
+  CandidateLists own;
+  if (lists == nullptr) {
+    const std::span<const Property> pv = PropertiesOf(1, v);
+    own = CandidateListsFor(pu, {&pv, 1});
+    lists = &own;
+    row = 0;
+  }
   std::vector<double> contrib(pu.size(), 0.0);  // current MaxSco share of u'
-  double maxsco = 0.0;
+  double maxsco = lists->MaxSco(row);
   for (size_t i = 0; i < pu.size(); ++i) {
-    if (!lists[i].empty()) {
-      contrib[i] = lists[i][0].hrho;
-      maxsco += contrib[i];
+    const auto list = lists->List(row, i);
+    if (!list.empty()) {
+      contrib[i] = list.front().hrho;
       // The matching stage's first verdict probe per property is its list
       // head; hint those cache lines now so the Lookups below overlap the
       // remaining MaxSco setup instead of serializing on memory.
-      cache_.PrefetchKey(PairKey(pu[i].descendant, lists[i][0].v2));
+      cache_.PrefetchKey(PairKey(pu[i].descendant, list.front().v2));
     }
   }
 
@@ -341,7 +432,7 @@ bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale) {
   std::unordered_set<VertexId> used;  // lineage sets are injective mappings
   for (size_t i = 0; i < pu.size(); ++i) {
     const VertexId u2 = pu[i].descendant;
-    const auto& list = lists[i];
+    const auto list = lists->List(row, i);
     // Cursor for the next-unused lookup on a miss (line 25). `used` only
     // grows while this list is processed, so the cursor never has to move
     // backwards: the whole list is scanned O(L) total instead of O(L) per

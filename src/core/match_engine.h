@@ -166,8 +166,12 @@ class PropertyTable {
 ///    the validity is conditioned on, plus a reverse index so the cleanup
 ///    stage can recheck dependents of an invalidated pair.
 ///
-/// Matches computed under the optimistic-then-invalidate discipline yield
-/// the unique maximum match relation (Proposition 4 of the paper).
+/// Matches computed under the optimistic-then-invalidate discipline are
+/// sound (every reported pair meets the definition), but the greedy
+/// first-fit lineage matching (Fig. 4 lines 15-27) is not maximal: an
+/// earlier property can consume the descendant a later one needed, so Pi
+/// may miss pairs of the maximum match relation of Proposition 4 and can
+/// depend on evaluation order and placement.
 /// Not thread-safe; the parallel engine gives each worker its own instance.
 class MatchEngine {
  public:
@@ -275,6 +279,18 @@ class MatchEngine {
   /// intermediate candidate verdicts) are cached across calls.
   bool Match(VertexId u, VertexId v);
 
+  /// Match over every pair of `roots`, in order: the root loop of
+  /// VParaMatch, AllParaMatch and BSP round 0. Returns each pair's verdict
+  /// at its turn, and leaves verdicts, witnesses and every evaluation
+  /// counter (not the h_v/M_rho telemetry) exactly as a Match call per pair
+  /// would in a run that is not cut short. Consecutive pairs sharing u form a run whose candidate lists come
+  /// from one CandidateListsFor call; a pair whose first-level MaxSco bound
+  /// (Fig. 4 lines 12-14) misses delta is stored false straight from that
+  /// batch, with no optimistic placeholder. The deadline is probed once per
+  /// run, so bound-decided pairs of a run cut short still resolve as
+  /// disproved.
+  std::vector<bool> MatchRoots(std::span<const MatchPair> roots);
+
   /// Cached verdict for a pair, if any.
   const CacheEntry* Lookup(VertexId u, VertexId v) const;
 
@@ -364,20 +380,48 @@ class MatchEngine {
     VertexId v2;
     double hrho;
   };
-  /// Builds the per-property candidate lists of Fig. 4 lines 6-11 for a
-  /// root pair with properties pu and pv, each sorted by descending h_rho:
-  /// one hv->ScoreBatch per property and a single batched M_rho call over
-  /// the sigma-surviving pairs.
-  std::vector<std::vector<Cand>> CandidateListsFor(
-      std::span<const Property> pu, std::span<const Property> pv);
+  /// The candidate lists of Fig. 4 lines 6-11 for a run of pairs (u, v_r)
+  /// sharing u: list (r, i) holds the candidates of u's property i under
+  /// v_r, sorted by descending h_rho (ties by v2).
+  struct CandidateLists {
+    size_t num_props = 0;          // |pu|
+    size_t num_rows = 0;           // pairs in the run
+    std::vector<Cand> cands;       // every list, concatenated (i, r) order
+    std::vector<size_t> offsets;   // list (r, i) starts at [i*rows + r]
+
+    std::span<const Cand> List(size_t r, size_t i) const {
+      const size_t n = i * num_rows + r;
+      return {cands.data() + offsets[n], offsets[n + 1] - offsets[n]};
+    }
+    /// MaxSco of Fig. 4 line 12 for pair r: list heads summed in property
+    /// order, the same sum EvalOnce starts its matching stage from.
+    double MaxSco(size_t r) const {
+      double maxsco = 0.0;
+      for (size_t i = 0; i < num_props; ++i) {
+        const auto list = List(r, i);
+        if (!list.empty()) maxsco += list.front().hrho;
+      }
+      return maxsco;
+    }
+  };
+  /// Builds the candidate lists of u's properties `pu` under each row of
+  /// `pvs` (the properties of v_r): one hv->ScoreBatch per property over
+  /// the sorted, de-duplicated union of the rows' descendants, and one
+  /// M_rho batch over the sigma-surviving pairs. Recursion passes one row.
+  CandidateLists CandidateListsFor(
+      std::span<const Property> pu,
+      std::span<const std::span<const Property>> pvs);
 
   /// One attempt at evaluating (u, v). Returns the verdict; sets *stale if
   /// a witness consumed as true got invalidated mid-evaluation (in which
-  /// case the verdict must be recomputed).
-  bool EvalOnce(VertexId u, VertexId v, bool* stale);
+  /// case the verdict must be recomputed). `lists` row `row`, when given,
+  /// holds the pair's candidate lists, built by MatchRoots' run batch.
+  bool EvalOnce(VertexId u, VertexId v, bool* stale,
+                const CandidateLists* lists, size_t row);
 
   /// Full ParaMatch with the stale-restart loop and recheck budget.
-  bool ParaMatch(VertexId u, VertexId v);
+  bool ParaMatch(VertexId u, VertexId v,
+                 const CandidateLists* lists = nullptr, size_t row = 0);
 
   /// Stores a verdict, maintaining the reverse dependency index, and on a
   /// true->false flip triggers the cleanup stage (lines 29-31 of Fig. 4).
@@ -392,7 +436,7 @@ class MatchEngine {
   void RecheckDependents(const MatchPair& key);
 
   /// Remaining evaluation budget for a pair; the paper bounds re-checks at
-  /// k^2 + 1, which we enforce so termination holds by construction.
+  /// k^2 + 1, and we enforce k^2 + 4 so termination holds by construction.
   bool ConsumeBudget(const MatchPair& key);
 
   /// Cooperative stop probe: latches `stopped_` the first time the run

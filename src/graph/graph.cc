@@ -70,9 +70,6 @@ Graph GraphBuilder::Build() && {
                 return a.label != b.label ? a.label < b.label : a.dst < b.dst;
               });
   }
-  for (VertexId v = 0; v < n; ++v) {
-    g.max_degree_ = std::max(g.max_degree_, g.Degree(v));
-  }
   return g;
 }
 

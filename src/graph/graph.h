@@ -75,13 +75,6 @@ class Graph {
   /// Total degree (in + out); VParaMatch sorts candidates by this.
   size_t Degree(VertexId v) const { return OutDegree(v) + InDegree(v); }
 
-  /// Largest total degree over all vertices (0 for an empty graph).
-  /// Computed once at Build time — the graph is immutable afterwards, so
-  /// there is no mutation to invalidate it (incremental maintenance swaps
-  /// in a freshly built Graph, which recomputes it); the candidate
-  /// generators size their counting scatter with it on every call.
-  size_t MaxDegree() const { return max_degree_; }
-
   /// A leaf has no children (no out-edges).
   bool IsLeaf(VertexId v) const { return OutDegree(v) == 0; }
 
@@ -100,7 +93,6 @@ class Graph {
   std::vector<size_t> offsets_;  // size num_vertices()+1
   std::vector<Edge> edges_;
   std::vector<uint32_t> in_degree_;
-  size_t max_degree_ = 0;  // cached max over Degree(v), set by Build
   LabelDict edge_labels_;
 };
 

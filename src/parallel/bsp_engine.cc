@@ -648,9 +648,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   // Superstep body: PPSim on round 0, IncPSim afterwards.
   auto superstep = [&](Worker& w, size_t round) {
     if (round == 0) {
-      for (const MatchPair& c : w.owned_candidates) {
-        w.engine.Match(c.first, c.second);
-      }
+      w.engine.MatchRoots(w.owned_candidates);
     } else {
       // Inboxes are processed in sorted, deduplicated order so the
       // superstep is invariant to arrival order: duplicated messages and

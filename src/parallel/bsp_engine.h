@@ -144,8 +144,8 @@ struct ParallelResult {
 /// candidates with inverted indices; with one process simulating the
 /// cluster, G_D is effectively replicated, which plays the same role).
 ///
-/// Superstep 0 (PPSim): every worker runs AllParaMatch over its owned
-/// candidates, optimistically assuming border pairs valid. Each following
+/// Superstep 0 (PPSim): every worker runs MatchEngine::MatchRoots over its
+/// owned candidates, optimistically assuming border pairs valid. Each following
 /// superstep (IncPSim): workers exchange (a) assumption requests, routed to
 /// the owner for authoritative evaluation, and (b) invalidation messages
 /// (true -> false flips), which trigger the cleanup stage on dependents.

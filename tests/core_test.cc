@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "core/drivers.h"
@@ -9,6 +12,7 @@
 #include "ml/mlp.h"
 #include "ml/sgns.h"
 #include "sim/scores.h"
+#include "tests/test_util.h"
 
 namespace her {
 namespace {
@@ -691,6 +695,137 @@ TEST(BatchedHRhoTest, BatchedAndScalarEnginesAgreeBitForBit) {
       EXPECT_GT(bs.hrho_embed_reuse, 0u);
     }
   }
+}
+
+// --- MatchRoots: one list batch per run of roots sharing u ---------------
+
+using testutil::FirstLevelBound;
+
+/// MatchRoots over GenerateCandidates' order against a fresh engine that
+/// calls Match per candidate in the same order: equal verdicts, cache
+/// entries, witness sets and evaluation counters. Returns the number of
+/// roots MatchRoots decided from its batch's first-level bound.
+size_t ExpectRootsMatchPerPair(const MatchContext& ctx,
+                               std::span<const VertexId> tuples,
+                               const std::string& where) {
+  const auto candidates = GenerateCandidates(ctx, tuples, nullptr);
+  MatchEngine per_pair(ctx);
+  const size_t hv_before = ctx.hv->BatchCalls();
+  std::vector<bool> expected;
+  for (const MatchPair& c : candidates) {
+    expected.push_back(per_pair.Match(c.first, c.second));
+  }
+  const size_t hv_per_pair = ctx.hv->BatchCalls() - hv_before;
+  MatchEngine batched(ctx);
+  EXPECT_EQ(batched.MatchRoots(candidates), expected) << where;
+  const size_t hv_batched = ctx.hv->BatchCalls() - hv_before - hv_per_pair;
+  EXPECT_LE(hv_batched, hv_per_pair) << where;
+
+  for (VertexId u = 0; u < ctx.gd->num_vertices(); ++u) {
+    for (VertexId v = 0; v < ctx.g->num_vertices(); ++v) {
+      const auto* eb = batched.Lookup(u, v);
+      const auto* ep = per_pair.Lookup(u, v);
+      EXPECT_EQ(eb == nullptr, ep == nullptr)
+          << where << " pair (" << u << ", " << v << ")";
+      if (eb == nullptr || ep == nullptr) continue;
+      EXPECT_EQ(eb->valid, ep->valid)
+          << where << " pair (" << u << ", " << v << ")";
+      EXPECT_EQ(batched.Witness(u, v), per_pair.Witness(u, v))
+          << where << " pair (" << u << ", " << v << ")";
+    }
+  }
+  const auto& sb = batched.stats();
+  const auto& sp = per_pair.stats();
+  EXPECT_EQ(sb.para_match_calls, sp.para_match_calls) << where;
+  EXPECT_EQ(sb.cache_hits, sp.cache_hits) << where;
+  EXPECT_EQ(sb.cleanup_reruns, sp.cleanup_reruns) << where;
+  EXPECT_EQ(sb.stale_restarts, sp.stale_restarts) << where;
+  EXPECT_EQ(sb.budget_exhausted, sp.budget_exhausted) << where;
+
+  // A root decided by the bound is stored false with no optimistic
+  // placeholder, so it is exactly a true->false flip the per-pair engine
+  // records and the batched one does not. Each must miss delta by the
+  // independent bound, which pins both the comparison and the sum order.
+  const auto flipped = per_pair.DrainNewlyInvalidated();
+  const auto batch_flipped = batched.DrainNewlyInvalidated();
+  EXPECT_TRUE(std::includes(flipped.begin(), flipped.end(),
+                            batch_flipped.begin(), batch_flipped.end()))
+      << where;
+  std::vector<MatchPair> decided;
+  std::set_difference(flipped.begin(), flipped.end(), batch_flipped.begin(),
+                      batch_flipped.end(), std::back_inserter(decided));
+  std::vector<MatchPair> sorted = candidates;
+  std::sort(sorted.begin(), sorted.end());
+  MatchEngine probe(ctx);
+  for (const MatchPair& p : decided) {
+    EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), p))
+        << where << " pair (" << p.first << ", " << p.second << ")";
+    EXPECT_LT(FirstLevelBound(probe, p.first, p.second), ctx.params.delta)
+        << where << " pair (" << p.first << ", " << p.second << ")";
+  }
+  return decided.size();
+}
+
+/// The deltas each instance runs under: the default, plus thresholds equal
+/// to candidates' own first-level bounds, where `<` and `<=` (or two
+/// summation orders) disagree.
+std::vector<double> TieDeltas(const MatchContext& ctx,
+                              std::span<const VertexId> tuples) {
+  std::vector<double> bounds;
+  MatchEngine probe(ctx);
+  for (const MatchPair& c : GenerateCandidates(ctx, tuples, nullptr)) {
+    const double b = FirstLevelBound(probe, c.first, c.second);
+    if (b > 0.0) bounds.push_back(b);
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  std::vector<double> deltas = {ctx.params.delta};
+  for (size_t q = 1; q <= 3 && !bounds.empty(); ++q) {
+    deltas.push_back(bounds[q * (bounds.size() - 1) / 3]);
+  }
+  return deltas;
+}
+
+TEST(MatchRootsTest, EqualsPerPairMatchWithJaccardScorers) {
+  size_t decided = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    auto [g1, g2] = testutil::RandomEntityGraphs(seed, 8);
+    testutil::ContextHarness h(std::move(g1), std::move(g2),
+                               {.sigma = 0.99, .delta = 0.9, .k = 4});
+    const auto tuples = testutil::ItemRoots(h.g1);
+    for (const double delta : TieDeltas(h.ctx, tuples)) {
+      h.ctx.params.delta = delta;
+      decided += ExpectRootsMatchPerPair(
+          h.ctx, tuples,
+          "seed " + std::to_string(seed) + " delta " + std::to_string(delta));
+    }
+    // No bound decisions without early termination: the run batch only
+    // hands its lists to ParaMatch.
+    h.ctx.enable_early_termination = false;
+    EXPECT_EQ(ExpectRootsMatchPerPair(h.ctx, tuples,
+                                      "seed " + std::to_string(seed) +
+                                          " no early termination"),
+              0u);
+  }
+  EXPECT_GT(decided, 0u);
+}
+
+TEST(MatchRootsTest, EqualsPerPairMatchWithMetricScorers) {
+  size_t decided = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    auto [g1, g2] = testutil::RandomEntityGraphs(seed, 8);
+    MetricHarness h(std::move(g1), std::move(g2),
+                    {.sigma = 0.99, .delta = 0.4, .k = 4},
+                    /*scalar_only=*/false);
+    const auto tuples = testutil::ItemRoots(h.g1);
+    for (const double delta : TieDeltas(h.ctx, tuples)) {
+      h.ctx.params.delta = delta;
+      decided += ExpectRootsMatchPerPair(
+          h.ctx, tuples,
+          "seed " + std::to_string(seed) + " delta " + std::to_string(delta));
+    }
+  }
+  EXPECT_GT(decided, 0u);
 }
 
 }  // namespace

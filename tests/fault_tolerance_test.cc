@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -284,6 +286,141 @@ TEST(DeadlineTest, SerialDriverDegradesAndReRunConverges) {
   const RunOptions unbounded;
   const auto rerun = AllParaMatch(engine, roots, nullptr, &unbounded);
   EXPECT_EQ(rerun, expected);
+}
+
+// A stop inside MatchRoots: the cancel lands at a chosen M_rho batch, so it
+// falls inside a run's list build or the recursion under its survivors.
+
+/// Forwards M_rho and cancels `token` as its `fire_at`-th batch starts.
+class CancellingPathScorer : public PathScorer {
+ public:
+  CancellingPathScorer(const PathScorer* inner, CancelToken* token,
+                       size_t fire_at)
+      : inner_(inner), token_(token), fire_at_(fire_at) {}
+  double Score(std::span<const int> p1,
+               std::span<const int> p2) const override {
+    return inner_->Score(p1, p2);
+  }
+  void ScoreBatch(std::span<const EmbeddedPath> p1s,
+                  std::span<const EmbeddedPath> p2s,
+                  std::span<double> out) const override {
+    if (calls_.fetch_add(1) + 1 == fire_at_) token_->Cancel();
+    inner_->ScoreBatch(p1s, p2s, out);
+  }
+
+ private:
+  const PathScorer* inner_;
+  CancelToken* token_;
+  size_t fire_at_;
+  mutable std::atomic<size_t> calls_{0};
+};
+
+/// True when the root (u, v) misses delta at Fig. 4's first-level bound.
+bool FailsFirstLevelBound(MatchEngine& probe, const MatchPair& p) {
+  const MatchContext& ctx = probe.context();
+  return !ctx.gd->IsLeaf(p.first) &&
+         testutil::FirstLevelBound(probe, p.first, p.second) <
+             ctx.params.delta;
+}
+
+/// Checks a run cut short inside MatchRoots: no root that fails the bound
+/// is proved, each one reached is disproved, and Pi stays inside
+/// `expected`. Returns how many bound-failing roots after the first
+/// unresolved one were still disproved (decided from a batch after the
+/// stop).
+size_t ExpectBoundRootsDisproved(const ContextHarness& h,
+                                 std::span<const MatchPair> candidates,
+                                 std::span<const PairOutcome> outcomes,
+                                 const std::vector<MatchPair>& pi,
+                                 const std::vector<MatchPair>& expected) {
+  for (const MatchPair& p : pi) {
+    EXPECT_TRUE(std::binary_search(expected.begin(), expected.end(), p));
+  }
+  MatchEngine probe(h.ctx);
+  bool seen_unresolved = false;
+  size_t after_stop = 0;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (outcomes[i] == PairOutcome::kUnresolved) seen_unresolved = true;
+    if (!FailsFirstLevelBound(probe, candidates[i])) continue;
+    EXPECT_NE(outcomes[i], PairOutcome::kProved);
+    if (seen_unresolved && outcomes[i] == PairOutcome::kDisproved) {
+      ++after_stop;
+    }
+  }
+  return after_stop;
+}
+
+TEST(DeadlineTest, CancelInsideMatchRootsSerial) {
+  size_t after_stop = 0;
+  for (const uint64_t seed : {59, 61, 67}) {
+    auto [g1, g2] = RandomEntityGraphs(seed, 10);
+    ContextHarness h(std::move(g1), std::move(g2), TestParams());
+    const auto roots = ItemRoots(h.g1);
+    const size_t batches_before = h.mrho->BatchCalls();
+    const auto expected = FaultFreePi(h, roots);
+    const size_t batches = h.mrho->BatchCalls() - batches_before;
+    const auto candidates = GenerateCandidates(h.ctx, roots, nullptr);
+    for (size_t q = 1; q <= 3; ++q) {
+      CancelToken token;
+      CancellingPathScorer cancelling(h.mrho.get(), &token,
+                                      q * batches / 4 + 1);
+      MatchContext ctx = h.ctx;
+      ctx.mrho = &cancelling;
+      MatchEngine engine(ctx);
+      RunOptions options;
+      options.cancel = &token;
+      const auto degraded = AllParaMatch(engine, roots, nullptr, &options);
+      ASSERT_TRUE(engine.Stopped()) << "seed " << seed << " q " << q;
+      const auto outcomes = ResolveOutcomes(
+          candidates, /*stopped=*/true, [&](const MatchPair& p) {
+            return engine.Lookup(p.first, p.second);
+          });
+      after_stop += ExpectBoundRootsDisproved(h, candidates, outcomes,
+                                              degraded, expected);
+      // The same engine, re-run without the token, converges.
+      const RunOptions unbounded;
+      EXPECT_EQ(AllParaMatch(engine, roots, nullptr, &unbounded), expected)
+          << "seed " << seed << " q " << q;
+    }
+  }
+  EXPECT_GT(after_stop, 0u);
+}
+
+TEST(DeadlineTest, CancelInsideMatchRootsBsp) {
+  for (const uint64_t seed : {13, 29}) {
+    auto [g1, g2] = RandomEntityGraphs(seed, 10);
+    ContextHarness h(std::move(g1), std::move(g2), TestParams());
+    const auto roots = ItemRoots(h.g1);
+    const auto expected = FaultFreePi(h, roots);
+    const size_t batches_before = h.mrho->BatchCalls();
+    BspAllMatch reference(h.ctx, {.num_workers = 4});
+    ASSERT_EQ(reference.Run(roots).matches, expected) << "seed " << seed;
+    const size_t batches = h.mrho->BatchCalls() - batches_before;
+    for (size_t q = 1; q <= 3; ++q) {
+      CancelToken token;
+      CancellingPathScorer cancelling(h.mrho.get(), &token,
+                                      q * batches / 4 + 1);
+      MatchContext ctx = h.ctx;
+      ctx.mrho = &cancelling;
+      BspAllMatch bsp(ctx, {.num_workers = 4});
+      RunOptions options;
+      options.cancel = &token;
+      const auto result = bsp.Run(roots, nullptr, options);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      EXPECT_TRUE(result.degraded) << "seed " << seed << " q " << q;
+      std::vector<MatchPair> candidates;
+      std::vector<PairOutcome> outcomes;
+      for (const auto& [pair, outcome] : result.outcomes) {
+        candidates.push_back(pair);
+        outcomes.push_back(outcome);
+      }
+      ExpectBoundRootsDisproved(h, candidates, outcomes, result.matches,
+                                expected);
+      const auto rerun = bsp.Run(roots);
+      EXPECT_FALSE(rerun.degraded);
+      EXPECT_EQ(rerun.matches, expected) << "seed " << seed << " q " << q;
+    }
+  }
 }
 
 }  // namespace

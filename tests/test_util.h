@@ -1,6 +1,7 @@
 #ifndef HER_TESTS_TEST_UTIL_H_
 #define HER_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -94,6 +95,25 @@ inline std::vector<VertexId> ItemRoots(const Graph& g) {
     if (g.label(v) == "item") out.push_back(v);
   }
   return out;
+}
+
+/// Fig. 4's first-level bound of (u, v), computed apart from the engine's
+/// batched lists: per property of u, in order, the best h_rho over the
+/// properties of v whose descendants pass sigma, one scalar h_v and M_rho
+/// at a time. `probe` only supplies PropertiesOf/HRho (its counters move).
+inline double FirstLevelBound(MatchEngine& probe, VertexId u, VertexId v) {
+  const MatchContext& ctx = probe.context();
+  double bound = 0.0;
+  for (const Property& a : probe.PropertiesOf(0, u)) {
+    double best = -1.0;
+    for (const Property& b : probe.PropertiesOf(1, v)) {
+      if (ctx.hv->Score(a.descendant, b.descendant) >= ctx.params.sigma) {
+        best = std::max(best, probe.HRho(a, b));
+      }
+    }
+    if (best >= 0.0) bound += best;
+  }
+  return bound;
 }
 
 }  // namespace her::testutil

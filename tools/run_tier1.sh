@@ -6,7 +6,9 @@
 # TopKBatch, PropertyTable build determinism), the ANN candidate-
 # generation suite (IVF probe parity, sampled-recall fallback) and the
 # common suite (the token-Jaccard kernel and its inline-to-heap spill)
-# under the same sanitizer.
+# and the per-tuple root batch (MatchRoots against per-pair Match, whose
+# run builder indexes a de-duplicated descendant union, plus a cancel
+# landing inside it, serial and BSP) under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
 #   sanitizer: tsan (default) | asan | ubsan | none
 set -euo pipefail
@@ -37,7 +39,7 @@ if [ -n "$HER_SANITIZE" ]; then
     -DHER_SANITIZE="$HER_SANITIZE"
   cmake --build "$SAN_DIR" -j --target parallel_driver_test ml_test \
     sim_test property_test persist_test ann_test flat_table_test \
-    partition_test serve_test common_test
+    partition_test serve_test common_test core_test fault_tolerance_test
   "$SAN_DIR/tests/parallel_driver_test"
   # String kernels (token-Jaccard against its set definition, including
   # inputs past the inline token buffer), ParallelFor, status, hashing.
@@ -54,6 +56,11 @@ if [ -n "$HER_SANITIZE" ]; then
   "$SAN_DIR/tests/sim_test" \
     --gtest_filter='LstmPraRankerTest.*:JaccardVertexScorerTest.*'
   "$SAN_DIR/tests/property_test" --gtest_filter='PropertyTableTest.*'
+  # Per-tuple root batch: MatchRoots equals per-pair Match (both scorer
+  # stacks), and a cancel inside it leaves a sound, convergent Pi.
+  "$SAN_DIR/tests/core_test" --gtest_filter='MatchRootsTest.*'
+  "$SAN_DIR/tests/fault_tolerance_test" \
+    --gtest_filter='DeadlineTest.CancelInsideMatchRoots*'
   # Durable snapshot/checkpoint suite; WarmStartTest trains twice and is
   # covered by plain ctest above, so it is skipped under the sanitizer.
   "$SAN_DIR/tests/persist_test" --gtest_filter='-WarmStartTest.*'
