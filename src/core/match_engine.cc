@@ -513,7 +513,8 @@ void MatchEngine::Store(VertexId u, VertexId v, bool valid,
   entry->witnesses = std::move(witnesses);
   for (const MatchPair& w : entry->witnesses) dependents_[w].insert(key);
   if (was_valid && !valid) {
-    newly_invalidated_.push_back(key);
+    // Flips become BSP messages; only a fragment engine drains them.
+    if (is_local_) newly_invalidated_.push_back(key);
     RecheckDependents(key);
   }
 }
@@ -852,18 +853,14 @@ void MatchEngine::SaveEngineState(ByteWriter* w) const {
     PutPair(w, key);
     w->PutVarint(static_cast<uint64_t>(*eval_count_.Find(KeyOf(key))));
   }
-  // The un-drained message queues keep their order (they are drained
-  // sorted+deduped anyway, but the checkpoint must not reorder state).
-  w->PutVarint(newly_invalidated_.size());
-  for (const MatchPair& p : newly_invalidated_) PutPair(w, p);
-  w->PutVarint(new_assumptions_.size());
-  for (const MatchPair& p : new_assumptions_) PutPair(w, p);
+  // The message queues are not stored: a BSP superstep drains both
+  // before its boundary capture, and only a fragment engine fills them.
+  HER_DCHECK(newly_invalidated_.empty() && new_assumptions_.empty());
 }
 
 Status MatchEngine::LoadEngineState(ByteReader* r) {
   decltype(cache_) cache;
   decltype(eval_count_) eval_count;
-  std::vector<MatchPair> newly_invalidated, new_assumptions;
   uint64_t n = 0;
   HER_RETURN_NOT_OK(r->GetCount(&n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -889,20 +886,10 @@ Status MatchEngine::LoadEngineState(ByteReader* r) {
     HER_RETURN_NOT_OK(r->GetVarint(&count));
     eval_count.TryEmplace(KeyOf(key), static_cast<int>(count));
   }
-  HER_RETURN_NOT_OK(r->GetCount(&n));
-  newly_invalidated.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    HER_RETURN_NOT_OK(GetPair(r, &newly_invalidated[i]));
-  }
-  HER_RETURN_NOT_OK(r->GetCount(&n));
-  new_assumptions.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    HER_RETURN_NOT_OK(GetPair(r, &new_assumptions[i]));
-  }
   cache_ = std::move(cache);
   eval_count_ = std::move(eval_count);
-  newly_invalidated_ = std::move(newly_invalidated);
-  new_assumptions_ = std::move(new_assumptions);
+  newly_invalidated_.clear();
+  new_assumptions_.clear();
   // The reverse dependency index is exactly derivable from the witnesses.
   dependents_.clear();
   cache_.ForEach([&](uint64_t packed, const CacheEntry& entry) {

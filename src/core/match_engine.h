@@ -237,8 +237,8 @@ class MatchEngine {
     size_t unresolved_pairs = 0;   // pairs abandoned without a verdict
     // Filled by the parallel engine (per-engine they are always zero):
     size_t faults_injected = 0;    // crash/duplicate faults fired
-    size_t checkpoints = 0;        // superstep-boundary snapshots taken
-    size_t recoveries = 0;         // crashed fragments reassigned + replayed
+    size_t checkpoints = 0;        // fragment captures at superstep boundaries
+    size_t recoveries = 0;         // crashed fragments restored + replayed
     size_t disk_checkpoints = 0;   // durable snapshots written to disk
   };
 
@@ -329,7 +329,8 @@ class MatchEngine {
   void ForceInvalid(VertexId u, VertexId v);
 
   /// Pairs whose cached verdict flipped from true to false since the last
-  /// drain; these become the BSP messages.
+  /// drain; these become the BSP messages. Recorded only while a locality
+  /// filter is installed (a fragment engine); a serial engine keeps none.
   std::vector<MatchPair> DrainNewlyInvalidated();
 
   /// Restricts this engine to a fragment: pairs failing the predicate are
@@ -364,13 +365,14 @@ class MatchEngine {
   /// --- durable snapshot hooks (src/persist) ---
 
   /// Serializes the pair-verdict state — cache entries with their witness
-  /// lineage sets, evaluation budgets and the un-drained message queues —
-  /// in canonical (sorted) order, so save -> load -> save is byte-stable.
+  /// lineage sets and evaluation budgets — in canonical (sorted) order, so
+  /// save -> load -> save is byte-stable. The BSP message queues must be
+  /// drained (they are at every superstep boundary) and are not stored.
   void SaveEngineState(ByteWriter* w) const;
 
   /// Exact inverse of SaveEngineState; the reverse dependency index is
   /// rebuilt from the witnesses (it is derived state). Replaces the
-  /// current verdict state wholesale.
+  /// current verdict state wholesale and empties the message queues.
   Status LoadEngineState(ByteReader* r);
 
  private:

@@ -22,12 +22,11 @@ namespace {
 
 /// Per-fragment state: a private engine plus this superstep's inboxes.
 ///
-/// A Worker is one logical FRAGMENT of the computation, not a host: crash
-/// recovery never merges fragments (the greedy lineage matching is not
-/// confluent, so merging would change which fixpoint the run lands on).
-/// Instead a crashed host's fragment is rebuilt from its checkpoint — the
-/// SaveWorker bytes of the durable shard format — and carried on by a
-/// surviving host with its state, locality and routing unchanged.
+/// A Worker is one logical FRAGMENT of the computation: crash recovery
+/// never merges fragments (the greedy lineage matching is not confluent,
+/// so merging would change which fixpoint the run lands on). Instead a
+/// crashed fragment is rebuilt in place from its last boundary capture
+/// (its SaveWorker bytes) with its state, locality and routing unchanged.
 struct Worker {
   explicit Worker(const MatchContext& ctx) : engine(ctx) {}
   Worker(const Worker&) = delete;
@@ -123,19 +122,15 @@ std::vector<MatchPair> SortedUnique(std::span<const MatchPair> candidates) {
   return roots;
 }
 
-// --- durable checkpoint (de)serialization ------------------------------
+// --- checkpoint (de)serialization --------------------------------------
 //
-// A BSP disk checkpoint is SHARDED: one `bsp.ckpt.meta` snapshot (resume
-// round, worker count, candidate digest, run counters, per-shard epochs)
-// plus one `bsp.ckpt.fragN` snapshot per fragment. Only fragments dirty
-// since the previous write are rewritten — checkpoint cost is O(changed
-// fragments) — and the meta is installed last, so the on-disk set is
-// always a consistent boundary (shards newer than the meta fail the
-// epoch check and the run starts cold, never mixing rounds). Checkpoints
-// are taken at the superstep boundary where inboxes are full (routed,
-// audit-repaired) and outboxes are empty, so a resumed run entering the
-// stored round re-executes exactly the computation the interrupted run
-// would have — the greedy lineage matching is not confluent, so any
+// One capture per superstep boundary feeds both recovery paths: a crashed
+// fragment is restored from it in memory, and a durable checkpoint writes
+// the same bytes to disk as one file, `<dir>/bsp.ckpt`. The capture is
+// taken after routing and the audit — inboxes hold exactly the deliveries
+// the next superstep consumes and every outbox is empty — so a fragment
+// restored from it re-executes exactly the computation the interrupted
+// run would have. The greedy lineage matching is not confluent, so any
 // weaker capture could land on a different fixpoint.
 
 void PutPairs(ByteWriter* w, const std::vector<MatchPair>& ps) {
@@ -251,52 +246,37 @@ uint64_t RootsDigest(const std::vector<MatchPair>& roots) {
   return h;
 }
 
-std::string MetaPath(const CheckpointOptions& ckpt) {
-  return ckpt.dir + "/bsp.ckpt.meta";
-}
-
-std::string ShardPath(const CheckpointOptions& ckpt, size_t fragment) {
-  return ckpt.dir + "/bsp.ckpt.frag" + std::to_string(fragment);
+std::string CheckpointPath(const CheckpointOptions& ckpt) {
+  return ckpt.dir + "/bsp.ckpt";
 }
 
 constexpr char kBspMetaSection[] = "bsp_meta";
-constexpr char kBspShardSection[] = "bsp_frag";
 
-/// Writes the sharded checkpoint: every DIRTY fragment's shard first
-/// (recording its new epoch in `shard_epochs`), the meta last. Clean
-/// fragments' files already hold their current state under the epoch the
-/// meta names, so the write is O(changed fragments), not O(total state).
-/// A crash between a shard write and the meta install leaves shards newer
-/// than the meta: their epoch check fails on resume and the whole run
-/// starts cold — never a silently mixed-round checkpoint.
+std::string FragmentSection(size_t fragment) {
+  return "bsp_frag" + std::to_string(fragment);
+}
+
+/// Installs the durable checkpoint: one snapshot file holding the run's
+/// progress (`bsp_meta`) and every fragment's boundary capture
+/// (`bsp_frag<f>`). The install is atomic, so a crash mid-write leaves
+/// the previous checkpoint intact.
 Status WriteBspCheckpoint(const CheckpointOptions& ckpt, size_t next_round,
                           uint64_t roots_digest, const ParallelResult& result,
-                          const std::vector<std::unique_ptr<Worker>>& workers,
-                          const std::vector<uint8_t>& dirty,
-                          std::vector<uint64_t>* shard_epochs) {
-  for (size_t f = 0; f < workers.size(); ++f) {
-    if (dirty[f] == 0) continue;
-    SnapshotWriter shard(ckpt.fingerprint);
-    ByteWriter* w = shard.AddSection(kBspShardSection);
-    w->PutVarint(f);
-    w->PutVarint(next_round);  // this shard's epoch
-    w->PutU64(roots_digest);
-    SaveWorker(*workers[f], w);
-    HER_RETURN_NOT_OK(shard.WriteToFile(ShardPath(ckpt, f), ckpt.env));
-    (*shard_epochs)[f] = next_round;
-  }
+                          const std::vector<ByteWriter>& captures) {
   SnapshotWriter snap(ckpt.fingerprint);
   ByteWriter* meta = snap.AddSection(kBspMetaSection);
   meta->PutVarint(next_round);
-  meta->PutVarint(workers.size());
+  meta->PutVarint(captures.size());
   meta->PutU64(roots_digest);
   meta->PutVarint(result.messages);
   meta->PutVarint(result.message_bytes_raw);
   meta->PutVarint(result.message_bytes_wire);
   meta->PutDouble(result.simulated_seconds);
-  meta->PutVarint(shard_epochs->size());
-  for (const uint64_t e : *shard_epochs) meta->PutVarint(e);
-  return snap.WriteToFile(MetaPath(ckpt), ckpt.env);
+  for (size_t f = 0; f < captures.size(); ++f) {
+    const std::string& bytes = captures[f].data();
+    snap.AddSection(FragmentSection(f))->PutBytes(bytes.data(), bytes.size());
+  }
+  return snap.WriteToFile(CheckpointPath(ckpt), ckpt.env);
 }
 
 /// Progress counters restored alongside the worker state, so a resumed
@@ -307,21 +287,13 @@ struct RestoredProgress {
   size_t message_bytes_raw = 0;
   size_t message_bytes_wire = 0;
   double simulated_seconds = 0.0;
-  std::vector<uint64_t> shard_epochs;
 };
 
-/// Restores the checkpoint meta (round, counters, per-shard epochs). Any
-/// failure — missing file, corruption, stale fingerprint, changed worker
-/// count or candidate set — is returned as a Status and costs a FULL cold
-/// start: without a trustworthy meta no shard can be validated.
-Status TryRestoreBspMeta(const CheckpointOptions& ckpt, uint64_t roots_digest,
-                         size_t num_workers, RestoredProgress* out) {
-  const uint64_t expected = ckpt.fingerprint == 0
-                                ? SnapshotReader::kAnyFingerprint
-                                : ckpt.fingerprint;
-  HER_ASSIGN_OR_RETURN(SnapshotReader snap,
-                       SnapshotReader::Open(MetaPath(ckpt), expected,
-                                            ckpt.env));
+/// Reads the checkpoint's `bsp_meta` section and checks it against this
+/// run: same worker count, same candidate set, a round past 0.
+Result<RestoredProgress> ReadBspMeta(const SnapshotReader& snap,
+                                     uint64_t roots_digest,
+                                     size_t num_workers) {
   HER_ASSIGN_OR_RETURN(ByteReader meta, snap.Section(kBspMetaSection));
   uint64_t next_round = 0;
   uint64_t stored_workers = 0;
@@ -349,61 +321,11 @@ Status TryRestoreBspMeta(const CheckpointOptions& ckpt, uint64_t roots_digest,
   if (next_round == 0) {
     return Status::IOError("bsp checkpoint: resume round must be > 0");
   }
-  uint64_t n_epochs = 0;
-  HER_RETURN_NOT_OK(meta.GetCount(&n_epochs, /*min_bytes_each=*/1));
-  if (n_epochs != num_workers) {
-    return Status::IOError(
-        "bsp checkpoint meta: " + std::to_string(n_epochs) +
-        " shard epochs for " + std::to_string(num_workers) + " workers");
-  }
-  out->shard_epochs.resize(n_epochs);
-  for (uint64_t i = 0; i < n_epochs; ++i) {
-    HER_RETURN_NOT_OK(meta.GetVarint(&out->shard_epochs[i]));
-  }
-  out->next_round = next_round;
-  out->messages = messages;
-  out->message_bytes_raw = bytes_raw;
-  out->message_bytes_wire = bytes_wire;
-  out->simulated_seconds = simulated;
-  return Status::OK();
-}
-
-/// Restores one fragment's shard into `w`, a fresh fragment: file
-/// CRC/fingerprint (SnapshotReader), fragment id, epoch against the
-/// meta's record (a shard newer or older than the meta's view is stale),
-/// and candidate digest. A failure leaves `w` partly written; the caller
-/// discards it and, with it, the whole warm start.
-Status TryRestoreShard(const CheckpointOptions& ckpt, uint32_t fragment,
-                       uint64_t expected_epoch, uint64_t roots_digest,
-                       Worker* w) {
-  const uint64_t expected = ckpt.fingerprint == 0
-                                ? SnapshotReader::kAnyFingerprint
-                                : ckpt.fingerprint;
-  HER_ASSIGN_OR_RETURN(
-      SnapshotReader snap,
-      SnapshotReader::Open(ShardPath(ckpt, fragment), expected, ckpt.env));
-  HER_ASSIGN_OR_RETURN(ByteReader r, snap.Section(kBspShardSection));
-  uint64_t frag = 0;
-  uint64_t epoch = 0;
-  uint64_t digest = 0;
-  HER_RETURN_NOT_OK(r.GetVarint(&frag));
-  HER_RETURN_NOT_OK(r.GetVarint(&epoch));
-  HER_RETURN_NOT_OK(r.GetU64(&digest));
-  if (frag != fragment) {
-    return Status::FailedPrecondition(
-        "shard file holds fragment " + std::to_string(frag) +
-        ", expected " + std::to_string(fragment));
-  }
-  if (epoch != expected_epoch) {
-    return Status::FailedPrecondition(
-        "stale shard: epoch " + std::to_string(epoch) +
-        ", checkpoint meta expects " + std::to_string(expected_epoch));
-  }
-  if (digest != roots_digest) {
-    return Status::FailedPrecondition(
-        "shard candidate set differs from this run's");
-  }
-  return LoadWorker(&r, w);
+  return RestoredProgress{.next_round = next_round,
+                          .messages = messages,
+                          .message_bytes_raw = bytes_raw,
+                          .message_bytes_wire = bytes_wire,
+                          .simulated_seconds = simulated};
 }
 
 /// Pairs per encoded wire frame under the budget: oversized outboxes ship
@@ -457,18 +379,51 @@ struct RunSetup {
     }
   }
 
-  /// Fragment `frag` restored from its crash checkpoint through
-  /// LoadWorker, the disk-resume serializer. Its inboxes are cleared:
-  /// in-flight messages die with the host; the audit re-derives them.
+  /// Fragment `frag` restored from its last boundary capture after a
+  /// crash. Its inboxes are cleared: in-flight messages die with the
+  /// fragment; the audit re-derives them.
   std::unique_ptr<Worker> Restore(uint32_t frag,
-                                  const ByteWriter& checkpoint) const {
+                                  const ByteWriter& capture) const {
     auto w = Empty(frag);
-    ByteReader r(checkpoint.data());
+    ByteReader r(capture.data());
     const Status st = LoadWorker(&r, w.get());
-    HER_CHECK(st.ok());  // a self-written checkpoint always decodes
+    HER_CHECK(st.ok());  // a self-written capture always decodes
     w->request_inbox.clear();
     w->invalid_inbox.clear();
     return w;
+  }
+
+  /// Every fragment restored from the durable checkpoint, adopted into
+  /// `workers` only if all of them load. Any failure — missing or corrupt
+  /// file, stale fingerprint, changed worker count or candidate set, a
+  /// fragment section that fails to open or decode — leaves `workers`
+  /// untouched and costs the whole warm start: the greedy lineage
+  /// matching is not confluent, so a cold fragment beside restored peers
+  /// could land on a different fixpoint.
+  Result<RestoredProgress> Resume(
+      const CheckpointOptions& ckpt, uint64_t roots_digest,
+      std::vector<std::unique_ptr<Worker>>* workers) const {
+    const uint64_t expected = ckpt.fingerprint == 0
+                                  ? SnapshotReader::kAnyFingerprint
+                                  : ckpt.fingerprint;
+    HER_ASSIGN_OR_RETURN(
+        SnapshotReader snap,
+        SnapshotReader::Open(CheckpointPath(ckpt), expected, ckpt.env));
+    HER_ASSIGN_OR_RETURN(RestoredProgress progress,
+                         ReadBspMeta(snap, roots_digest, workers->size()));
+    std::vector<std::unique_ptr<Worker>> restored(workers->size());
+    for (uint32_t f = 0; f < restored.size(); ++f) {
+      restored[f] = Empty(f);
+      auto section = snap.Section(FragmentSection(f));
+      const Status st = section.ok()
+                            ? LoadWorker(&section.value(), restored[f].get())
+                            : section.status();
+      if (!st.ok()) {
+        return Status(st.code(), FragmentSection(f) + ": " + st.message());
+      }
+    }
+    *workers = std::move(restored);
+    return progress;
   }
 
   /// Fills the run-wide half of `result` once every worker has stopped:
@@ -495,9 +450,9 @@ struct RunSetup {
     result->partition.max_fragment_imbalance = part.max_fragment_imbalance;
     result->peak_rss_bytes = PeakRssBytes();
     // Pi = union of owned partial results (Section VI-B, termination).
-    // Every fragment exists and is authoritative for its owned pairs —
-    // crashed hosts' fragments were rebuilt on survivors. A halted run
-    // reports no Pi: its verdicts live in the on-disk checkpoint.
+    // Every fragment exists and is authoritative for its owned pairs — a
+    // crashed fragment was rebuilt from its capture. A halted run reports
+    // no Pi: its verdicts live in the on-disk checkpoint.
     if (!result->halted) CollectResults(workers, owner_of, roots, result);
   }
 };
@@ -510,11 +465,6 @@ Status BspAllMatch::Validate(std::span<const MatchPair> candidates) const {
   }
   if (config_.faults != nullptr && config_.faults->plan().crash) {
     const CrashFault& crash = *config_.faults->plan().crash;
-    if (config_.num_workers < 2) {
-      return Status::InvalidArgument(
-          "crash fault plans need at least 2 workers: a lone host has "
-          "no survivor to recover its fragment on");
-    }
     if (crash.worker >= config_.num_workers) {
       return Status::InvalidArgument(
           "crash fault plan names worker " + std::to_string(crash.worker) +
@@ -558,46 +508,18 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       RunSetup::For(ctx_, config_, part, candidates, options);
   const PairOwner& owner_of = run.owner_of;
   FaultInjector* const injector = run.injector;
-  // Fragment -> host. Identity until a crash: the dead host's fragments
-  // migrate to a survivor, which then processes several fragments per
-  // superstep. Ownership, locality and routing stay FRAGMENT-based, so
-  // recovery re-executes exactly the computation the dead host would have
-  // run — bit-identical Pi by construction (the greedy lineage matching is
-  // not confluent, so any other recovery could land on a different
-  // fixpoint). `host_of` is mutated only between supersteps.
-  std::vector<uint32_t> host_of(n);
-  for (uint32_t i = 0; i < n; ++i) host_of[i] = i;
-
   std::vector<std::unique_ptr<Worker>> workers(n);
   run.ColdStart(&workers);
   const std::vector<MatchPair> roots = SortedUnique(candidates);
-
-  std::vector<bool> alive(n, true);  // hosts, not fragments
-  // Crash-recovery checkpoints, kept only under a fault plan: each
-  // fragment's SaveWorker bytes (the durable shard format) at the last
-  // superstep boundary, or its job input before round 0. Restoring them
-  // puts a fragment back on the exact fault-free trajectory.
-  std::vector<ByteWriter> checkpoints(n);
-  const auto take_checkpoints = [&] {
-    for (uint32_t f = 0; f < n; ++f) {
-      checkpoints[f] = ByteWriter();
-      SaveWorker(*workers[f], &checkpoints[f]);
-    }
-  };
 
   // --- durable checkpoint/resume (crash-restart recovery) ---
   const CheckpointOptions& ckpt = config_.checkpoint;
   const bool ckpt_enabled = !ckpt.dir.empty();
   const uint64_t roots_digest = ckpt_enabled ? RootsDigest(roots) : 0;
   size_t start_round = 0;
-  // Shard dirty tracking for O(fragment) durable checkpoints: a
-  // fragment's on-disk shard is rewritten only when its state may have
-  // changed since the last write. Everything is dirty on a cold start.
-  std::vector<uint8_t> dirty(n, 1);
-  std::vector<uint64_t> shard_epochs(n, 0);
   if (ckpt_enabled && ckpt.resume) {
-    // A crash mid-install leaves orphaned *.tmp files next to the shards;
-    // sweep them before restore so debris never accumulates across runs.
+    // A crash mid-install leaves an orphaned *.tmp file next to the
+    // checkpoint; sweep it before restore so debris never accumulates.
     auto swept = SweepStaleTmpFiles(ckpt.env != nullptr ? ckpt.env
                                                         : Env::Default(),
                                     ckpt.dir);
@@ -606,44 +528,38 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
                 << " stale checkpoint tmp file(s) in " << ckpt.dir
                 << std::endl;
     }
-    // All or nothing: the meta and every shard restore into fresh
-    // fragments, adopted only if all of them load. The greedy lineage
-    // matching is not confluent, so a cold fragment beside restored peers
-    // could land on a different fixpoint; any invalid file — meta or
-    // shard, missing, corrupt or stale — costs the whole warm start,
-    // never correctness.
-    RestoredProgress progress;
-    Status st = TryRestoreBspMeta(ckpt, roots_digest, n, &progress);
-    std::vector<std::unique_ptr<Worker>> restored(n);
-    for (uint32_t f = 0; f < n && st.ok(); ++f) {
-      restored[f] = run.Empty(f);
-      st = TryRestoreShard(ckpt, f, progress.shard_epochs[f], roots_digest,
-                           restored[f].get());
-      if (!st.ok()) {
-        st = Status(st.code(), "shard " + std::to_string(f) + ": " +
-                                   st.message());
-      }
-    }
-    if (st.ok()) {
-      workers = std::move(restored);
+    const Result<RestoredProgress> progress =
+        run.Resume(ckpt, roots_digest, &workers);
+    if (progress.ok()) {
       result.resumed_from_checkpoint = true;
-      start_round = progress.next_round;
-      result.supersteps = progress.next_round;
-      result.messages = progress.messages;
-      result.message_bytes_raw = progress.message_bytes_raw;
-      result.message_bytes_wire = progress.message_bytes_wire;
-      result.simulated_seconds = progress.simulated_seconds;
-      shard_epochs = progress.shard_epochs;
-      std::fill(dirty.begin(), dirty.end(), 0);
+      start_round = progress->next_round;
+      result.supersteps = progress->next_round;
+      result.messages = progress->messages;
+      result.message_bytes_raw = progress->message_bytes_raw;
+      result.message_bytes_wire = progress->message_bytes_wire;
+      result.simulated_seconds = progress->simulated_seconds;
     } else {
-      std::cerr << "her: checkpoint resume failed (" << st.ToString()
-                << "); starting cold" << std::endl;
+      std::cerr << "her: checkpoint resume failed ("
+                << progress.status().ToString() << "); starting cold"
+                << std::endl;
     }
   }
-  // The first crash checkpoint: the boundary this run starts from (job
-  // input, or the resumed state), so a crash plan firing in the first
-  // superstep recovers onto the same trajectory.
-  if (injector != nullptr) take_checkpoints();
+
+  // Each fragment's SaveWorker bytes at the last captured superstep
+  // boundary. A crashed fragment restarts from its capture, and a durable
+  // checkpoint writes them all to disk.
+  std::vector<ByteWriter> captures(n);
+  const auto capture = [&] {
+    for (uint32_t f = 0; f < n; ++f) {
+      captures[f] = ByteWriter();
+      SaveWorker(*workers[f], &captures[f]);
+    }
+    result.stats.checkpoints += n;
+  };
+  // Under a fault plan the first capture is the boundary this run starts
+  // from (job input, or the resumed state), so a crash firing in the
+  // first superstep recovers onto the same trajectory.
+  if (injector != nullptr) capture();
 
   // Superstep body: PPSim on round 0, IncPSim afterwards.
   auto superstep = [&](Worker& w, size_t round) {
@@ -694,7 +610,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   };
 
   // Reliable control-channel sweep: re-derives in-flight messages lost
-  // with a crashed host's inboxes from the requester-side assumption
+  // with a crashed fragment's inboxes from the requester-side assumption
   // sets. Run immediately after a recovery (so the restored fragment's
   // superstep sees exactly the inbox the fault-free run would have
   // delivered) and again at quiescence as a safety net. For every
@@ -734,11 +650,9 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
                 subs->second.end();
         if (theirs != nullptr && !theirs->valid && subscribed) {
           w.invalid_inbox.push_back(p);
-          dirty[i] = 1;
           ++delivered;
         } else if (theirs == nullptr || !subscribed) {
           ow.request_inbox.emplace_back(p, i);
-          dirty[owner] = 1;
           ++delivered;
         }
       }
@@ -748,73 +662,41 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
 
   std::vector<double> busy(n, 0.0);
   for (size_t round = start_round;; ++round) {
-    // --- fault hook: host crash at the start of this superstep ---
-    if (injector != nullptr && injector->plan().crash.has_value()) {
-      const CrashFault crash = *injector->plan().crash;
-      if (crash.superstep == round && alive[crash.worker]) {
-        // The host dies with everything it held in memory: its fragment's
-        // state and the messages routed into its inboxes at the end of the
-        // previous superstep.
-        const uint32_t victim = crash.worker;
-        alive[victim] = false;
-        injector->CountInjection();
-        ++result.stats.recoveries;
-        uint32_t sv = 0;
-        while (!alive[sv]) ++sv;
-        for (uint32_t f = 0; f < n; ++f) {
-          if (host_of[f] == victim) host_of[f] = sv;
-        }
-        // GRAPE-style data-parallel recovery: rebuild the lost fragment
-        // from its last superstep-boundary checkpoint, so the survivor
-        // re-executes exactly the computation the dead host would have
-        // run.
-        workers[victim] = run.Restore(victim, checkpoints[victim]);
-        dirty[victim] = 1;  // in-memory state diverged from its shard
-        // The in-flight messages that died in the victim's inboxes are
-        // re-derived from the surviving assumption sets before the
-        // superstep proceeds, so the restored fragment sees the same
-        // deliveries the fault-free run would have.
-        audit();
-      }
+    // --- fault hook: fragment crash at the start of this superstep ---
+    // Rounds only increase, so a plan fires at most once per run.
+    if (injector != nullptr && injector->plan().crash.has_value() &&
+        injector->plan().crash->superstep == round) {
+      // The fragment dies with everything it held in memory: its state and
+      // the messages routed into its inboxes at the end of the previous
+      // superstep. GRAPE-style recovery rebuilds it from its last boundary
+      // capture, in place, so it re-executes exactly the computation it
+      // would have run; the audit then re-derives the lost deliveries from
+      // the surviving assumption sets before the superstep proceeds.
+      const uint32_t victim = injector->plan().crash->worker;
+      injector->CountInjection();
+      ++result.stats.recoveries;
+      workers[victim] = run.Restore(victim, captures[victim]);
+      audit();
     }
 
-    // Parallel phase: one thread per live HOST (shared-nothing: each
-    // fragment's engine is touched only by the host carrying it; the
-    // graphs and scorers are immutable). A host that inherited a dead
-    // peer's fragments runs them sequentially — slower, but on the exact
-    // fault-free trajectory. Each host's busy time is taken from its
+    // Parallel phase: one thread per fragment (shared-nothing: each
+    // fragment's engine is touched only by its own thread; the graphs and
+    // scorers are immutable). Each thread's busy time is taken from its
     // thread CPU clock so the simulated makespan is meaningful even on
     // machines with fewer cores than workers.
-    // Fragments whose state this superstep will touch: everything on the
-    // PPSim round 0, plus every fragment with pending inbox deliveries.
-    // Clean fragments' shards on disk stay valid and the next checkpoint
-    // write skips them.
-    for (uint32_t f = 0; f < n; ++f) {
-      if (round == 0 || !workers[f]->request_inbox.empty() ||
-          !workers[f]->invalid_inbox.empty()) {
-        dirty[f] = 1;
-      }
-    }
     {
       std::vector<std::thread> threads;
       threads.reserve(n);
-      for (uint32_t h = 0; h < n; ++h) {
-        if (!alive[h]) continue;
-        threads.emplace_back([&, h] {
+      for (uint32_t f = 0; f < n; ++f) {
+        threads.emplace_back([&, f] {
           const double start = ThreadCpuSeconds();
-          for (uint32_t f = 0; f < n; ++f) {
-            if (host_of[f] == h) superstep(*workers[f], round);
-          }
-          busy[h] = ThreadCpuSeconds() - start;
+          superstep(*workers[f], round);
+          busy[f] = ThreadCpuSeconds() - start;
         });
       }
       for (auto& t : threads) t.join();
     }
-    double round_max = 0.0;
-    for (uint32_t h = 0; h < n; ++h) {
-      if (alive[h]) round_max = std::max(round_max, busy[h]);
-    }
-    result.simulated_seconds += round_max;
+    result.simulated_seconds += *std::max_element(busy.begin(), busy.end());
     ++result.supersteps;
 
     // Barrier deadline/cancellation check: a stopped run returns within
@@ -834,7 +716,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     // duplication faults applied per message when a plan is installed. A
     // duplicate reaches the destination's inbox twice and is absorbed by
     // its sort+dedupe. (Losing a whole inbox is the crash story, handled
-    // by checkpoint recovery + audit.)
+    // by restoring the boundary capture + audit.)
     auto deliveries = [&](FaultChannel channel, const MatchPair& p,
                           uint32_t from, uint32_t to) -> int {
       if (injector == nullptr) return 1;
@@ -866,10 +748,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       }
       for (const MatchPair& p : dec_invs) dest.invalid_inbox.push_back(p);
       result.messages += dec_reqs.size() + dec_invs.size();
-      if (!dec_reqs.empty() || !dec_invs.empty()) {
-        any_message = true;
-        dirty[to] = 1;
-      }
+      if (!dec_reqs.empty() || !dec_invs.empty()) any_message = true;
     };
     const size_t frame_cap =
         FramePairCapForBudget(config_.worker_mem_budget_bytes);
@@ -941,14 +820,6 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       }
     }
 
-    // Superstep-boundary crash checkpoints (only under a fault plan:
-    // production runs without an injector pay nothing).
-    if (injector != nullptr) {
-      take_checkpoints();
-      result.stats.checkpoints += n;
-    }
-    result.simulated_seconds += ThreadCpuSeconds() - sync_start;
-
     bool fixpoint = false;
     if (!any_message) {
       // Fixpoint candidate: under faults, audit the assumptions before
@@ -963,34 +834,38 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       }
     }
 
-    // Durable checkpoint: written after routing and audit repair — the
-    // boundary where inboxes hold exactly the deliveries the next
-    // superstep consumes and every outbox is empty — so a resumed run
-    // entering round + 1 is bit-identical to this run continuing.
-    // Skipped at the fixpoint: the run is finishing, nothing to save. A
-    // failed write is logged and costs only durability, never progress.
+    // Boundary capture, after routing and the audit — inboxes hold exactly
+    // the deliveries the next superstep consumes and every outbox is
+    // empty — and only when the run continues: under a fault plan (a
+    // crash restores from it) or when a durable write is due (a resumed
+    // run entering round + 1 is then bit-identical to this run
+    // continuing). Runs with neither pay nothing.
     const bool halting = ckpt.halt_after_supersteps > 0 &&
                          result.supersteps >= ckpt.halt_after_supersteps;
-    if (ckpt_enabled && !fixpoint &&
+    const bool write_due =
+        ckpt_enabled && !fixpoint &&
         (halting || (ckpt.every_supersteps > 0 &&
-                     result.supersteps % ckpt.every_supersteps == 0))) {
-      const Status st = WriteBspCheckpoint(ckpt, round + 1, roots_digest,
-                                           result, workers, dirty,
-                                           &shard_epochs);
+                     result.supersteps % ckpt.every_supersteps == 0));
+    if (!fixpoint && (injector != nullptr || write_due)) capture();
+    result.simulated_seconds += ThreadCpuSeconds() - sync_start;
+    if (fixpoint) break;
+
+    // A failed write is logged and costs only durability, never progress.
+    if (write_due) {
+      const Status st =
+          WriteBspCheckpoint(ckpt, round + 1, roots_digest, result, captures);
       if (st.ok()) {
         ++result.stats.disk_checkpoints;
-        std::fill(dirty.begin(), dirty.end(), 0);
       } else {
         std::cerr << "her: checkpoint write failed: " << st.ToString()
                   << std::endl;
       }
     }
-    if (halting && !fixpoint) {
+    if (halting) {
       // Test/CI kill point: progress is on disk, the caller aborts here.
       result.halted = true;
       break;
     }
-    if (fixpoint) break;
   }
 
   run.Finish(workers, roots, &result);

@@ -19,19 +19,18 @@
 namespace her {
 
 /// Durable BSP progress checkpoints (see DESIGN.md "Durable checkpoints").
-/// When `dir` is non-empty the BSP loop writes a sharded checksummed
-/// checkpoint every `every_supersteps` rounds: `<dir>/bsp.ckpt.meta`
-/// (round, counters, per-shard epochs) plus one `<dir>/bsp.ckpt.fragN`
-/// snapshot per fragment — and only the fragments DIRTY since the last
-/// write are rewritten, so checkpoint cost is O(changed fragments), not
-/// O(total state). Every file is installed atomically (tmp + fsync +
-/// rename), with the meta written last, so a crash mid-write leaves a
-/// consistent previous checkpoint. With `resume` set, a run restores the
-/// meta and every shard, and adopts them only if all of them load: a
-/// missing, corrupt or stale meta or shard falls back to a full cold
-/// start (see DESIGN.md "Fragments vs hosts" for why a lone cold fragment
-/// beside restored peers is not sound). Never a crash, never a silently
-/// wrong Pi.
+/// When `dir` is non-empty the BSP loop writes one checksummed snapshot
+/// file, `<dir>/bsp.ckpt`, every `every_supersteps` rounds: a `bsp_meta`
+/// section (round, worker count, roots digest, run counters) plus one
+/// `bsp_frag<f>` section per fragment, the same boundary capture crash
+/// recovery restores from. The file is installed atomically (tmp + fsync
+/// + rename), so a crash mid-write leaves the previous checkpoint. With
+/// `resume` set, a run adopts every fragment from that file or starts
+/// cold on any failure — missing or corrupt file, stale fingerprint,
+/// changed worker count or candidate set, a section that fails to open or
+/// decode (see DESIGN.md "Fragments vs hosts" for why a lone cold
+/// fragment beside restored peers is not sound). Never a crash, never a
+/// silently wrong Pi.
 struct CheckpointOptions {
   std::string dir;
   /// Checkpoint cadence in supersteps; 0 disables periodic writes (a
@@ -47,7 +46,7 @@ struct CheckpointOptions {
   /// kill-and-resume harness uses this as a deterministic SIGKILL point.
   /// 0 disables.
   size_t halt_after_supersteps = 0;
-  /// Filesystem the checkpoint shards + meta go through. Null =
+  /// Filesystem the checkpoint file goes through. Null =
   /// Env::Default(); the chaos harness passes a FaultFsEnv. Borrowed.
   Env* env = nullptr;
 };
@@ -155,12 +154,11 @@ struct ParallelResult {
 /// Run* methods take RunOptions whose deadline/cancellation is checked at
 /// superstep barriers and per-pair evaluations; expiry returns a
 /// `degraded` result instead of hanging. Under an injected
-/// FaultPlan the BSP loop checkpoints each worker's fragment state at
-/// superstep boundaries (in the durable shard format), reassigns a crashed
-/// worker's fragments to a survivor (restoring the last checkpoint
-/// through the disk-resume serializer), re-derives the messages lost with
-/// it through an assumption audit, and absorbs duplicated messages in the
-/// receiver's inbox dedupe, so faulted runs still converge to the
+/// FaultPlan the BSP loop captures each fragment's state at superstep
+/// boundaries (the bytes a durable checkpoint writes), rebuilds a crashed
+/// fragment in place from its last capture, re-derives the messages lost
+/// with it through an assumption audit, and absorbs duplicated messages in
+/// the receiver's inbox dedupe, so faulted runs still converge to the
 /// fault-free Pi bit for bit.
 class BspAllMatch {
  public:

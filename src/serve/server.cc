@@ -387,17 +387,17 @@ bool HerServer::Poisoned(uint64_t seq) const {
 }
 
 void HerServer::ApplyPending(std::chrono::milliseconds read_deadline) {
+  // One deadline for the whole pass: the UpdateGraph call and the one
+  // CompleteUpdate of a parked pass share it.
   const bool bounded = read_deadline.count() > 0;
   const auto budget = bounded ? read_deadline : config_.maintenance_deadline;
-  const auto options_for_attempt = [&] {
-    return budget.count() > 0 ? RunOptions::WithTimeout(budget)
-                              : RunOptions{};
-  };
+  const RunOptions pass =
+      budget.count() > 0 ? RunOptions::WithTimeout(budget) : RunOptions{};
 
   if (!pending_.empty()) {
     WallTimer timer;
     auto next = std::make_unique<Graph>(BuildCurrentGraph());
-    system_->UpdateGraph(*next, options_for_attempt());
+    system_->UpdateGraph(*next, pass);
     graph_ = std::move(next);
     const double elapsed = timer.Seconds();
     const double per_op = elapsed / static_cast<double>(pending_.size());
@@ -411,18 +411,14 @@ void HerServer::ApplyPending(std::chrono::milliseconds read_deadline) {
     pending_.clear();
   }
 
-  // A pass the deadline parked: retry it. Progress is monotone
-  // (re-ranked rows never repeat), and when no read is waiting the final
-  // attempt runs unbounded — correctness over latency. With a read
-  // waiting we stop at its deadline and serve it degraded instead.
+  // A parked pass (this one, or one an earlier read's deadline parked)
+  // continues under the same deadline. Progress is monotone (re-ranked
+  // rows never repeat). With a read waiting we stop at its deadline and
+  // serve it degraded; otherwise the pass finishes unbounded —
+  // correctness over latency.
   if (!system_->UpdateComplete()) {
     ++stats_.apply_parked;
-    for (int attempt = 0;
-         attempt < config_.max_apply_retries && !system_->UpdateComplete();
-         ++attempt) {
-      ++stats_.apply_retries;
-      (void)system_->CompleteUpdate(options_for_attempt());
-    }
+    (void)system_->CompleteUpdate(pass);
     if (!system_->UpdateComplete() && !bounded) {
       HER_CHECK(system_->CompleteUpdate({}).ok());
     }

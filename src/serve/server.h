@@ -108,12 +108,10 @@ struct ServeConfig {
   size_t apply_batch = 8;
   size_t queue_soft_limit = 64;
   size_t queue_hard_limit = 256;
-  /// Per-attempt budget of one maintenance pass (0 = unbounded). Expiry
-  /// parks the pass; it is retried, never abandoned.
+  /// Budget of one maintenance pass (0 = unbounded). Expiry parks the
+  /// pass; a pass no read waits on then finishes unbounded, so it is
+  /// never abandoned.
   std::chrono::milliseconds maintenance_deadline{0};
-  /// Retry budget of a parked maintenance pass before the final
-  /// unbounded attempt (correctness over latency).
-  int max_apply_retries = 4;
   /// Applied mutations per automatic snapshot + WAL truncation (0 = only
   /// at Drain/Checkpoint).
   size_t checkpoint_every = 0;
@@ -137,7 +135,6 @@ struct ServeStats {
   uint64_t rejected_reads = 0;
   uint64_t applied_mutations = 0;
   uint64_t apply_batches = 0;
-  uint64_t apply_retries = 0;     // parked-pass retries
   uint64_t apply_parked = 0;      // maintenance passes parked on a deadline
   uint64_t quarantined = 0;       // poisoned ops set aside
   uint64_t wal_records_replayed = 0;
@@ -252,10 +249,10 @@ class HerServer {
   Status ValidateMutation(const Mutation& m) const;
   /// Mutates the logical edge/feedback state (no engine work).
   void ApplyToState(const Mutation& m);
-  /// Drains the queue through one UpdateGraph pass under the maintenance
-  /// deadline, retrying a parked pass up to max_apply_retries times.
-  /// `read_deadline` further caps the work when a fresh read is waiting
-  /// (0 = maintenance default).
+  /// Drains the queue through one UpdateGraph pass, and continues a
+  /// parked pass, all under one deadline: `read_deadline` when a fresh
+  /// read is waiting, else the maintenance deadline (0 = unbounded). A
+  /// pass no read waits on always finishes.
   void ApplyPending(std::chrono::milliseconds read_deadline);
 
   /// True when the poison plan quarantines mutation `seq`.

@@ -380,6 +380,22 @@ TEST(AllParaMatchTest, ComputesCrossProductMatches) {
   EXPECT_EQ(pi, (std::vector<MatchPair>{{u0, v0}, {u1, v1}}));
 }
 
+/// Only a fragment engine (one with a locality filter) records true->false
+/// flips for the BSP drain: a serial engine keeps none, however many of
+/// its verdicts flipped during AllParaMatch.
+TEST(AllParaMatchTest, SerialEngineRecordsNoFlips) {
+  auto [g1, g2] = testutil::RandomEntityGraphs(3, 8);
+  testutil::ContextHarness h(std::move(g1), std::move(g2),
+                             {.sigma = 0.99, .delta = 0.9, .k = 4});
+  const auto tuples = testutil::ItemRoots(h.g1);
+  MatchEngine fragment(h.ctx);
+  fragment.SetLocalityFilter([](VertexId, VertexId) { return true; });
+  MatchEngine serial(h.ctx);
+  EXPECT_EQ(AllParaMatch(serial, tuples), AllParaMatch(fragment, tuples));
+  EXPECT_FALSE(fragment.DrainNewlyInvalidated().empty());  // the run flipped
+  EXPECT_TRUE(serial.DrainNewlyInvalidated().empty());
+}
+
 TEST(SchemaMatchTest, MapsAttributeEdgeToBestPrefix) {
   // u -made_in-> "VN";  v -made-> f -in-> "VN" plus a direct color.
   GraphBuilder b1;
@@ -709,7 +725,11 @@ size_t ExpectRootsMatchPerPair(const MatchContext& ctx,
                                std::span<const VertexId> tuples,
                                const std::string& where) {
   const auto candidates = GenerateCandidates(ctx, tuples, nullptr);
+  // All-local filters: both engines act as fragment engines, so they
+  // record their true->false flips for the comparison below.
+  const auto all_local = [](VertexId, VertexId) { return true; };
   MatchEngine per_pair(ctx);
+  per_pair.SetLocalityFilter(all_local);
   const size_t hv_before = ctx.hv->BatchCalls();
   std::vector<bool> expected;
   for (const MatchPair& c : candidates) {
@@ -717,6 +737,7 @@ size_t ExpectRootsMatchPerPair(const MatchContext& ctx,
   }
   const size_t hv_per_pair = ctx.hv->BatchCalls() - hv_before;
   MatchEngine batched(ctx);
+  batched.SetLocalityFilter(all_local);
   EXPECT_EQ(batched.MatchRoots(candidates), expected) << where;
   const size_t hv_batched = ctx.hv->BatchCalls() - hv_before - hv_per_pair;
   EXPECT_LE(hv_batched, hv_per_pair) << where;

@@ -147,6 +147,31 @@ TEST(FaultInjectionTest, DecisionsAreDeterministic) {
   EXPECT_EQ(a.injected(), b.injected());
 }
 
+/// A crashed fragment is restored in place from its boundary capture, so
+/// a crash plan needs no second worker: a lone fragment crashing before
+/// its first superstep still lands on the fault-free Pi.
+TEST(FaultInjectionTest, OneWorkerCrashRecoversInPlace) {
+  for (const uint64_t base_seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
+    const uint64_t seed = base_seed + SeedOffset();
+    auto [g1, g2] = RandomEntityGraphs(seed, 8);
+    ContextHarness h(std::move(g1), std::move(g2), TestParams());
+    const auto roots = ItemRoots(h.g1);
+    const ParallelResult fault_free = FaultFreeParallelRun(h, roots, 1);
+
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.crash = CrashFault{.worker = 0, .superstep = 0};
+    FaultInjector injector(plan);
+    BspAllMatch bsp(h.ctx, {.num_workers = 1, .faults = &injector});
+    const auto result = bsp.Run(roots);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.stats.recoveries, 1u) << "seed=" << seed;
+    EXPECT_EQ(result.matches, fault_free.matches) << "seed=" << seed;
+    EXPECT_EQ(result.supersteps, fault_free.supersteps) << "seed=" << seed;
+    EXPECT_EQ(result.unresolved_pairs, 0u) << "seed=" << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Configuration validation (satellite: fail fast with Status, never UB).
 

@@ -476,9 +476,29 @@ TEST(FaultFsBspTest, CrashDuringCheckpointThenResumeMatchesBaseline) {
   const ParallelResult baseline =
       BspAllMatch(h.ctx, {.num_workers = 4}).Run(roots);
   ASSERT_TRUE(baseline.status.ok());
+  ASSERT_GT(baseline.supersteps, 1u);  // the halted run writes one install
   const uint64_t fp = FingerprintSetup(h.g1, h.g2, h.ctx.params, 18);
 
-  for (const uint64_t crash_op : {1ull, 2ull, 4ull, 7ull, 13ull}) {
+  // A run halted after one superstep writes exactly one checkpoint: one
+  // atomic install of bsp.ckpt. Count its filesystem ops on a healthy
+  // env, then crash at each of them in turn.
+  const auto halted_run = [&](const std::string& dir, FaultFsEnv* fenv) {
+    ParallelConfig icfg{.num_workers = 4};
+    icfg.checkpoint.dir = dir;
+    icfg.checkpoint.every_supersteps = 1;
+    icfg.checkpoint.fingerprint = fp;
+    icfg.checkpoint.halt_after_supersteps = 1;
+    icfg.checkpoint.env = fenv;
+    return BspAllMatch(h.ctx, icfg).Run(roots);
+  };
+  FaultFsPlan count_plan;
+  count_plan.path_filter = "bsp.ckpt";
+  FaultFsEnv counter(Env::Default(), count_plan);
+  ASSERT_TRUE(halted_run(FreshDir("ffbsp_count"), &counter).halted);
+  const uint64_t install_ops = counter.stats().mutating_ops;
+  ASSERT_GE(install_ops, 3u);  // at least create, write and rename
+
+  for (uint64_t crash_op = 1; crash_op <= install_ops; ++crash_op) {
     const std::string dir = FreshDir("ffbsp_crash_" +
                                      std::to_string(crash_op));
     FaultFsPlan plan;
@@ -486,23 +506,14 @@ TEST(FaultFsBspTest, CrashDuringCheckpointThenResumeMatchesBaseline) {
     plan.fail_kind = FaultKind::kCrash;
     plan.path_filter = "bsp.ckpt";
     FaultFsEnv fenv(Env::Default(), plan);
-
-    ParallelConfig icfg{.num_workers = 4};
-    icfg.checkpoint.dir = dir;
-    icfg.checkpoint.every_supersteps = 1;
-    icfg.checkpoint.fingerprint = fp;
-    icfg.checkpoint.halt_after_supersteps = 1;
-    icfg.checkpoint.env = &fenv;
-    const ParallelResult first = BspAllMatch(h.ctx, icfg).Run(roots);
+    const ParallelResult first = halted_run(dir, &fenv);
     ASSERT_TRUE(first.status.ok()) << "crash_op=" << crash_op;
-    if (!first.halted) {
-      EXPECT_EQ(first.matches, baseline.matches);
-      continue;
-    }
+    EXPECT_TRUE(first.halted) << "crash_op=" << crash_op;
+    EXPECT_TRUE(fenv.crashed()) << "crash_op=" << crash_op;
 
     // Resume on a healthy filesystem: whatever the crash left behind —
-    // a complete checkpoint, a partial one, tmp debris, or nothing —
-    // the resumed run lands on the uninterrupted Pi.
+    // the complete checkpoint, tmp debris, or nothing — the resumed run
+    // lands on the uninterrupted Pi.
     ParallelConfig rcfg{.num_workers = 4};
     rcfg.checkpoint.dir = dir;
     rcfg.checkpoint.every_supersteps = 1;

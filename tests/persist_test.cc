@@ -8,8 +8,9 @@
 //  - the kill-and-resume matrix: a BSP run halted mid-fixpoint and
 //    resumed from its on-disk checkpoint lands on a Pi bit-identical to
 //    the uninterrupted run, across seeds and worker counts;
-//  - resume is all or nothing: a corrupt, stale or missing meta or shard
-//    degrades to a full cold start with correct results;
+//  - resume is all or nothing: a corrupt, stale or missing checkpoint, or
+//    one fragment section that fails to open or decode, degrades to a
+//    full cold start with correct results;
 //  - HerSystem::TrainOrLoad warm-starts from a model snapshot, skipping
 //    the property-table build (ptable_build_seconds == 0) and surfacing
 //    the restore in snapshot_load_seconds.
@@ -413,12 +414,12 @@ TEST_P(KillResumeTest, ResumedPiIsBitIdentical) {
   }
   EXPECT_TRUE(first.matches.empty());
   EXPECT_GT(first.stats.disk_checkpoints, 0u);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/bsp.ckpt.meta"));
-  for (uint32_t f = 0; f < workers; ++f) {
-    EXPECT_TRUE(std::filesystem::exists(dir + "/bsp.ckpt.frag" +
-                                        std::to_string(f)))
-        << "missing shard " << f;
+  // One checkpoint file, no per-fragment files beside it.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
   }
+  EXPECT_EQ(files, std::vector<std::string>{"bsp.ckpt"});
 
   ParallelConfig resume_cfg{.num_workers = workers};
   resume_cfg.checkpoint = {.dir = dir, .every_supersteps = 1,
@@ -450,7 +451,7 @@ TEST(KillResumeTest, CorruptCheckpointFallsBackToColdStart) {
   const std::string dir = TempPath("kr_corrupt");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  ASSERT_TRUE(AtomicWriteFile(dir + "/bsp.ckpt.meta", "not a snapshot").ok());
+  ASSERT_TRUE(AtomicWriteFile(dir + "/bsp.ckpt", "not a snapshot").ok());
 
   ParallelConfig cfg{.num_workers = 4};
   cfg.checkpoint = {.dir = dir, .every_supersteps = 1, .resume = true,
@@ -462,81 +463,96 @@ TEST(KillResumeTest, CorruptCheckpointFallsBackToColdStart) {
   EXPECT_EQ(r.matches, baseline);
 }
 
-/// Losing ONE shard of a sharded checkpoint costs the whole warm start:
-/// the run starts cold and still lands on the uninterrupted Pi bit for
-/// bit, for every choice of lost fragment.
-TEST(KillResumeTest, DeletedShardFallsBackToColdStart) {
-  auto [g1, g2] = RandomEntityGraphs(34, 8);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-  BspAllMatch clean(h.ctx, {.num_workers = 4});
-  const auto baseline = clean.Run(roots).matches;
+/// How a test damages one `bsp_frag<f>` section of a BSP checkpoint.
+enum class SectionDamage {
+  kNone,     // rewritten unchanged: the rewrite itself must stay resumable
+  kDropped,  // section missing: it fails to open
+  kFlipped,  // one payload byte flipped in the file: its CRC fails on open
+  kCut,      // payload short by its last byte (CRC still valid): it fails
+             // to decode
+};
+constexpr SectionDamage kAllDamage[] = {
+    SectionDamage::kNone, SectionDamage::kDropped, SectionDamage::kFlipped,
+    SectionDamage::kCut};
 
-  for (uint32_t lost = 0; lost < 4; ++lost) {
-    const std::string dir = TempPath("kr_shard" + std::to_string(lost));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    ParallelConfig halt_cfg{.num_workers = 4};
-    halt_cfg.checkpoint = {.dir = dir, .every_supersteps = 1,
-                           .fingerprint = 11, .halt_after_supersteps = 1};
-    const ParallelResult first = BspAllMatch(h.ctx, halt_cfg).Run(roots);
-    ASSERT_TRUE(first.status.ok());
-    if (!first.halted) GTEST_SKIP() << "single-superstep fixpoint";
-
-    ASSERT_TRUE(std::filesystem::remove(dir + "/bsp.ckpt.frag" +
-                                        std::to_string(lost)));
-
-    ParallelConfig resume_cfg{.num_workers = 4};
-    resume_cfg.checkpoint = {.dir = dir, .every_supersteps = 1,
-                             .resume = true, .fingerprint = 11};
-    const ParallelResult r = BspAllMatch(h.ctx, resume_cfg).Run(roots);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_FALSE(r.resumed_from_checkpoint) << "lost=" << lost;
-    EXPECT_EQ(r.matches, baseline) << "lost=" << lost;
-    EXPECT_EQ(r.unresolved_pairs, 0u) << "lost=" << lost;
+/// The payload bytes of section `name` (empty if it does not open).
+std::string SectionBytes(const SnapshotReader& reader,
+                         const std::string& name) {
+  auto section = reader.Section(name);
+  std::string bytes;
+  uint8_t b = 0;
+  while (section.ok() && section->GetU8(&b).ok()) {
+    bytes.push_back(static_cast<char>(b));
   }
+  return bytes;
 }
 
-/// A corrupted shard is detected by its CRC and handled like a missing
-/// one: a full cold start, identical final Pi.
-TEST(KillResumeTest, CorruptShardFallsBackToColdStart) {
-  auto [g1, g2] = RandomEntityGraphs(35, 8);
-  ContextHarness h(std::move(g1), std::move(g2), TestParams());
-  const auto roots = ItemRoots(h.g1);
-  BspAllMatch clean(h.ctx, {.num_workers = 4});
-  const auto baseline = clean.Run(roots).matches;
+/// Applies `damage` to section bsp_frag<fragment> of `dir`/bsp.ckpt. All
+/// but kFlipped rewrite the file through SnapshotReader/SnapshotWriter,
+/// copying every other section.
+void DamageCheckpoint(const std::string& dir, uint32_t fragment,
+                      SectionDamage damage) {
+  const std::string path = dir + "/bsp.ckpt";
+  auto file = ReadFileToString(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto reader = SnapshotReader::Parse(*file, SnapshotReader::kAnyFingerprint);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const std::string damaged = "bsp_frag" + std::to_string(fragment);
+  ASSERT_TRUE(reader->HasSection(damaged)) << damaged;
+  if (damage == SectionDamage::kFlipped) {
+    const std::string bytes = SectionBytes(*reader, damaged);
+    const size_t at = file->find(bytes);
+    ASSERT_NE(at, std::string::npos) << damaged;
+    (*file)[at + bytes.size() / 2] ^= 0x10;
+    ASSERT_TRUE(AtomicWriteFile(path, *file).ok());
+    return;
+  }
+  SnapshotWriter writer(reader->fingerprint());
+  for (const std::string& name : reader->SectionNames()) {
+    if (name == damaged && damage == SectionDamage::kDropped) continue;
+    std::string bytes = SectionBytes(*reader, name);
+    ASSERT_FALSE(bytes.empty()) << name;
+    if (name == damaged && damage == SectionDamage::kCut) bytes.pop_back();
+    writer.AddSection(name)->PutBytes(bytes.data(), bytes.size());
+  }
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+}
 
-  const std::string dir = TempPath("kr_shard_corrupt");
+/// Runs `roots` with a durable checkpoint in a fresh `dir` and halts after
+/// `halt` supersteps. Returns the halted run's result.
+ParallelResult HaltedRun(const ContextHarness& h,
+                         const std::vector<VertexId>& roots,
+                         uint32_t workers, const std::string& dir,
+                         uint64_t fingerprint, size_t halt) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  ParallelConfig halt_cfg{.num_workers = 4};
-  halt_cfg.checkpoint = {.dir = dir, .every_supersteps = 1,
-                         .fingerprint = 12, .halt_after_supersteps = 1};
-  const ParallelResult first = BspAllMatch(h.ctx, halt_cfg).Run(roots);
-  ASSERT_TRUE(first.status.ok());
-  if (!first.halted) GTEST_SKIP() << "single-superstep fixpoint";
+  ParallelConfig cfg{.num_workers = workers};
+  cfg.checkpoint = {.dir = dir, .every_supersteps = 1,
+                    .fingerprint = fingerprint,
+                    .halt_after_supersteps = halt};
+  return BspAllMatch(h.ctx, cfg).Run(roots);
+}
 
-  ASSERT_TRUE(
-      AtomicWriteFile(dir + "/bsp.ckpt.frag1", "garbage shard bytes").ok());
-
-  ParallelConfig resume_cfg{.num_workers = 4};
-  resume_cfg.checkpoint = {.dir = dir, .every_supersteps = 1,
-                           .resume = true, .fingerprint = 12};
-  const ParallelResult r = BspAllMatch(h.ctx, resume_cfg).Run(roots);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_FALSE(r.resumed_from_checkpoint);
-  EXPECT_EQ(r.matches, baseline);
-  EXPECT_EQ(r.unresolved_pairs, 0u);
+/// Resumes from `dir`'s checkpoint.
+ParallelResult ResumedRun(const ContextHarness& h,
+                          const std::vector<VertexId>& roots,
+                          uint32_t workers, const std::string& dir,
+                          uint64_t fingerprint) {
+  ParallelConfig cfg{.num_workers = workers};
+  cfg.checkpoint = {.dir = dir, .every_supersteps = 1, .resume = true,
+                    .fingerprint = fingerprint};
+  return BspAllMatch(h.ctx, cfg).Run(roots);
 }
 
 /// The resume contract: a run resumes only from a complete checkpoint.
-/// For halts after 1-4 supersteps, an intact checkpoint resumes to the
-/// uninterrupted Pi, and deleting any one shard cold-starts the whole run
-/// to that same Pi. Seed 20 at 3 hash-partitioned workers is pinned: a
-/// cold-started fragment beside restored peers (halt 3, shard 1) lands on
-/// a different fixpoint there, with (8, 8) as an extra match. Seeds 18-23
-/// rotate under HER_STRESS_SEED (see tools/run_stress.sh).
-TEST(KillResumeTest, LostShardResumeEqualsUninterrupted) {
+/// For halts after 1-4 supersteps, an intact checkpoint (rewritten
+/// section by section) resumes to the uninterrupted Pi, and any one
+/// fragment section that is missing, fails its CRC or fails to decode
+/// cold-starts the whole run to that same Pi. Seed 20 at 3 hash-partitioned workers is pinned: a
+/// cold-started fragment beside restored peers (halt 3, fragment 1) lands
+/// on a different fixpoint there, with (8, 8) as an extra match. Seeds
+/// 18-23 rotate under HER_STRESS_SEED (see tools/run_stress.sh).
+TEST(KillResumeTest, LostFragmentSectionResumeEqualsUninterrupted) {
   const char* env = std::getenv("HER_STRESS_SEED");
   const uint64_t offset = env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
   std::vector<uint64_t> seeds = {20};
@@ -556,39 +572,79 @@ TEST(KillResumeTest, LostShardResumeEqualsUninterrupted) {
           "seed=" + std::to_string(seed) + " halt=" + std::to_string(halt);
       const std::string dir = TempPath("kr_lost_" + std::to_string(seed) +
                                        "_" + std::to_string(halt));
-      std::filesystem::remove_all(dir);
-      std::filesystem::create_directories(dir);
-      ParallelConfig halt_cfg{.num_workers = kWorkers};
-      halt_cfg.checkpoint = {.dir = dir, .every_supersteps = 1,
-                             .fingerprint = seed,
-                             .halt_after_supersteps = halt};
-      const ParallelResult first = BspAllMatch(h.ctx, halt_cfg).Run(roots);
+      const ParallelResult first =
+          HaltedRun(h, roots, kWorkers, dir, seed, halt);
       ASSERT_TRUE(first.status.ok()) << where;
       if (!first.halted) {
         EXPECT_EQ(first.matches, baseline.matches) << where;
         break;  // the fixpoint came first; later halts are the same run
       }
-      // lost == kWorkers resumes the intact checkpoint.
-      for (uint32_t lost = 0; lost <= kWorkers; ++lost) {
-        const std::string copy = dir + "_" + std::to_string(lost);
-        std::filesystem::remove_all(copy);
-        std::filesystem::copy(dir, copy);
-        if (lost < kWorkers) {
-          ASSERT_TRUE(std::filesystem::remove(copy + "/bsp.ckpt.frag" +
-                                              std::to_string(lost)));
+      for (uint32_t f = 0; f < kWorkers; ++f) {
+        for (const SectionDamage damage : kAllDamage) {
+          const std::string at = where + " f=" + std::to_string(f) +
+                                 " damage=" +
+                                 std::to_string(static_cast<int>(damage));
+          const std::string copy = dir + "_copy";
+          std::filesystem::remove_all(copy);
+          std::filesystem::copy(dir, copy);
+          DamageCheckpoint(copy, f, damage);
+          const ParallelResult r =
+              ResumedRun(h, roots, kWorkers, copy, seed);
+          ASSERT_TRUE(r.status.ok()) << at;
+          EXPECT_EQ(r.resumed_from_checkpoint, damage == SectionDamage::kNone)
+              << at;
+          EXPECT_EQ(r.matches, baseline.matches) << at;
+          EXPECT_EQ(r.unresolved_pairs, 0u) << at;
         }
-        ParallelConfig resume_cfg{.num_workers = kWorkers};
-        resume_cfg.checkpoint = {.dir = copy, .every_supersteps = 1,
-                                 .resume = true, .fingerprint = seed};
-        const ParallelResult r = BspAllMatch(h.ctx, resume_cfg).Run(roots);
-        ASSERT_TRUE(r.status.ok()) << where << " lost=" << lost;
-        EXPECT_EQ(r.resumed_from_checkpoint, lost == kWorkers)
-            << where << " lost=" << lost;
-        EXPECT_EQ(r.matches, baseline.matches) << where << " lost=" << lost;
-        EXPECT_EQ(r.unresolved_pairs, 0u) << where << " lost=" << lost;
       }
     }
   }
+}
+
+/// One run with both a crash plan and a checkpoint dir: the boundary
+/// capture a crash restores from is the one the durable write stores. The
+/// run recovers, halts, and the resumed run lands on the fault-free Pi.
+TEST(KillResumeTest, CrashPlanAndCheckpointShareOneCapture) {
+  constexpr uint32_t kWorkers = 4;
+  size_t halted_runs = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto [g1, g2] = RandomEntityGraphs(seed, 8);
+    ContextHarness h(std::move(g1), std::move(g2), TestParams());
+    const auto roots = ItemRoots(h.g1);
+    const ParallelResult baseline =
+        BspAllMatch(h.ctx, {.num_workers = kWorkers}).Run(roots);
+    ASSERT_TRUE(baseline.status.ok());
+    if (baseline.supersteps < 3) continue;  // halts only after round 2
+
+    const std::string where = "seed=" + std::to_string(seed);
+    const std::string dir = TempPath("kr_crash_" + std::to_string(seed));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.crash = CrashFault{.worker = static_cast<uint32_t>(seed % kWorkers),
+                            .superstep = 1};
+    FaultInjector injector(plan);
+    ParallelConfig cfg{.num_workers = kWorkers, .faults = &injector};
+    cfg.checkpoint = {.dir = dir, .every_supersteps = 1, .fingerprint = seed,
+                      .halt_after_supersteps = 2};
+    const ParallelResult first = BspAllMatch(h.ctx, cfg).Run(roots);
+    ASSERT_TRUE(first.status.ok()) << where;
+    ASSERT_TRUE(first.halted) << where;
+    ++halted_runs;
+    EXPECT_EQ(first.stats.recoveries, 1u) << where;
+    // One capture before round 0 and one at each of the two boundaries.
+    EXPECT_EQ(first.stats.checkpoints, 3 * kWorkers) << where;
+    EXPECT_EQ(first.stats.disk_checkpoints, 2u) << where;
+
+    const ParallelResult r = ResumedRun(h, roots, kWorkers, dir, seed);
+    ASSERT_TRUE(r.status.ok()) << where;
+    EXPECT_TRUE(r.resumed_from_checkpoint) << where;
+    EXPECT_EQ(r.matches, baseline.matches) << where;
+    EXPECT_EQ(r.supersteps, baseline.supersteps) << where;
+    EXPECT_EQ(r.unresolved_pairs, 0u) << where;
+  }
+  EXPECT_GT(halted_runs, 0u);
 }
 
 TEST(KillResumeTest, StaleFingerprintFallsBackToColdStart) {

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -480,6 +482,43 @@ TEST(ServeConsistencyTest, AppliedMutationsMatchFromScratchSystem) {
               fresh.SPairVertex(a.u, a.v))
         << "pair (" << a.u << ", " << a.v << ")";
   }
+}
+
+/// A read waiting on a maintenance pass bounds the whole pass by its own
+/// deadline: reads with a 1 ms deadline behind a write burst are each
+/// answered (fresh or degraded), never rejected, and the parked work is
+/// finished at Drain — every annotation-pair verdict then equals a server
+/// that ran the same ops without deadlines.
+TEST(ServeConsistencyTest, ReadDeadlinesNeverRejectOrChangeVerdicts) {
+  // Large enough that the burst's maintenance pass usually outlasts the
+  // first read's 1 ms, so reads park it and continue it.
+  DatasetSpec spec = SmallSpec(26);
+  spec.num_entities = 200;
+  const GeneratedDataset data = Generate(spec);
+  // The workload's writes as one burst, then its reads.
+  std::vector<ServeOp> ops = TestWorkload(data, 100);
+  std::stable_partition(ops.begin(), ops.end(),
+                        [](const ServeOp& op) { return IsWriteOp(op.kind); });
+  const auto run = [&](const std::string& dir,
+                       std::chrono::milliseconds read_deadline) {
+    ServeConfig cfg = FastConfig(dir);
+    cfg.apply_batch = 64;  // the burst stays queued until a read arrives
+    auto server = HerServer::Open(cfg, data);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    for (ServeOp op : ops) {
+      if (!IsWriteOp(op.kind)) op.deadline = read_deadline;
+      const OpResult r = (*server)->Submit(op);
+      EXPECT_NE(r.outcome, OpOutcome::kRejected)
+          << "seq " << op.seq << ": " << r.status.ToString();
+    }
+    EXPECT_TRUE((*server)->Drain().ok());
+    EXPECT_TRUE((*server)->system().UpdateComplete());
+    return Verdicts(**server, data);
+  };
+  const std::string unbounded =
+      run(FreshDir("serve_nodeadline"), std::chrono::milliseconds{0});
+  EXPECT_EQ(run(FreshDir("serve_deadline"), std::chrono::milliseconds{1}),
+            unbounded);
 }
 
 TEST(ServeRecoveryTest, KillReplayMatrix) {

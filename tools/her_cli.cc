@@ -12,8 +12,8 @@
 //       unresolved candidates instead of overrunning the budget.
 //       Durability flags:
 //         --checkpoint-dir=DIR   write durable snapshots (trained model to
-//                                DIR/model.snap, BSP progress sharded as
-//                                DIR/bsp.ckpt.meta + DIR/bsp.ckpt.fragN)
+//                                DIR/model.snap, BSP progress to one
+//                                file, DIR/bsp.ckpt)
 //         --checkpoint-every-supersteps=N   BSP checkpoint cadence
 //                                           (default 1)
 //         --resume               restart from DIR's snapshots; invalid or
@@ -687,7 +687,7 @@ int CmdServe(int argc, char** argv) {
       "serve: %zu submitted (%zu resumed past), %.1f qps achieved\n"
       "  writes: %zu accepted, %zu rejected; reads: %zu accepted, "
       "%zu degraded, %zu rejected\n"
-      "  applied %zu mutation(s) in %zu batch(es), %zu retries, %zu parked, "
+      "  applied %zu mutation(s) in %zu batch(es), %zu parked, "
       "%zu quarantined, %zu checkpoint(s)\n"
       "  durability: %zu degraded episode(s), %zu repair(s), "
       "%zu checkpoint failure(s), %zu WAL append failure(s), "
@@ -702,7 +702,6 @@ int CmdServe(int argc, char** argv) {
       static_cast<size_t>(st.rejected_reads),
       static_cast<size_t>(st.applied_mutations),
       static_cast<size_t>(st.apply_batches),
-      static_cast<size_t>(st.apply_retries),
       static_cast<size_t>(st.apply_parked),
       static_cast<size_t>(st.quarantined),
       static_cast<size_t>(st.checkpoints),
@@ -757,7 +756,6 @@ int CmdServe(int argc, char** argv) {
     add_u64("rejected_reads", st.rejected_reads);
     add_u64("applied_mutations", st.applied_mutations);
     add_u64("apply_batches", st.apply_batches);
-    add_u64("apply_retries", st.apply_retries);
     add_u64("apply_parked", st.apply_parked);
     add_u64("quarantined", st.quarantined);
     add_u64("wal_records_replayed", st.wal_records_replayed);

@@ -2,10 +2,10 @@
 # Fault-injection stress run: the crash/duplicate fault matrix + deadline
 # tests and the BSP kill-and-resume contract under ThreadSanitizer, with
 # rotating seeds.
-# Every graph seed in fault_tolerance_test and the lost-shard resume test
-# is offset by HER_STRESS_SEED, so consecutive runs cover fresh — but
-# fully deterministic and replayable — fault schedules: to reproduce a CI
-# failure locally, re-run with the seed CI printed.
+# Every graph seed in fault_tolerance_test and the lost-fragment-section
+# resume test is offset by HER_STRESS_SEED, so consecutive runs cover
+# fresh — but fully deterministic and replayable — fault schedules: to
+# reproduce a CI failure locally, re-run with the seed CI printed.
 #
 # Usage: tools/run_stress.sh [seed] [rounds] [build-dir]
 #   seed:      base seed offset (default 0; CI passes the run number)
@@ -32,8 +32,8 @@ for ((i = 0; i < ROUNDS; ++i)); do
   # round while the op-indexed crash matrices stay pinned.
   HER_STRESS_SEED="$offset" "$BUILD_DIR/tests/faultfs_test"
   # Resume contract under the same seed: an intact checkpoint resumes and
-  # a checkpoint missing any one shard starts cold, both to the
-  # uninterrupted Pi.
+  # a checkpoint with any one fragment section missing or damaged starts
+  # cold, both to the uninterrupted Pi.
   HER_STRESS_SEED="$offset" "$BUILD_DIR/tests/persist_test" \
     --gtest_filter='KillResumeTest.*'
 done
