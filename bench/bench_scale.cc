@@ -44,6 +44,7 @@ struct RunRecord {
   size_t matches = 0;
   double seconds = 0.0;
   double simulated_seconds = 0.0;
+  double teardown_seconds = 0.0;  // freeing the fragments, inside `seconds`
   double edge_cut_fraction = 0.0;
   size_t border_vertices = 0;
   double imbalance = 0.0;
@@ -165,13 +166,16 @@ int main(int argc, char** argv) {
       r.bytes_wire = res.message_bytes_wire;
       r.matches = res.matches.size();
       r.simulated_seconds = res.simulated_seconds;
+      r.teardown_seconds = res.teardown_seconds;
       r.edge_cut_fraction = res.partition.edge_cut_fraction;
       r.border_vertices = res.partition.border_vertices;
       r.imbalance = res.partition.max_fragment_imbalance;
       std::printf(
-          "  %7s w=%u: %5.2f s (simulated %5.2f s)  supersteps=%zu  "
-          "messages=%zu  wire=%zu/%zu B  cut=%.3f  border=%zu  |Pi|=%zu\n",
-          r.strategy, workers, r.seconds, r.simulated_seconds, r.supersteps,
+          "  %7s w=%u: %5.2f s (simulated %5.2f s, teardown %5.3f s)  "
+          "supersteps=%zu  messages=%zu  wire=%zu/%zu B  cut=%.3f  "
+          "border=%zu  |Pi|=%zu\n",
+          r.strategy, workers, r.seconds, r.simulated_seconds,
+          r.teardown_seconds, r.supersteps,
           r.messages, r.bytes_wire, r.bytes_raw, r.edge_cut_fraction,
           r.border_vertices, r.matches);
       rec.runs.push_back(r);
@@ -236,6 +240,7 @@ int main(int argc, char** argv) {
       out << "        {\"workers\": " << r.workers << ", \"strategy\": \""
           << r.strategy << "\", \"seconds\": " << r.seconds
           << ", \"simulated_seconds\": " << r.simulated_seconds
+          << ", \"teardown_seconds\": " << r.teardown_seconds
           << ", \"supersteps\": " << r.supersteps
           << ", \"messages\": " << r.messages
           << ", \"message_bytes_raw\": " << r.bytes_raw

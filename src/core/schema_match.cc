@@ -85,8 +85,8 @@ std::string ExplainMatch(MatchEngine& engine, VertexId u, VertexId v) {
       const Property* pu = FindProperty(engine, 0, w.first, c.first);
       const Property* pv = FindProperty(engine, 1, w.second, c.second);
       if (pu == nullptr || pv == nullptr) continue;
-      PathRef pru{c.first, pu->labels};
-      PathRef prv{c.second, pv->labels};
+      PathRef pru{c.first, {pu->labels.begin(), pu->labels.end()}};
+      PathRef prv{c.second, {pv->labels.begin(), pv->labels.end()}};
       out += "    via " + PathLabelsToString(*ctx.gd, pru) + " ~ " +
              PathLabelsToString(*ctx.g, prv) +
              "  h_rho=" + FormatDouble(engine.HRho(*pu, *pv)) + "\n";

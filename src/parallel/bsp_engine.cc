@@ -5,14 +5,13 @@
 #include <limits>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/file_util.h"
 #include "common/proc_stats.h"
 #include "common/timer.h"
+#include "parallel/fragment.h"
 #include "parallel/wire_format.h"
 #include "persist/snapshot.h"
 
@@ -20,50 +19,14 @@ namespace her {
 
 namespace {
 
-/// Per-fragment state: a private engine plus this superstep's inboxes.
-///
-/// A Worker is one logical FRAGMENT of the computation: crash recovery
-/// never merges fragments (the greedy lineage matching is not confluent,
-/// so merging would change which fixpoint the run lands on). Instead a
-/// crashed fragment is rebuilt in place from its last boundary capture
-/// (its SaveWorker bytes) with its state, locality and routing unchanged.
-struct Worker {
-  explicit Worker(const MatchContext& ctx) : engine(ctx) {}
-  Worker(const Worker&) = delete;
-  Worker& operator=(const Worker&) = delete;
-
-  MatchEngine engine;
-  std::vector<MatchPair> owned_candidates;  // root candidates to verify
-  // Assumption requests to answer, tagged with the requesting fragment.
-  std::vector<std::pair<MatchPair, uint32_t>> request_inbox;
-  std::vector<MatchPair> invalid_inbox;     // remote invalidations to apply
-  // Outboxes filled during a superstep, routed between supersteps.
-  std::vector<MatchPair> assumptions_out;
-  std::vector<MatchPair> invalidations_out;
-  // For each owned pair that remote fragments assumed: who to notify when
-  // its verdict is (or becomes) false. This replaces broadcasting — the
-  // GRAPE messages follow the cross edges that created the assumption.
-  std::unordered_map<MatchPair, std::vector<uint32_t>, PairHash> subscribers;
-  // Replies owed to specific requesters whose pair is already false.
-  std::vector<std::pair<MatchPair, uint32_t>> direct_replies;
-  // Pairs whose true->false FLIP was already broadcast to subscribers; a
-  // pair flips at most once, so one broadcast suffices. Requesters that
-  // arrive later are answered directly at request time instead.
-  std::unordered_set<MatchPair, PairHash> notified_false;
-  // Every border pair this fragment has optimistically assumed (requester
-  // side, never drained). The fault-recovery audit re-derives lost
-  // messages from these sets: each believed-true assumption is checked
-  // against its owner's authoritative verdict.
-  std::unordered_set<MatchPair, PairHash> assumed;
-};
-
-/// Registers `origin` as a subscriber of `p` at worker `w`, once
-/// (duplicated/re-sent requests must not grow the list unboundedly).
-void Subscribe(Worker& w, const MatchPair& p, uint32_t origin) {
-  auto& subs = w.subscribers[p];
-  if (std::find(subs.begin(), subs.end(), origin) == subs.end()) {
-    subs.push_back(origin);
-  }
+/// Runs fn(f) for every fragment f, one thread each, and joins them all.
+/// Shared-nothing: each thread touches only fragment f's state.
+template <typename Fn>
+void OnFragmentThreads(uint32_t n, const Fn& fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (uint32_t f = 0; f < n; ++f) threads.emplace_back([&fn, f] { fn(f); });
+  for (auto& t : threads) t.join();
 }
 
 /// Pair -> fragment ownership of one run: the configured pair_owner when
@@ -122,117 +85,17 @@ std::vector<MatchPair> SortedUnique(std::span<const MatchPair> candidates) {
   return roots;
 }
 
-// --- checkpoint (de)serialization --------------------------------------
+// --- checkpoints --------------------------------------------------------
 //
-// One capture per superstep boundary feeds both recovery paths: a crashed
-// fragment is restored from it in memory, and a durable checkpoint writes
-// the same bytes to disk as one file, `<dir>/bsp.ckpt`. The capture is
+// One capture per superstep boundary (SaveWorker, parallel/fragment.h)
+// feeds both recovery paths: a crashed fragment is restored from it in
+// memory, and a durable checkpoint writes the same bytes to disk as one
+// file, `<dir>/bsp.ckpt`. The capture is
 // taken after routing and the audit — inboxes hold exactly the deliveries
 // the next superstep consumes and every outbox is empty — so a fragment
 // restored from it re-executes exactly the computation the interrupted
 // run would have. The greedy lineage matching is not confluent, so any
 // weaker capture could land on a different fixpoint.
-
-void PutPairs(ByteWriter* w, const std::vector<MatchPair>& ps) {
-  w->PutVarint(ps.size());
-  for (const MatchPair& p : ps) PutPair(w, p);
-}
-
-Status GetPairs(ByteReader* r, std::vector<MatchPair>* out) {
-  uint64_t n = 0;
-  HER_RETURN_NOT_OK(r->GetCount(&n, /*min_bytes_each=*/2));
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    MatchPair p;
-    HER_RETURN_NOT_OK(GetPair(r, &p));
-    out->push_back(p);
-  }
-  return Status::OK();
-}
-
-/// Serializes a hash set of pairs in sorted order (canonical bytes: the
-/// same fragment state always produces the same checkpoint file).
-void PutPairSet(ByteWriter* w,
-                const std::unordered_set<MatchPair, PairHash>& s) {
-  std::vector<MatchPair> v(s.begin(), s.end());
-  std::sort(v.begin(), v.end());
-  PutPairs(w, v);
-}
-
-void PutTaggedPairs(
-    ByteWriter* w, const std::vector<std::pair<MatchPair, uint32_t>>& ps) {
-  w->PutVarint(ps.size());
-  for (const auto& [p, tag] : ps) {
-    PutPair(w, p);
-    w->PutVarint(tag);
-  }
-}
-
-Status GetTaggedPairs(ByteReader* r,
-                      std::vector<std::pair<MatchPair, uint32_t>>* out) {
-  uint64_t n = 0;
-  HER_RETURN_NOT_OK(r->GetCount(&n, /*min_bytes_each=*/3));
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    MatchPair p;
-    uint64_t tag = 0;
-    HER_RETURN_NOT_OK(GetPair(r, &p));
-    HER_RETURN_NOT_OK(r->GetVarint(&tag));
-    out->emplace_back(p, static_cast<uint32_t>(tag));
-  }
-  return Status::OK();
-}
-
-void SaveWorker(const Worker& w, ByteWriter* out) {
-  PutPairs(out, w.owned_candidates);
-  PutTaggedPairs(out, w.request_inbox);
-  PutPairs(out, w.invalid_inbox);
-  // Outboxes (assumptions_out/invalidations_out/direct_replies) are empty
-  // at the checkpoint boundary — routing just drained them — so they are
-  // not stored; LoadWorker leaves them default-empty.
-  std::vector<MatchPair> keys;
-  keys.reserve(w.subscribers.size());
-  for (const auto& [p, subs] : w.subscribers) keys.push_back(p);
-  std::sort(keys.begin(), keys.end());
-  out->PutVarint(keys.size());
-  for (const MatchPair& p : keys) {
-    PutPair(out, p);
-    out->PutIntVec(w.subscribers.at(p));
-  }
-  PutPairSet(out, w.notified_false);
-  PutPairSet(out, w.assumed);
-  w.engine.SaveEngineState(out);
-}
-
-Status LoadWorker(ByteReader* r, Worker* w) {
-  HER_RETURN_NOT_OK(GetPairs(r, &w->owned_candidates));
-  HER_RETURN_NOT_OK(GetTaggedPairs(r, &w->request_inbox));
-  HER_RETURN_NOT_OK(GetPairs(r, &w->invalid_inbox));
-  uint64_t n_subs = 0;
-  HER_RETURN_NOT_OK(r->GetCount(&n_subs, /*min_bytes_each=*/3));
-  w->subscribers.clear();
-  for (uint64_t i = 0; i < n_subs; ++i) {
-    MatchPair p;
-    HER_RETURN_NOT_OK(GetPair(r, &p));
-    std::vector<uint32_t> subs;
-    HER_RETURN_NOT_OK(r->GetIntVec(&subs));
-    w->subscribers.emplace(p, std::move(subs));
-  }
-  std::vector<MatchPair> pairs;
-  HER_RETURN_NOT_OK(GetPairs(r, &pairs));
-  w->notified_false.clear();
-  w->notified_false.insert(pairs.begin(), pairs.end());
-  HER_RETURN_NOT_OK(GetPairs(r, &pairs));
-  w->assumed.clear();
-  w->assumed.insert(pairs.begin(), pairs.end());
-  HER_RETURN_NOT_OK(w->engine.LoadEngineState(r));
-  if (!r->AtEnd()) {
-    return Status::IOError("bsp checkpoint: trailing bytes after worker");
-  }
-  return Status::OK();
-}
 
 /// Order-sensitive digest of the deduplicated root candidates: a resumed
 /// run must be solving the same job, or the checkpoint is stale.
@@ -605,7 +468,7 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     }
     for (const MatchPair& p : w.engine.DrainNewAssumptions()) {
       w.assumptions_out.push_back(p);
-      w.assumed.insert(p);
+      w.assumed.TryEmplace(KeyOf(p));
     }
   };
 
@@ -634,20 +497,17 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     size_t delivered = 0;
     for (uint32_t i = 0; i < n; ++i) {
       Worker& w = *workers[i];
-      std::vector<MatchPair> assumed(w.assumed.begin(), w.assumed.end());
-      std::sort(assumed.begin(), assumed.end());
-      for (const MatchPair& p : assumed) {
+      for (const MatchPair& p : SortedPairs(w.assumed)) {
         const auto* mine = w.engine.Lookup(p.first, p.second);
         if (mine != nullptr && !mine->valid) continue;  // already repaired
         const uint32_t owner = owner_of(p);
         HER_DCHECK(owner != i);
         Worker& ow = *workers[owner];
         const auto* theirs = ow.engine.Lookup(p.first, p.second);
-        const auto subs = ow.subscribers.find(p);
+        const auto* subs = ow.subscribers.Find(KeyOf(p));
         const bool subscribed =
-            subs != ow.subscribers.end() &&
-            std::find(subs->second.begin(), subs->second.end(), i) !=
-                subs->second.end();
+            subs != nullptr &&
+            std::find(subs->begin(), subs->end(), i) != subs->end();
         if (theirs != nullptr && !theirs->valid && subscribed) {
           w.invalid_inbox.push_back(p);
           ++delivered;
@@ -684,18 +544,11 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
     // scorers are immutable). Each thread's busy time is taken from its
     // thread CPU clock so the simulated makespan is meaningful even on
     // machines with fewer cores than workers.
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(n);
-      for (uint32_t f = 0; f < n; ++f) {
-        threads.emplace_back([&, f] {
-          const double start = ThreadCpuSeconds();
-          superstep(*workers[f], round);
-          busy[f] = ThreadCpuSeconds() - start;
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
+    OnFragmentThreads(n, [&](uint32_t f) {
+      const double start = ThreadCpuSeconds();
+      superstep(*workers[f], round);
+      busy[f] = ThreadCpuSeconds() - start;
+    });
     result.simulated_seconds += *std::max_element(busy.begin(), busy.end());
     ++result.supersteps;
 
@@ -771,10 +624,10 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
       // (once per pair: the flip is final); requesters that arrived when
       // the verdict was already false got a direct reply instead.
       for (const MatchPair& p : w.invalidations_out) {
-        auto it = w.subscribers.find(p);
-        if (it == w.subscribers.end()) continue;
-        if (!w.notified_false.insert(p).second) continue;
-        for (const uint32_t j : it->second) {
+        const auto* subs = w.subscribers.Find(KeyOf(p));
+        if (subs == nullptr) continue;
+        if (!w.notified_false.TryEmplace(KeyOf(p)).second) continue;
+        for (const uint32_t j : *subs) {
           const int copies = deliveries(FaultChannel::kInvalidation, p, i, j);
           for (int c = 0; c < copies; ++c) inv_stage[j].push_back(p);
         }
@@ -869,6 +722,12 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   }
 
   run.Finish(workers, roots, &result);
+
+  // Per-fragment teardown: each fragment frees its own engine and tables
+  // on its own thread, as in the superstep.
+  WallTimer teardown;
+  OnFragmentThreads(n, [&](uint32_t f) { workers[f].reset(); });
+  result.teardown_seconds = teardown.Seconds();
   return result;
 }
 

@@ -134,6 +134,9 @@ struct ParallelResult {
   /// with fewer cores than workers it is the meaningful scalability
   /// number (wall time only measures oversubscription).
   double simulated_seconds = 0.0;
+  /// Wall seconds spent freeing the fragments once results were collected
+  /// (one thread per fragment; telemetry).
+  double teardown_seconds = 0.0;
 };
 
 /// PAllMatch: parallel AllParaMatch under the BSP fixpoint model of GRAPE.

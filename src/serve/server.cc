@@ -415,14 +415,15 @@ void HerServer::ApplyPending(std::chrono::milliseconds read_deadline) {
   // continues under the same deadline. Progress is monotone (re-ranked
   // rows never repeat). With a read waiting we stop at its deadline and
   // serve it degraded; otherwise the pass finishes unbounded —
-  // correctness over latency.
+  // correctness over latency. Only a call that returns with the pass
+  // unfinished counts it as parked; the call that finishes it does not.
   if (!system_->UpdateComplete()) {
-    ++stats_.apply_parked;
     (void)system_->CompleteUpdate(pass);
     if (!system_->UpdateComplete() && !bounded) {
       HER_CHECK(system_->CompleteUpdate({}).ok());
     }
   }
+  if (!system_->UpdateComplete()) ++stats_.apply_parked;
 }
 
 double HerServer::BacklogSeconds() const {

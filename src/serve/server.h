@@ -135,7 +135,7 @@ struct ServeStats {
   uint64_t rejected_reads = 0;
   uint64_t applied_mutations = 0;
   uint64_t apply_batches = 0;
-  uint64_t apply_parked = 0;      // maintenance passes parked on a deadline
+  uint64_t apply_parked = 0;  // applies that returned with the pass parked
   uint64_t quarantined = 0;       // poisoned ops set aside
   uint64_t wal_records_replayed = 0;
   uint64_t wal_bytes_discarded = 0;  // damaged WAL tail dropped at recovery

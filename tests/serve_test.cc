@@ -505,14 +505,25 @@ TEST(ServeConsistencyTest, ReadDeadlinesNeverRejectOrChangeVerdicts) {
     cfg.apply_batch = 64;  // the burst stays queued until a read arrives
     auto server = HerServer::Open(cfg, data);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
+    uint64_t stale_reads = 0;
     for (ServeOp op : ops) {
       if (!IsWriteOp(op.kind)) op.deadline = read_deadline;
       const OpResult r = (*server)->Submit(op);
       EXPECT_NE(r.outcome, OpOutcome::kRejected)
           << "seq " << op.seq << ": " << r.status.ToString();
+      if (!IsWriteOp(op.kind) && r.staleness > 0) ++stale_reads;
     }
     EXPECT_TRUE((*server)->Drain().ok());
     EXPECT_TRUE((*server)->system().UpdateComplete());
+    // A pass is parked only by a read that then serves it stale (so
+    // degraded); the read or Drain that finishes a parked pass does not
+    // count it again. An unbounded run never parks.
+    const ServeStats& st = (*server)->stats();
+    EXPECT_LE(st.apply_parked, stale_reads);
+    EXPECT_LE(st.apply_parked, st.degraded_reads);
+    if (read_deadline.count() == 0) {
+      EXPECT_EQ(st.apply_parked, 0u);
+    }
     return Verdicts(**server, data);
   };
   const std::string unbounded =
