@@ -948,7 +948,7 @@ TEST(FaultFsFuzzTest, SnapshotParseNeverCrashesOnArbitraryBytes) {
   Rng rng(103);
   SnapshotWriter w(kFp);
   w.AddSection("alpha")->PutString(std::string(300, 'a'));
-  w.AddSection("beta")->PutFloatVec({1.0f, 2.0f, 3.0f});
+  w.AddSection("beta")->PutFloatVec(std::vector<float>{1.0f, 2.0f, 3.0f});
   const std::string valid = w.Serialize();
   {
     auto reader = SnapshotReader::Parse(valid, kFp);
