@@ -9,15 +9,20 @@
 // scan. Deterministic test scorers (token-Jaccard h_v, token-overlap
 // M_rho, PRA h_r) keep every run training-free and bit-reproducible.
 //
-// Checks (exit 1): Pi is bit-identical across every worker count and
-// both partition strategies at every tier. Gates (exit 2, full mode):
-// the varint-delta wire format ships >= 2x fewer bytes than the raw
-// struct exchange, and kEdgeCut exchanges no more cross-fragment
-// messages than kHash. Writes BENCH_scale.json (path overridable via
-// argv[1]), whose header records the host's nproc and the build type so
-// worker-scaling numbers can be read against the host; --smoke runs only
-// the 10k tier for CI.
+// Each configuration runs 3 times (once in --smoke), and the JSON records
+// the median and both quartiles of its wall, superstep-makespan and
+// teardown seconds, so two commits' files compare spread, not one draw of
+// host noise. Checks (exit 1): Pi is bit-identical across every worker
+// count and both partition strategies at every tier, and every repeat of
+// a configuration reports the same supersteps, messages, wire bytes and
+// Pi. Gates (exit 2, full mode): the varint-delta wire format ships >= 2x
+// fewer bytes than the raw struct exchange, and kEdgeCut exchanges no
+// more cross-fragment messages than kHash. Writes BENCH_scale.json (path
+// overridable via argv[1]), whose header records the host's nproc and the
+// build type so worker-scaling numbers can be read against the host;
+// --smoke runs only the 10k tier for CI.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -34,6 +39,25 @@ namespace {
 using namespace her;
 using namespace her::bench;
 
+/// Lower quartile, median and upper quartile of a configuration's
+/// repeats (linear interpolation between order statistics).
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+
+  static Spread Of(std::vector<double> xs) {
+    std::sort(xs.begin(), xs.end());
+    const auto at = [&](double q) {
+      const double pos = q * static_cast<double>(xs.size() - 1);
+      const size_t lo = static_cast<size_t>(pos);
+      const size_t hi = std::min(lo + 1, xs.size() - 1);
+      return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
+  }
+};
+
 struct RunRecord {
   uint32_t workers = 0;
   const char* strategy = "";
@@ -42,9 +66,9 @@ struct RunRecord {
   size_t bytes_raw = 0;
   size_t bytes_wire = 0;
   size_t matches = 0;
-  double seconds = 0.0;
-  double simulated_seconds = 0.0;
-  double teardown_seconds = 0.0;  // freeing the fragments, inside `seconds`
+  Spread seconds;
+  Spread simulated_seconds;
+  Spread teardown_seconds;  // freeing the fragments, inside `seconds`
   double edge_cut_fraction = 0.0;
   size_t border_vertices = 0;
   double imbalance = 0.0;
@@ -65,10 +89,18 @@ struct TierRecord {
   double msg_ratio = 0.0;    // edgecut/hash messages at 8 workers
 };
 
+/// `, "<name>": median, "<name>_q1": q1, "<name>_q3": q3` of one run.
+std::string SpreadFields(const std::string& name, const Spread& s) {
+  return ", \"" + name + "\": " + std::to_string(s.median) + ", \"" + name +
+         "_q1\": " + std::to_string(s.q1) + ", \"" + name +
+         "_q3\": " + std::to_string(s.q3);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto [out_path, smoke] = ParseBenchArgs(argc, argv, "BENCH_scale.json");
+  const int repeats = smoke ? 1 : 3;
 
   // Entity counts calibrated so the generated G clears each vertex
   // target (the generator renders ~8.6 G vertices per entity).
@@ -147,39 +179,58 @@ int main(int argc, char** argv) {
       cfg.num_workers = workers;
       cfg.strategy = strategy;
       cfg.worker_mem_budget_bytes = kMemBudget;
-      BspAllMatch bsp(ctx, cfg);
       RunRecord r;
       r.workers = workers;
       r.strategy =
           strategy == PartitionStrategy::kEdgeCut ? "edgecut" : "hash";
-      WallTimer t;
-      ParallelResult res = bsp.RunOnCandidates(candidates);
-      r.seconds = t.Seconds();
-      if (!res.status.ok()) {
-        std::fprintf(stderr, "run failed: %s\n",
-                     res.status.ToString().c_str());
-        std::exit(1);
+      std::vector<MatchPair> pi;
+      std::vector<double> seconds, simulated, teardown;
+      for (int rep = 0; rep < repeats; ++rep) {
+        BspAllMatch bsp(ctx, cfg);
+        WallTimer t;
+        ParallelResult res = bsp.RunOnCandidates(candidates);
+        seconds.push_back(t.Seconds());
+        if (!res.status.ok()) {
+          std::fprintf(stderr, "run failed: %s\n",
+                       res.status.ToString().c_str());
+          std::exit(1);
+        }
+        simulated.push_back(res.simulated_seconds);
+        teardown.push_back(res.teardown_seconds);
+        if (rep > 0 && (res.supersteps != r.supersteps ||
+                        res.messages != r.messages ||
+                        res.message_bytes_wire != r.bytes_wire ||
+                        res.matches != pi)) {
+          std::fprintf(stderr,
+                       "%s w=%u: repeat %d differs from repeat 0 in "
+                       "supersteps, messages, wire bytes or Pi\n",
+                       r.strategy, workers, rep);
+          std::exit(1);
+        }
+        r.supersteps = res.supersteps;
+        r.messages = res.messages;
+        r.bytes_raw = res.message_bytes_raw;
+        r.bytes_wire = res.message_bytes_wire;
+        r.matches = res.matches.size();
+        r.edge_cut_fraction = res.partition.edge_cut_fraction;
+        r.border_vertices = res.partition.border_vertices;
+        r.imbalance = res.partition.max_fragment_imbalance;
+        pi = std::move(res.matches);
       }
-      r.supersteps = res.supersteps;
-      r.messages = res.messages;
-      r.bytes_raw = res.message_bytes_raw;
-      r.bytes_wire = res.message_bytes_wire;
-      r.matches = res.matches.size();
-      r.simulated_seconds = res.simulated_seconds;
-      r.teardown_seconds = res.teardown_seconds;
-      r.edge_cut_fraction = res.partition.edge_cut_fraction;
-      r.border_vertices = res.partition.border_vertices;
-      r.imbalance = res.partition.max_fragment_imbalance;
+      r.seconds = Spread::Of(seconds);
+      r.simulated_seconds = Spread::Of(simulated);
+      r.teardown_seconds = Spread::Of(teardown);
       std::printf(
-          "  %7s w=%u: %5.2f s (simulated %5.2f s, teardown %5.3f s)  "
-          "supersteps=%zu  messages=%zu  wire=%zu/%zu B  cut=%.3f  "
-          "border=%zu  |Pi|=%zu\n",
-          r.strategy, workers, r.seconds, r.simulated_seconds,
-          r.teardown_seconds, r.supersteps,
+          "  %7s w=%u: %5.2f s [%5.2f, %5.2f] (simulated %5.2f s "
+          "[%5.2f, %5.2f], teardown %5.3f s)  supersteps=%zu  "
+          "messages=%zu  wire=%zu/%zu B  cut=%.3f  border=%zu  |Pi|=%zu\n",
+          r.strategy, workers, r.seconds.median, r.seconds.q1, r.seconds.q3,
+          r.simulated_seconds.median, r.simulated_seconds.q1,
+          r.simulated_seconds.q3, r.teardown_seconds.median, r.supersteps,
           r.messages, r.bytes_wire, r.bytes_raw, r.edge_cut_fraction,
           r.border_vertices, r.matches);
       rec.runs.push_back(r);
-      return res.matches;
+      return pi;
     };
 
     const std::vector<MatchPair> pi = run(1, PartitionStrategy::kEdgeCut);
@@ -215,6 +266,7 @@ int main(int argc, char** argv) {
       << JsonPeakRssField()
       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"build_type\": \"" << HER_BUILD_TYPE << "\",\n"
+      << "  \"repeats\": " << repeats << ",\n"
       << "  \"workload\": \"parallel datagen ScalingSpec tiers, "
          "ground-truth + shifted candidate pairs, deterministic scorers\",\n"
       << "  \"worker_mem_budget_bytes\": " << kMemBudget << ",\n"
@@ -238,9 +290,10 @@ int main(int argc, char** argv) {
     for (size_t j = 0; j < rec.runs.size(); ++j) {
       const RunRecord& r = rec.runs[j];
       out << "        {\"workers\": " << r.workers << ", \"strategy\": \""
-          << r.strategy << "\", \"seconds\": " << r.seconds
-          << ", \"simulated_seconds\": " << r.simulated_seconds
-          << ", \"teardown_seconds\": " << r.teardown_seconds
+          << r.strategy << "\""
+          << SpreadFields("seconds", r.seconds)
+          << SpreadFields("simulated_seconds", r.simulated_seconds)
+          << SpreadFields("teardown_seconds", r.teardown_seconds)
           << ", \"supersteps\": " << r.supersteps
           << ", \"messages\": " << r.messages
           << ", \"message_bytes_raw\": " << r.bytes_raw

@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <numeric>
 
 #include "ann/ivf_index.h"
 #include "common/check.h"
@@ -21,43 +22,6 @@ EmbeddedPath OperandOf(const Property& p) {
 
 }  // namespace
 
-PropertyRow RowStager::Stage(const MatchContext& ctx, int graph,
-                             const std::vector<RankedProperty>& ranked) {
-  joint_.clear();
-  embedding_.clear();
-  props_.clear();
-  for (const RankedProperty& r : ranked) {
-    for (const LabelId l : r.path.labels) {
-      joint_.push_back(ctx.vocab->TokenOf(graph, l));
-    }
-  }
-  // Embedding ends per property first: the views below are taken once
-  // both buffers have stopped growing.
-  embedding_ends_.clear();
-  for (size_t i = 0, at = 0; i < ranked.size(); ++i) {
-    const size_t len = ranked[i].path.labels.size();
-    if (ctx.mrho != nullptr) {
-      const Vec e = ctx.mrho->EmbedPath({joint_.data() + at, len});
-      embedding_.insert(embedding_.end(), e.begin(), e.end());
-    }
-    embedding_ends_.push_back(embedding_.size());
-    at += len;
-  }
-  for (size_t i = 0, at = 0, e = 0; i < ranked.size(); ++i) {
-    const RankedProperty& r = ranked[i];
-    const size_t len = r.path.labels.size();
-    props_.push_back(Property{.descendant = r.descendant,
-                              .labels = r.path.labels,
-                              .joint = {joint_.data() + at, len},
-                              .embedding = {embedding_.data() + e,
-                                            embedding_ends_[i] - e},
-                              .pra = r.pra});
-    at += len;
-    e = embedding_ends_[i];
-  }
-  return props_;
-}
-
 PropertyTable PropertyTable::Build(const Graph& gd, const Graph& g,
                                    const DescendantRanker& hr,
                                    const JointVocab& vocab, size_t threads,
@@ -65,69 +29,16 @@ PropertyTable PropertyTable::Build(const Graph& gd, const Graph& g,
                                    const RunOptions& options) {
   PropertyTable table;
   WallTimer timer;
-  MatchContext ctx;  // only hr + vocab + mrho are consulted below
-  ctx.hr = &hr;
-  ctx.vocab = &vocab;
-  ctx.mrho = mrho;
-  if (block_size == 0) block_size = 1;
-  const Graph* graphs[2] = {&gd, &g};
   for (int gi = 0; gi < 2; ++gi) {
-    table.table_[gi].assign(graphs[gi]->num_vertices(), {});
-    // Leaves have no properties; only internal vertices reach the ranker.
-    std::vector<VertexId> work;
-    work.reserve(graphs[gi]->num_vertices());
-    for (size_t v = 0; v < graphs[gi]->num_vertices(); ++v) {
-      if (!graphs[gi]->IsLeaf(static_cast<VertexId>(v))) {
-        work.push_back(static_cast<VertexId>(v));
-      }
-    }
-    // One TopKBatch call per vertex block: the lockstep kernel amortizes
-    // the LSTM weights across every live walk of the block. Blocks are
-    // independent (per-vertex results depend only on the graph), so the
-    // table is identical for any threads/block_size combination.
-    //
-    // The deadline is probed once per block: an expired block is skipped
-    // whole, its vertices recorded as pending with their rows untouched —
-    // a row is only ever written after its block ranked completely, so
-    // readers never observe a partially filled row. Blocks rank and stage
-    // in parallel; copying the staged rows into the shared arena is the
-    // only step under the lock.
-    const size_t num_blocks = (work.size() + block_size - 1) / block_size;
-    std::mutex mu;
-    ParallelFor(num_blocks, threads, [&](size_t b) {
-      const size_t begin = b * block_size;
-      const size_t end = std::min(begin + block_size, work.size());
-      const std::span<const VertexId> block(work.data() + begin, end - begin);
-      if (options.Expired()) {
-        std::lock_guard<std::mutex> lock(mu);
-        table.pending_[gi].insert(table.pending_[gi].end(), block.begin(),
-                                  block.end());
-        return;
-      }
-      // Rank without a k cap; engines slice the top-k they need.
-      const auto ranked =
-          ctx.hr->TopKBatch(gi, block, std::numeric_limits<int>::max());
-      PropertyArena staged;
-      std::vector<PropertyRow> rows;
-      RowStager stager;
-      rows.reserve(block.size());
-      for (const auto& r : ranked) {
-        rows.push_back(staged.Add(stager.Stage(ctx, gi, r)));
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      for (size_t i = 0; i < block.size(); ++i) {
-        table.SetRow(gi, block[i], rows[i]);
-      }
-    });
-    std::sort(table.pending_[gi].begin(), table.pending_[gi].end());
+    const Graph& graph = gi == 0 ? gd : g;
+    std::vector<VertexId> all(graph.num_vertices());
+    std::iota(all.begin(), all.end(), VertexId{0});
+    table.table_[gi].resize(all.size());
+    table.Refresh(gi, graph, all, hr, vocab, mrho, options, threads,
+                  block_size);
   }
   table.build_seconds_ = timer.Seconds();
   return table;
-}
-
-void PropertyTable::SetRow(int graph, VertexId v, PropertyRow row) {
-  arena_.Release(table_[graph][v]);
-  table_[graph][v] = arena_.Add(row);
 }
 
 std::span<const Property> MatchEngine::PropertiesOf(int graph, VertexId v) {
@@ -143,7 +54,7 @@ std::span<const Property> MatchEngine::PropertiesOf(int graph, VertexId v) {
   const VertexId vs[1] = {v};
   const auto ranked = ctx_.hr->TopKBatch(graph, vs, ctx_.params.k);
   const PropertyRow row =
-      arena_.Add(stager_.Stage(ctx_, graph, ranked.front()));
+      arena_.Add(ranked.front(), graph, *ctx_.vocab, ctx_.mrho);
   store.TryEmplace(v, row);
   return row;
 }
@@ -594,71 +505,70 @@ void MatchEngine::RecheckDependents(const MatchPair& key) {
 void PropertyTable::Refresh(int graph, const Graph& g,
                             std::span<const VertexId> vertices,
                             const DescendantRanker& hr,
-                            const JointVocab& vocab,
-                            const PathScorer* mrho,
-                            const RunOptions& options) {
+                            const JointVocab& vocab, const PathScorer* mrho,
+                            const RunOptions& options, size_t threads,
+                            size_t block_size) {
   WallTimer timer;
-  MatchContext ctx;
-  ctx.hr = &hr;
-  ctx.vocab = &vocab;
-  ctx.mrho = mrho;
-  const size_t rows = table_[graph].size();
-  HER_CHECK(rows == g.num_vertices());
-  std::vector<VertexId> done;  // vertices whose rows are now current
+  auto& rows = table_[graph];
+  HER_CHECK(rows.size() == g.num_vertices());
+  // Sorted and distinct: each vertex is ranked once, and the pending
+  // update below searches the list.
+  std::vector<VertexId> todo(vertices.begin(), vertices.end());
+  std::sort(todo.begin(), todo.end());
+  todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
   std::vector<VertexId> work;
-  work.reserve(vertices.size());
-  for (const VertexId v : vertices) {
+  for (const VertexId v : todo) {
     // Updates may reference vertices beyond the table (e.g. ids minted by
     // a graph version this table has not been rebuilt against yet); skip
     // them instead of indexing out of range.
-    HER_DCHECK(static_cast<size_t>(v) < rows);
-    if (static_cast<size_t>(v) >= rows) continue;
-    if (g.IsLeaf(v)) {
-      SetRow(graph, v, {});
-      done.push_back(v);
-    } else {
+    HER_DCHECK(static_cast<size_t>(v) < rows.size());
+    if (static_cast<size_t>(v) >= rows.size()) continue;
+    if (!g.IsLeaf(v)) {
       work.push_back(v);
+    } else {  // leaves have no properties
+      arena_.Release(rows[v]);
+      rows[v] = {};
     }
   }
-  // Blocked like Build so an expiring deadline loses at most one block of
-  // progress; unprocessed vertices stay pending with their previous rows
-  // intact (no partial rows). A Refresh over Pending() therefore completes
-  // a deadline-degraded build.
+  // Blocks rank in parallel; writing a block's rows into the arena is the
+  // only step under the lock. An expired block is skipped whole, so no row
+  // is ever partial.
+  if (block_size == 0) block_size = 1;
+  const size_t num_blocks = (work.size() + block_size - 1) / block_size;
   std::vector<VertexId> skipped;
-  RowStager stager;
-  for (size_t begin = 0; begin < work.size(); begin += kDefaultBuildBlock) {
-    const size_t end = std::min(begin + kDefaultBuildBlock, work.size());
-    const std::span<const VertexId> block(work.data() + begin, end - begin);
+  std::mutex mu;
+  ParallelFor(num_blocks, threads, [&](size_t b) {
+    const size_t begin = b * block_size;
+    const std::span<const VertexId> block(
+        work.data() + begin, std::min(block_size, work.size() - begin));
     if (options.Expired()) {
+      std::lock_guard<std::mutex> lock(mu);
       skipped.insert(skipped.end(), block.begin(), block.end());
-      continue;
+      return;
     }
+    // Rank without a k cap; engines slice the top-k they need.
     const auto ranked =
         hr.TopKBatch(graph, block, std::numeric_limits<int>::max());
+    std::lock_guard<std::mutex> lock(mu);
     for (size_t i = 0; i < block.size(); ++i) {
-      SetRow(graph, block[i], stager.Stage(ctx, graph, ranked[i]));
-      done.push_back(block[i]);
+      arena_.Release(rows[block[i]]);
+      rows[block[i]] = arena_.Add(ranked[i], graph, vocab, mrho);
     }
-  }
+  });
   // The replaced rows are dead bytes (no span from Get is live across a
   // Refresh).
   arena_.Compact([&](const auto& repoint) {
-    for (auto& rows : table_) {
-      for (PropertyRow& row : rows) repoint(row);
+    for (auto& table : table_) {
+      for (PropertyRow& row : table) repoint(row);
     }
   });
-  // pending := (pending \ done) ∪ skipped, kept sorted and unique.
-  std::sort(done.begin(), done.end());
+  // pending := (pending \ todo) ∪ skipped, kept sorted; skipped ⊆ todo.
   auto& pending = pending_[graph];
-  pending.erase(std::remove_if(pending.begin(), pending.end(),
-                               [&](VertexId v) {
-                                 return std::binary_search(done.begin(),
-                                                           done.end(), v);
-                               }),
-                pending.end());
+  std::erase_if(pending, [&](VertexId v) {
+    return std::binary_search(todo.begin(), todo.end(), v);
+  });
   pending.insert(pending.end(), skipped.begin(), skipped.end());
   std::sort(pending.begin(), pending.end());
-  pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
   build_seconds_ = timer.Seconds();
 }
 
@@ -823,49 +733,10 @@ std::vector<PairOutcome> ResolveOutcomes(std::span<const MatchPair> roots,
 
 // --- durable snapshot serialization (src/persist consumes these) ---
 
-namespace {
-
-void PutRow(ByteWriter* w, PropertyRow row) {
-  w->PutVarint(row.size());
-  for (const Property& p : row) {
-    w->PutVarint(p.descendant);
-    w->PutIntVec(p.labels);
-    w->PutIntVec(p.joint);
-    w->PutFloatVec(p.embedding);
-    w->PutDouble(p.pra);
-  }
-}
-
-/// Reads one PutRow row into `arena`.
-Status GetRow(ByteReader* r, PropertyArena* arena, PropertyRow* row) {
-  uint64_t n = 0;
-  HER_RETURN_NOT_OK(r->GetCount(&n));
-  std::vector<std::vector<LabelId>> labels(n);
-  std::vector<std::vector<int>> joint(n);
-  std::vector<Vec> embedding(n);
-  std::vector<Property> props(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t descendant = 0;
-    HER_RETURN_NOT_OK(r->GetVarint(&descendant));
-    HER_RETURN_NOT_OK(r->GetIntVec(&labels[i]));
-    HER_RETURN_NOT_OK(r->GetIntVec(&joint[i]));
-    HER_RETURN_NOT_OK(r->GetFloatVec(&embedding[i]));
-    HER_RETURN_NOT_OK(r->GetDouble(&props[i].pra));
-    props[i].descendant = static_cast<VertexId>(descendant);
-    props[i].labels = labels[i];
-    props[i].joint = joint[i];
-    props[i].embedding = embedding[i];
-  }
-  *row = arena->Add(props);
-  return Status::OK();
-}
-
-}  // namespace
-
 void PropertyTable::SaveState(ByteWriter* w) const {
   for (int gi = 0; gi < 2; ++gi) {
     w->PutVarint(table_[gi].size());
-    for (const PropertyRow row : table_[gi]) PutRow(w, row);
+    for (const PropertyRow row : table_[gi]) PropertyArena::Write(w, row);
     w->PutIntVec(pending_[gi]);
   }
 }
@@ -877,7 +748,7 @@ Status PropertyTable::LoadState(ByteReader* r) {
     HER_RETURN_NOT_OK(r->GetCount(&rows));
     fresh.table_[gi].resize(rows);
     for (uint64_t v = 0; v < rows; ++v) {
-      HER_RETURN_NOT_OK(GetRow(r, &fresh.arena_, &fresh.table_[gi][v]));
+      HER_RETURN_NOT_OK(fresh.arena_.Read(r, &fresh.table_[gi][v]));
     }
     HER_RETURN_NOT_OK(r->GetIntVec(&fresh.pending_[gi]));
     for (const VertexId v : fresh.pending_[gi]) {

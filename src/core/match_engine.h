@@ -31,7 +31,7 @@ inline MatchPair PairOf(uint64_t key) {
 }
 
 /// The one byte codec of a pair (two varints), shared by the engine-state
-/// snapshot and the BSP checkpoint shards.
+/// snapshot and the fragment sections of the BSP checkpoint.
 inline void PutPair(ByteWriter* w, const MatchPair& p) {
   w->PutVarint(p.first);
   w->PutVarint(p.second);
@@ -58,25 +58,6 @@ enum class PairOutcome {
   kUnresolved = 2,
 };
 
-/// Stages one vertex's ranked h_r output as Property views for
-/// PropertyArena::Add: each path mapped into joint tokens and, when the
-/// context has M_rho, embedded once (PathScorer::EmbedPath), so every later
-/// h_rho against the property reuses the stored vector. The buffers are
-/// reused across rows, so staging allocates only while they grow. The
-/// returned row views `ranked` and this stager; it is valid until the next
-/// Stage call.
-class RowStager {
- public:
-  PropertyRow Stage(const MatchContext& ctx, int graph,
-                    const std::vector<RankedProperty>& ranked);
-
- private:
-  std::vector<int> joint_;
-  std::vector<float> embedding_;
-  std::vector<size_t> embedding_ends_;
-  std::vector<Property> props_;
-};
-
 /// Offline-precomputed h_r output for every vertex of both graphs, ranked
 /// by PRA. Section IV computes h_r per vertex as part of module Learn;
 /// materializing it once lets the shared-nothing workers read it like the
@@ -89,18 +70,14 @@ class PropertyTable {
   /// live, small enough that the thread pool load-balances across blocks.
   static constexpr size_t kDefaultBuildBlock = 64;
 
-  /// Ranks every vertex of gd (graph 0) and g (graph 1) with `hr`,
-  /// translating paths via `vocab`. `threads` parallelizes the build over
-  /// vertex blocks of `block_size`, each ranked with one hr.TopKBatch call;
-  /// per-vertex results are independent, so the table is byte-identical
-  /// for any threads/block_size combination (test-enforced). When `mrho`
-  /// is given, each property's joint path is embedded once via
-  /// PathScorer::EmbedPath and stored in Property::embedding.
-  /// `options` carries the deadline/cancellation contract: when it expires
-  /// mid-build, the remaining blocks are skipped — their vertices keep
-  /// empty rows (degraded but valid, never a partial row; every row is
-  /// either fully ranked or untouched) and are reported via Pending() so a
-  /// later Refresh can complete the table.
+  /// A fresh table plus Refresh of every vertex of gd (graph 0) and g
+  /// (graph 1): ranked with `hr`, paths translated via `vocab` and, when
+  /// `mrho` is given, embedded once (Property::embedding). The table is
+  /// byte-identical for any threads/block_size combination
+  /// (test-enforced). When `options` expires mid-build, the skipped
+  /// vertices keep empty rows (degraded but valid, never a partial row)
+  /// and are reported via Pending() so a later Refresh can complete the
+  /// table.
   static PropertyTable Build(const Graph& gd, const Graph& g,
                              const DescendantRanker& hr,
                              const JointVocab& vocab, size_t threads = 1,
@@ -118,20 +95,23 @@ class PropertyTable {
 
   /// Re-ranks the listed vertices against an updated graph (incremental
   /// maintenance; `hr` must already be bound to the new graph version);
-  /// out-of-range vertices are skipped. Runs the block through the same
-  /// TopKBatch path as Build. Pass the same `mrho` as Build so refreshed
+  /// out-of-range vertices are skipped. The one block loop of the table:
+  /// vertex blocks of `block_size`, each ranked with one hr.TopKBatch call
+  /// and written straight into the arena, over `threads` (Build's; other
+  /// callers rank serially). Pass the same `mrho` as Build so refreshed
   /// rows keep their precomputed path embeddings.
-  /// Like Build, `options` makes the refresh deadline-aware: vertices not
-  /// reached before expiry stay pending with their previous rows intact.
-  /// Vertices successfully re-ranked are removed from the pending set, so
-  /// a Refresh over Pending() completes a deadline-degraded Build.
+  /// `options` is probed once per block: vertices not reached before expiry
+  /// stay pending with their previous rows intact. Vertices re-ranked are
+  /// removed from the pending set, so a Refresh over Pending() completes a
+  /// deadline-degraded Build.
   /// Replaced rows stay in the arena as dead bytes until they outweigh the
   /// live ones; then the table compacts. Spans from Get() do not survive a
   /// Refresh.
   void Refresh(int graph, const Graph& g, std::span<const VertexId> vertices,
                const DescendantRanker& hr, const JointVocab& vocab,
                const PathScorer* mrho = nullptr,
-               const RunOptions& options = {});
+               const RunOptions& options = {}, size_t threads = 1,
+               size_t block_size = kDefaultBuildBlock);
 
   /// Vertices of `graph` whose rows were skipped because a Build/Refresh
   /// deadline expired (sorted). Empty for a completed table.
@@ -169,9 +149,6 @@ class PropertyTable {
   Status LoadState(ByteReader* r);
 
  private:
-  /// Replaces the row of (graph, v) with `row`, copied into the arena.
-  void SetRow(int graph, VertexId v, PropertyRow row);
-
   PropertyArena arena_;                // owns every row's storage
   std::vector<PropertyRow> table_[2];  // [graph][vertex]
   std::vector<VertexId> pending_[2];  // deadline-skipped vertices, sorted
@@ -304,12 +281,12 @@ class MatchEngine {
   /// VParaMatch, AllParaMatch and BSP round 0. Returns each pair's verdict
   /// at its turn, and leaves verdicts, witnesses and every evaluation
   /// counter (not the h_v/M_rho telemetry) exactly as a Match call per pair
-  /// would in a run that is not cut short. Consecutive pairs sharing u form a run whose candidate lists come
-  /// from one CandidateListsFor call; a pair whose first-level MaxSco bound
-  /// (Fig. 4 lines 12-14) misses delta is stored false straight from that
-  /// batch, with no optimistic placeholder. The deadline is probed once per
-  /// run, so bound-decided pairs of a run cut short still resolve as
-  /// disproved.
+  /// would in a run that is not cut short. Consecutive pairs sharing u
+  /// form a run whose candidate lists come from one CandidateListsFor
+  /// call; a pair whose first-level MaxSco bound (Fig. 4 lines 12-14)
+  /// misses delta is stored false straight from that batch, with no
+  /// optimistic placeholder. The deadline is probed once per run, so
+  /// bound-decided pairs of a run cut short still resolve as disproved.
   std::vector<bool> MatchRoots(std::span<const MatchPair> roots);
 
   /// Cached verdict for a pair, if any.
@@ -517,7 +494,6 @@ class MatchEngine {
   // ones; the arena then compacts (between evaluations, no span live).
   PropertyArena arena_;
   FlatTable<PropertyRow> ecache_[2];
-  RowStager stager_;  // scratch of PropertiesOf
 };
 
 /// Copies the counters of `ctx`'s shared scorers, table and index (the

@@ -6,10 +6,12 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "graph/graph.h"
+#include "common/bytes.h"
+#include "sim/scores.h"
 
 namespace her {
 
@@ -44,15 +46,43 @@ using PropertyRow = std::span<const Property>;
 /// pool for M_rho embeddings and one pool of Property records. Each pool
 /// bump-allocates from chunks that double in size up to kMaxChunk and never
 /// move, so a row handed out stays valid while more rows are added, and
-/// freeing the arena costs one free per chunk. Rows are never freed one by
-/// one: Release only counts their bytes as dead, and Compact copies the
-/// live rows into a fresh arena once the dead bytes outweigh the live
-/// ones. Not thread-safe.
+/// freeing the arena costs one free per chunk. Every row is written
+/// straight into the pools: from h_r output (the ranked Add), from a
+/// snapshot (Read) or from another row (the copying Add of compaction).
+/// Rows are never freed one by one: Release only counts their bytes as
+/// dead, and Compact copies the live rows into a fresh arena once the dead
+/// bytes outweigh the live ones. Not thread-safe.
 class PropertyArena {
  public:
+  /// Writes one vertex's ranked h_r output: each path's labels, the same
+  /// path in joint tokens (`vocab`'s mapping of `graph`) and, when `mrho`
+  /// is given, its M_rho embedding (PathScorer::EmbedPath), computed once
+  /// so every later h_rho against the property reuses it.
+  PropertyRow Add(std::span<const RankedProperty> ranked, int graph,
+                  const JointVocab& vocab, const PathScorer* mrho) {
+    Property* out = rows_.Alloc<Property>(ranked.size());
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      const RankedProperty& r = ranked[i];
+      const auto labels = Copy<LabelId>(&tokens_, r.path.labels);
+      int* joint = tokens_.Alloc<int>(labels.size());
+      std::ranges::transform(labels, joint, [&](LabelId l) {
+        return vocab.TokenOf(graph, l);
+      });
+      const std::span<const int> path(joint, labels.size());
+      ::new (static_cast<void*>(out + i)) Property{
+          .descendant = r.descendant,
+          .labels = labels,
+          .joint = path,
+          .embedding = mrho == nullptr
+                           ? std::span<const float>()
+                           : Copy<float>(&floats_, mrho->EmbedPath(path)),
+          .pra = r.pra};
+    }
+    return Added({out, ranked.size()});
+  }
+
   /// Copies `row`, paths included, into the arena.
   PropertyRow Add(PropertyRow row) {
-    if (row.empty()) return {};
     Property* out = rows_.Alloc<Property>(row.size());
     for (size_t i = 0; i < row.size(); ++i) {
       const Property& p = row[i];
@@ -63,8 +93,40 @@ class PropertyArena {
           .embedding = Copy<float>(&floats_, p.embedding),
           .pra = p.pra};
     }
-    used_bytes_ += Bytes(row);
-    return {out, row.size()};
+    return Added({out, row.size()});
+  }
+
+  /// The snapshot codec of one row; Read decodes it straight into the
+  /// pools. Every count is bounded by the bytes left before anything is
+  /// allocated, so a corrupt length fails cleanly. A row cut short leaves
+  /// its partial bytes in the arena, uncounted; owners then drop the arena.
+  static void Write(ByteWriter* w, PropertyRow row) {
+    w->PutVarint(row.size());
+    for (const Property& p : row) {
+      w->PutVarint(p.descendant);
+      w->PutIntVec(p.labels);
+      w->PutIntVec(p.joint);
+      w->PutFloatVec(p.embedding);
+      w->PutDouble(p.pra);
+    }
+  }
+
+  Status Read(ByteReader* r, PropertyRow* row) {
+    uint64_t n = 0;
+    HER_RETURN_NOT_OK(r->GetCount(&n));
+    Property* out = rows_.Alloc<Property>(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      Property& p = *::new (static_cast<void*>(out + i)) Property{};
+      uint64_t descendant = 0;
+      HER_RETURN_NOT_OK(r->GetVarint(&descendant));
+      p.descendant = static_cast<VertexId>(descendant);
+      HER_RETURN_NOT_OK(ReadVec(r, &tokens_, &p.labels));
+      HER_RETURN_NOT_OK(ReadVec(r, &tokens_, &p.joint));
+      HER_RETURN_NOT_OK(ReadVec(r, &floats_, &p.embedding));
+      HER_RETURN_NOT_OK(r->GetDouble(&p.pra));
+    }
+    *row = Added({out, n});
+    return Status::OK();
   }
 
   /// Marks a row added earlier as dead; its bytes stay until compaction.
@@ -97,6 +159,7 @@ class PropertyArena {
     template <typename T>
     T* Alloc(size_t n) {
       static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      if (n == 0) return nullptr;
       const size_t bytes = n * sizeof(T);
       size_t at = (used_ + alignof(T) - 1) / alignof(T) * alignof(T);
       if (chunks_.empty() || at + bytes > cap_) {
@@ -119,10 +182,34 @@ class PropertyArena {
 
   template <typename T>
   static std::span<const T> Copy(Pool* pool, std::span<const T> src) {
-    if (src.empty()) return {};
     T* out = pool->Alloc<T>(src.size());
     std::copy(src.begin(), src.end(), out);
     return {out, src.size()};
+  }
+
+  /// Reads one PutIntVec (or, for floats, PutFloatVec) vector into `pool`.
+  template <typename T>
+  static Status ReadVec(ByteReader* r, Pool* pool, std::span<const T>* out) {
+    constexpr bool kFloat = std::is_same_v<T, float>;
+    uint64_t n = 0;
+    HER_RETURN_NOT_OK(r->GetCount(&n, kFloat ? sizeof(float) : 1));
+    T* p = pool->Alloc<T>(n);
+    for (uint64_t i = 0, x = 0; i < n; ++i) {
+      if constexpr (kFloat) {
+        HER_RETURN_NOT_OK(r->GetFloat(&p[i]));
+      } else {
+        HER_RETURN_NOT_OK(r->GetVarint(&x));
+        p[i] = static_cast<T>(x);
+      }
+    }
+    *out = {p, n};
+    return Status::OK();
+  }
+
+  /// Counts a row just written as live.
+  PropertyRow Added(PropertyRow row) {
+    used_bytes_ += Bytes(row);
+    return row;
   }
 
   static size_t Bytes(PropertyRow row) {

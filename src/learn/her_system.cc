@@ -13,6 +13,23 @@
 
 namespace her {
 
+namespace {
+
+/// h_r over (gd, g): LSTM-guided PRA once the LM is trained and enabled,
+/// plain PRA otherwise.
+std::unique_ptr<DescendantRanker> MakeRanker(const Graph& gd, const Graph& g,
+                                             const TrainedModels& models,
+                                             const HerConfig& config) {
+  if (config.use_lstm_ranker && models.lstm != nullptr) {
+    return std::make_unique<LstmPraRanker>(gd, g, models.vocab.get(),
+                                           models.lstm.get(),
+                                           config.ranker_max_len);
+  }
+  return std::make_unique<PraRanker>(gd, g, config.ranker_max_len);
+}
+
+}  // namespace
+
 HerSystem::HerSystem(const CanonicalGraph& canonical, const Graph& g,
                      HerConfig config)
     : canonical_(&canonical), g_(&g), config_(std::move(config)) {
@@ -50,15 +67,7 @@ void HerSystem::RebuildScorers() {
         std::make_unique<TokenOverlapPathScorer>(models_.vocab.get());
     mrho_ = std::make_unique<CachingPathScorer>(mrho_fallback_.get());
   }
-  if (config_.use_lstm_ranker && models_.lstm != nullptr) {
-    hr_ = std::make_unique<LstmPraRanker>(canonical_->graph(), *g_,
-                                          models_.vocab.get(),
-                                          models_.lstm.get(),
-                                          config_.ranker_max_len);
-  } else {
-    hr_ = std::make_unique<PraRanker>(canonical_->graph(), *g_,
-                                      config_.ranker_max_len);
-  }
+  hr_ = MakeRanker(canonical_->graph(), *g_, models_, config_);
   // hv_ was just replaced, so any IVF index over the previous embedding
   // matrix is stale; EnsureAnnIndex/TrainOrLoad rebuild or reload it.
   ann_.reset();
@@ -72,23 +81,7 @@ void HerSystem::RebuildScorers() {
 
 void HerSystem::Train(std::span<const PathPairExample> path_pairs,
                       std::span<const Annotation> validation) {
-  training_pairs_.assign(path_pairs.begin(), path_pairs.end());
-  models_ = TrainModels(canonical_->graph(), *g_, path_pairs, config_.learn);
-  RebuildScorers();
-  // Materialize h_r for every vertex (Section IV runs h_r as part of
-  // Learn); the BSP workers then share it read-only like the graphs.
-  properties_ = std::make_unique<PropertyTable>(PropertyTable::Build(
-      canonical_->graph(), *g_, *hr_, *models_.vocab, /*threads=*/4,
-      mrho_.get()));
-  ctx_.properties = properties_.get();
-  engine_ = std::make_unique<MatchEngine>(ctx_);
-  trained_ = true;
-  EnsureAnnIndex();
-  if (config_.tune_params && !validation.empty()) {
-    const RandomSearchResult tuned =
-        RandomSearchParams(ctx_, validation, config_.search);
-    SetParams(tuned.best);
-  }
+  TrainOrLoad("", path_pairs, validation);
 }
 
 void HerSystem::EnsureAnnIndex() {
@@ -184,7 +177,9 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
   // Open + validate the container (magic, version, CRCs, fingerprint);
   // any failure here means every section rebuilds cold.
   std::optional<SnapshotReader> snap;
-  if (config_.learn.train_word_embedder) {
+  if (snapshot_path.empty()) {
+    // Train(): nothing is read, logged or written.
+  } else if (config_.learn.train_word_embedder) {
     // TrainedWordEmbedder is not snapshot-covered; a warm start would
     // silently swap in the hashed embedder and change every h_v score.
     std::cerr << "her: snapshot skipped (word-embedder training is not "
@@ -201,56 +196,46 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
                 << std::endl;
     }
   }
+  // Restores one section through `load`, timed into snap_seconds. A
+  // section that is missing or fails to decode is logged with what
+  // happens `instead`. True when the section loaded.
+  const auto load_section = [&](const char* name, const char* instead,
+                                const auto& load) {
+    if (!snap.has_value()) return false;
+    WallTimer t;
+    auto sec = snap->Section(name);
+    const Status st = sec.ok() ? load(&sec.value()) : sec.status();
+    snap_seconds += t.Seconds();
+    if (!st.ok()) {
+      std::cerr << "her: snapshot " << name << " section rejected ("
+                << st.ToString() << "); " << instead << std::endl;
+    }
+    return st.ok();
+  };
 
   // Layer 1: model parameters. Training is deterministic given the
   // fingerprinted inputs, so a cold retrain of this section composes
   // correctly with warm later sections.
-  bool warm_models = false;
-  if (snap.has_value()) {
-    WallTimer t;
-    auto sec = snap->Section("models");
-    Status st = sec.ok() ? LoadModelsFromSnapshot(&sec.value())
-                         : sec.status();
-    snap_seconds += t.Seconds();
-    if (st.ok()) {
-      warm_models = true;
-    } else {
-      std::cerr << "her: snapshot models section rejected ("
-                << st.ToString() << "); retraining" << std::endl;
-    }
-  }
+  const bool warm_models = load_section(
+      "models", "retraining",
+      [&](ByteReader* r) { return LoadModelsFromSnapshot(r); });
   if (!warm_models) {
     models_ =
         TrainModels(canonical_->graph(), *g_, path_pairs, config_.learn);
   }
   RebuildScorers();
 
-  // Layer 1b: the materialized property table.
-  bool warm_ptable = false;
-  if (snap.has_value()) {
-    WallTimer t;
-    auto sec = snap->Section("ptable");
-    Status st = Status::OK();
-    if (sec.ok()) {
-      PropertyTable table;
-      st = table.LoadState(&sec.value());
-      if (st.ok()) {
-        properties_ = std::make_unique<PropertyTable>(std::move(table));
-        warm_ptable = true;
-      }
-    } else {
-      st = sec.status();
-    }
-    snap_seconds += t.Seconds();
-    if (!st.ok()) {
-      std::cerr << "her: snapshot ptable section rejected ("
-                << st.ToString() << "); rebuilding" << std::endl;
-    }
-  }
+  // Layer 1b: the materialized property table. Section IV runs h_r as
+  // part of Learn; the BSP workers then share it read-only like the
+  // graphs. A failed LoadState leaves the table as it was (empty).
+  properties_ = std::make_unique<PropertyTable>();
+  const bool warm_ptable = load_section(
+      "ptable", "rebuilding",
+      [&](ByteReader* r) { return properties_->LoadState(r); });
   if (!warm_ptable) {
-    properties_ = std::make_unique<PropertyTable>(PropertyTable::Build(
-        canonical_->graph(), *g_, *hr_, *models_.vocab, /*threads=*/4,
-        mrho_.get()));
+    *properties_ = PropertyTable::Build(canonical_->graph(), *g_, *hr_,
+                                        *models_.vocab, /*threads=*/4,
+                                        mrho_.get());
   }
   ctx_.properties = properties_.get();
   engine_ = std::make_unique<MatchEngine>(ctx_);
@@ -260,60 +245,30 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
   // embedding matrix via its digest: a stale section (embeddings changed)
   // or a missing one (snapshot predates ANN mode) rebuilds just the
   // index, never the models above it.
-  bool warm_ann = true;
-  if (config_.candidate_gen.mode == CandidateMode::kAnn) {
-    warm_ann = false;
-    if (snap.has_value()) {
-      WallTimer t;
-      auto sec = snap->Section("ann_index");
-      Status st = Status::OK();
-      if (sec.ok()) {
+  const bool warm_ann =
+      config_.candidate_gen.mode != CandidateMode::kAnn ||
+      load_section("ann_index", "rebuilding", [&](ByteReader* r) {
         auto loaded = std::make_unique<IvfIndex>();
-        st = loaded->LoadState(&sec.value(), *hv_);
-        if (st.ok()) {
-          ann_ = std::move(loaded);
-          warm_ann = true;
-        }
-      } else {
-        st = sec.status();
-      }
-      snap_seconds += t.Seconds();
-      if (!st.ok()) {
-        std::cerr << "her: snapshot ann_index section rejected ("
-                  << st.ToString() << "); rebuilding" << std::endl;
-      }
-    }
-    EnsureAnnIndex();  // no-op when the load above succeeded
-  }
+        HER_RETURN_NOT_OK(loaded->LoadState(r, *hv_));
+        ann_ = std::move(loaded);
+        return Status::OK();
+      });
+  EnsureAnnIndex();  // no-op when loaded or outside ANN mode
 
   // Tuned thresholds: restoring them skips the random search (and is what
   // makes the verdict cache below safe to reuse — verdicts are only valid
   // under the thresholds they were computed with).
-  bool warm_params = false;
-  if (snap.has_value()) {
-    WallTimer t;
-    auto sec = snap->Section("params");
-    Status st = Status::OK();
-    if (sec.ok()) {
-      SimulationParams p;
-      uint64_t k = 0;
-      st = sec->GetDouble(&p.sigma);
-      if (st.ok()) st = sec->GetDouble(&p.delta);
-      if (st.ok()) st = sec->GetVarint(&k);
-      if (st.ok()) {
+  const bool warm_params =
+      load_section("params", "re-tuning", [&](ByteReader* r) {
+        SimulationParams p;
+        uint64_t k = 0;
+        HER_RETURN_NOT_OK(r->GetDouble(&p.sigma));
+        HER_RETURN_NOT_OK(r->GetDouble(&p.delta));
+        HER_RETURN_NOT_OK(r->GetVarint(&k));
         p.k = static_cast<int>(k);
         SetParams(p);
-        warm_params = true;
-      }
-    } else {
-      st = sec.status();
-    }
-    snap_seconds += t.Seconds();
-    if (!st.ok()) {
-      std::cerr << "her: snapshot params section rejected ("
-                << st.ToString() << "); re-tuning" << std::endl;
-    }
-  }
+        return Status::OK();
+      });
   if (!warm_params && config_.tune_params && !validation.empty()) {
     const RandomSearchResult tuned =
         RandomSearchParams(ctx_, validation, config_.search);
@@ -323,24 +278,19 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
   // Layer 2: the engine's verdict cache. Bound to the thresholds, so it is
   // only restored when the exact params it was saved under are in effect
   // (i.e. the params section validated).
-  if (snap.has_value() && warm_params) {
-    WallTimer t;
-    auto es = snap->Section("engine_state");
-    Status st = es.ok() ? engine_->LoadEngineState(&es.value())
-                        : es.status();
-    snap_seconds += t.Seconds();
-    if (!st.ok()) {
-      std::cerr << "her: snapshot engine state rejected ("
-                << st.ToString() << "); starting with cold caches"
-                << std::endl;
-      engine_ = std::make_unique<MatchEngine>(ctx_);  // drop partial load
-    }
+  const auto load_engine = [&](ByteReader* r) {
+    return engine_->LoadEngineState(r);
+  };
+  if (warm_params && !load_section("engine_state",
+                                   "starting with cold caches", load_engine)) {
+    engine_ = std::make_unique<MatchEngine>(ctx_);  // drop partial load
   }
   engine_->RecordSnapshotLoad(snap_seconds);
 
   // Self-priming: whenever anything was rebuilt, persist the refreshed
   // snapshot so the next restart starts fully warm.
-  if (!warm_models || !warm_ptable || !warm_params || !warm_ann) {
+  if (!snapshot_path.empty() &&
+      (!warm_models || !warm_ptable || !warm_params || !warm_ann)) {
     const Status st = SaveSnapshot(snapshot_path, env);
     if (!st.ok()) {
       std::cerr << "her: snapshot save failed (" << st.ToString() << ")"
@@ -545,15 +495,7 @@ void HerSystem::UpdateGraph(const Graph& new_g, const RunOptions& options) {
   HER_CHECK(models_.vocab->RebindGraph(1, *g_).ok());
   // The ranker walks the graph; rebind it to the new version. Labels are
   // unchanged, so M_v / M_rho / the vocabulary stay as trained.
-  if (config_.use_lstm_ranker && models_.lstm != nullptr) {
-    hr_ = std::make_unique<LstmPraRanker>(canonical_->graph(), *g_,
-                                          models_.vocab.get(),
-                                          models_.lstm.get(),
-                                          config_.ranker_max_len);
-  } else {
-    hr_ = std::make_unique<PraRanker>(canonical_->graph(), *g_,
-                                      config_.ranker_max_len);
-  }
+  hr_ = MakeRanker(canonical_->graph(), *g_, models_, config_);
   ctx_.hr = hr_.get();
   if (properties_ != nullptr) {
     properties_->Refresh(1, *g_, affected, *hr_, *models_.vocab, mrho_.get(),
@@ -573,19 +515,14 @@ bool HerSystem::UpdateComplete() const {
 
 Status HerSystem::CompleteUpdate(const RunOptions& options) {
   if (UpdateComplete()) return Status::OK();
-  // Pending() shrinks as rows are re-ranked; copy the spans since Refresh
-  // mutates the underlying pending sets.
-  const auto pending0 = properties_->Pending(0);
-  if (!pending0.empty()) {
-    const std::vector<VertexId> rows(pending0.begin(), pending0.end());
-    properties_->Refresh(0, canonical_->graph(), rows, *hr_, *models_.vocab,
+  const Graph* graphs[2] = {&canonical_->graph(), g_};
+  for (int gi = 0; gi < 2; ++gi) {
+    // Refresh edits the pending set, so it ranks a copy.
+    const auto pending = properties_->Pending(gi);
+    if (pending.empty()) continue;
+    const std::vector<VertexId> rows(pending.begin(), pending.end());
+    properties_->Refresh(gi, *graphs[gi], rows, *hr_, *models_.vocab,
                          mrho_.get(), options);
-  }
-  const auto pending1 = properties_->Pending(1);
-  if (!pending1.empty()) {
-    const std::vector<VertexId> rows(pending1.begin(), pending1.end());
-    properties_->Refresh(1, *g_, rows, *hr_, *models_.vocab, mrho_.get(),
-                         options);
   }
   if (properties_->Complete()) return Status::OK();
   return Status::ResourceExhausted(

@@ -62,7 +62,8 @@ class HerSystem {
   HerSystem(const CanonicalGraph& canonical, const Graph& g, HerConfig config);
 
   /// Trains the parameter functions (module Learn) and, when configured,
-  /// tunes (sigma, delta, k) on the validation pairs by random search.
+  /// tunes (sigma, delta, k) on the validation pairs by random search:
+  /// TrainOrLoad's cold path, with no snapshot read or written.
   void Train(std::span<const PathPairExample> path_pairs,
              std::span<const Annotation> validation);
 
@@ -73,7 +74,8 @@ class HerSystem {
   /// with the reason logged — never a crash, never silently wrong — and
   /// the refreshed snapshot is written back atomically. Time spent
   /// restoring surfaces as Stats::snapshot_load_seconds; a fully warm
-  /// start leaves Stats::ptable_build_seconds at zero.
+  /// start leaves Stats::ptable_build_seconds at zero. An empty
+  /// `snapshot_path` is Train().
   void TrainOrLoad(const std::string& snapshot_path,
                    std::span<const PathPairExample> path_pairs,
                    std::span<const Annotation> validation,

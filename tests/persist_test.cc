@@ -41,6 +41,7 @@ namespace her {
 namespace {
 
 using testutil::ContextHarness;
+using testutil::EmbeddingOverlapScorer;
 using testutil::ItemRoots;
 using testutil::RandomEntityGraphs;
 
@@ -281,12 +282,43 @@ TEST(PropertyTablePersistTest, SaveLoadRoundTripsBitExactly) {
   ByteWriter w2;
   restored.SaveState(&w2);
   EXPECT_EQ(w.data(), w2.data());
-  // A corrupted payload is a clean error, never a crash.
-  std::string bad = w.data();
-  bad.resize(bad.size() / 2);
-  PropertyTable scratch;
-  ByteReader rb(bad);
-  EXPECT_FALSE(scratch.LoadState(&rb).ok());
+}
+
+/// Rows decode straight into the arena, so a cut can land mid-row, mid-
+/// vector or mid-float: every proper prefix of a table's SaveState bytes
+/// must be a clean error that leaves the loading table exactly as it was.
+TEST(PropertyTablePersistTest, EveryTruncationFailsAndLeavesTableUnchanged) {
+  auto [g1, g2] = RandomEntityGraphs(11, 2);
+  ContextHarness h(std::move(g1), std::move(g2), TestParams());
+  const EmbeddingOverlapScorer mrho(h.vocab.get());
+  const PropertyTable built =
+      PropertyTable::Build(h.g1, h.g2, *h.hr, *h.vocab, 1, &mrho);
+  ASSERT_FALSE(built.Get(0, ItemRoots(h.g1).front(), 4).front()
+                   .embedding.empty());
+  ByteWriter w;
+  built.SaveState(&w);
+  // The loading table differs from `built`: its rows carry no
+  // embeddings, and it has a pending set.
+  PropertyTable table =
+      PropertyTable::Build(h.g1, h.g2, *h.hr, *h.vocab, 1, nullptr);
+  std::vector<VertexId> odd;
+  for (VertexId v = 1; v < h.g2.num_vertices(); v += 2) odd.push_back(v);
+  table.Refresh(1, h.g2, odd, *h.hr, *h.vocab, nullptr,
+                RunOptions::WithTimeout(std::chrono::seconds(0)));
+  ASSERT_FALSE(table.Complete());
+  ByteWriter before;
+  table.SaveState(&before);
+  ASSERT_NE(before.data(), w.data());
+  for (size_t len = 0; len < w.data().size(); ++len) {
+    ByteReader r(std::string_view(w.data()).substr(0, len));
+    ASSERT_FALSE(table.LoadState(&r).ok()) << "prefix " << len;
+    ByteWriter after;
+    table.SaveState(&after);
+    ASSERT_EQ(after.data(), before.data()) << "prefix " << len;
+  }
+  ByteReader whole(w.data());
+  ASSERT_TRUE(table.LoadState(&whole).ok());
+  EXPECT_TRUE(table == built);
 }
 
 TEST(PropertyTablePersistTest, ExpiredBuildDegradesAndRefreshCompletes) {

@@ -14,6 +14,7 @@ namespace her {
 namespace {
 
 using testutil::ContextHarness;
+using testutil::EmbeddingOverlapScorer;
 using testutil::ItemRoots;
 using testutil::RandomEntityGraphs;
 
@@ -268,18 +269,6 @@ TEST(PropertyTableTest, GetOutOfRangeReturnsEmpty) {
 }
 
 // --- property-row arena --------------------------------------------------
-
-/// Token-overlap M_rho with a deterministic per-token path embedding, so
-/// ranked rows fill all three arena pools (tokens, floats, rows).
-class EmbeddingOverlapScorer : public TokenOverlapPathScorer {
- public:
-  using TokenOverlapPathScorer::TokenOverlapPathScorer;
-  Vec EmbedPath(std::span<const int> p) const override {
-    Vec out;
-    for (const int t : p) out.push_back(0.5f * static_cast<float>(t) + 0.25f);
-    return out;
-  }
-};
 
 /// A lazy-ecache engine (no PropertyTable) over the harness graphs, with
 /// the embedding scorer as M_rho.

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,18 @@
 #include "core/match_engine.h"
 
 namespace her::testutil {
+
+/// Token-overlap M_rho with a deterministic per-token path embedding, so
+/// ranked rows fill all three arena pools (tokens, floats, rows).
+class EmbeddingOverlapScorer : public TokenOverlapPathScorer {
+ public:
+  using TokenOverlapPathScorer::TokenOverlapPathScorer;
+  Vec EmbedPath(std::span<const int> p) const override {
+    Vec out;
+    for (const int t : p) out.push_back(0.5f * static_cast<float>(t) + 0.25f);
+    return out;
+  }
+};
 
 /// Owns a MatchContext over two graphs with the deterministic test scorers
 /// (token-Jaccard h_v, token-overlap M_rho, PRA-only h_r).
