@@ -6,7 +6,9 @@
 // live walk), each fanned across 1/4/8 ParallelFor threads. The two
 // builds are bit-identical by construction; this binary asserts that
 // before reporting. Writes before/after numbers to BENCH_hr.json (path
-// overridable via argv[1]); `--smoke` runs a reduced workload for CI.
+// overridable via argv[1]), whose header records the host (nproc, build
+// type, git commit) the thread counts ran on; `--smoke` runs a reduced
+// workload for CI.
 // Exit code 2 means the 2x 8-thread speedup target was missed.
 
 #include <cstdio>
@@ -100,7 +102,7 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n"
-      << her::bench::JsonPeakRssField()
+      << her::bench::JsonPeakRssField() << her::bench::JsonHostFields()
       << "  \"workload\": \"bench_fig6_scalability synthetic (ScalingSpec("
       << (smoke ? 150 : 1200) << "))\",\n"
       << "  \"gd_vertices\": " << ctx.gd->num_vertices() << ",\n"

@@ -65,6 +65,42 @@ void BM_VertexScoreBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexScoreBatch)->Arg(64)->Arg(512);
 
+void BM_VertexScoreMatrix(benchmark::State& state) {
+  // The h_v matrix kernel at CandidateListsFor's shape: one ScoreMatrix
+  // call of range(0) u vertices (a tuple's k property descendants) over
+  // range(1) candidate descendants. range(2) picks the scorer: 0 is the
+  // trained system's EmbeddingVertexScorer, 1 the JaccardVertexScorer of
+  // apair-scale. Compare per-pair cost against the 1-row case (one
+  // ScoreBatch) and BM_VertexScore.
+  BenchSystem& bs = Shared();
+  const auto& ctx = bs.system->context();
+  const JaccardVertexScorer jaccard(*ctx.gd, *ctx.g);
+  const VertexScorer* hv = state.range(2) == 0 ? ctx.hv : &jaccard;
+  state.SetLabel(state.range(2) == 0 ? "embedding" : "jaccard");
+  const size_t nu = static_cast<size_t>(state.range(0));
+  const size_t nv =
+      std::min<size_t>(state.range(1), bs.data.g.num_vertices());
+  std::vector<VertexId> us(nu);
+  std::vector<VertexId> vs(nv);
+  for (size_t i = 0; i < nu; ++i) {
+    us[i] = static_cast<VertexId>(i % ctx.gd->num_vertices());
+  }
+  for (size_t j = 0; j < nv; ++j) vs[j] = static_cast<VertexId>(j);
+  std::vector<double> out(nu * nv);
+  for (auto _ : state) {
+    hv->ScoreMatrix(us, vs, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * nu * nv);
+}
+BENCHMARK(BM_VertexScoreMatrix)
+    ->Args({6, 64, 0})
+    ->Args({6, 512, 0})
+    ->Args({1, 512, 0})
+    ->Args({6, 64, 1})
+    ->Args({6, 512, 1})
+    ->Args({1, 512, 1});
+
 /// Shared memo-probe workload: `entries` resident PairKeys plus a probe
 /// stream drawn from twice that key space (~50% hit rate).
 struct MemoWorkload {
@@ -271,6 +307,29 @@ void BM_PathScoreBatchTrained(benchmark::State& state) {
       static_cast<double>(ctx.mrho->BatchCalls());
 }
 BENCHMARK(BM_PathScoreBatchTrained)->Arg(16)->Arg(256);
+
+void BM_PathScoreTokenOverlap(benchmark::State& state) {
+  // The training-free M_rho of apair-scale over the trained system's joint
+  // vocabulary: 256 fixed pairs of 1-4 token paths, scored in turn.
+  BenchSystem& bs = Shared();
+  const auto& ctx = bs.system->context();
+  const TokenOverlapPathScorer mrho(ctx.vocab);
+  Rng rng(11);
+  std::vector<std::vector<int>> p1s(256), p2s(256);
+  for (size_t i = 0; i < p1s.size(); ++i) {
+    for (auto* p : {&p1s[i], &p2s[i]}) {
+      p->resize(1 + rng.Below(4));
+      for (int& t : *p) t = static_cast<int>(rng.Below(ctx.vocab->size()));
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mrho.Score(p1s[i], p2s[i]));
+    i = (i + 1) % p1s.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PathScoreTokenOverlap);
 
 void BM_RankerTopK(benchmark::State& state) {
   BenchSystem& bs = Shared();

@@ -18,15 +18,14 @@
 // Pi. Gates (exit 2, full mode): the varint-delta wire format ships >= 2x
 // fewer bytes than the raw struct exchange, and kEdgeCut exchanges no
 // more cross-fragment messages than kHash. Writes BENCH_scale.json (path
-// overridable via argv[1]), whose header records the host's nproc and the
-// build type so worker-scaling numbers can be read against the host;
-// --smoke runs only the 10k tier for CI.
+// overridable via argv[1]), whose header records the host's nproc, the
+// build type and the git commit (JsonHostFields) so worker-scaling numbers
+// can be read against the host; --smoke runs only the 10k tier for CI.
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -263,9 +262,7 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n"
-      << JsonPeakRssField()
-      << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
-      << "  \"build_type\": \"" << HER_BUILD_TYPE << "\",\n"
+      << JsonPeakRssField() << JsonHostFields()
       << "  \"repeats\": " << repeats << ",\n"
       << "  \"workload\": \"parallel datagen ScalingSpec tiers, "
          "ground-truth + shifted candidate pairs, deterministic scorers\",\n"

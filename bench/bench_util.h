@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/baseline.h"
@@ -136,6 +137,31 @@ inline void PrintHeader(const std::string& first,
 /// memory footprint of producing it. Renders 0 where /proc is missing.
 inline std::string JsonPeakRssField() {
   return "  \"peak_rss_bytes\": " + std::to_string(PeakRssBytes()) + ",\n";
+}
+
+/// The host fields of a BENCH_*.json header: nproc, the CMake build type
+/// and the git commit of the source tree the bench was built from ("-dirty"
+/// when it has uncommitted changes; null outside a git checkout), so
+/// thread-scaling numbers can be read against the host that made them.
+inline std::string JsonHostFields() {
+  std::string sha = "null";
+  const std::string cmd = "git -C \"" HER_SOURCE_DIR
+                          "\" describe --always --dirty --abbrev=12 "
+                          "--exclude='*' 2>/dev/null";
+  if (FILE* p = popen(cmd.c_str(), "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), p) != nullptr) {
+      std::string line(buf);
+      while (!line.empty() && (line.back() == '\n' || line.back() == ' ')) {
+        line.pop_back();
+      }
+      if (!line.empty()) sha = "\"" + line + "\"";
+    }
+    pclose(p);
+  }
+  return "  \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ",\n  \"build_type\": \"" HER_BUILD_TYPE "\",\n  \"git_sha\": " +
+         sha + ",\n";
 }
 
 /// Item entity vertices of G (the v-side candidate pool for baselines).

@@ -63,39 +63,19 @@ inline unsigned char FoldCase(char c) {
   return static_cast<unsigned char>(c) | 0x20;
 }
 
-}  // namespace
-
-WordTokenSet::WordTokenSet(std::string_view s) {
-  ForEachWordToken(s, [&](std::string_view tok) {
-    Token t{0, tok.data(), static_cast<uint32_t>(tok.size())};
-    const size_t n = std::min<size_t>(tok.size(), 8);
-    for (size_t i = 0; i < n; ++i) {
-      t.head |= static_cast<uint64_t>(FoldCase(tok[i])) << (56 - 8 * i);
-    }
-    if (size_ < kInline) {
-      inline_[size_] = t;
-    } else {
-      if (size_ == kInline) heap_.assign(inline_, inline_ + kInline);
-      heap_.push_back(t);
-    }
-    ++size_;
-  });
-  if (size_ < 2) return;
-  Token* first = heap_.empty() ? inline_ : heap_.data();
-  Token* last = first + size_;
-  std::sort(first, last,
-            [](const Token& a, const Token& b) { return Compare(a, b) < 0; });
-  size_ = std::unique(first, last,
-                      [](const Token& a, const Token& b) {
-                        return Compare(a, b) == 0;
-                      }) -
-          first;
+WordToken MakeToken(std::string_view tok) {
+  WordToken t{0, tok.data(), static_cast<uint32_t>(tok.size())};
+  const size_t n = std::min<size_t>(tok.size(), 8);
+  for (size_t i = 0; i < n; ++i) {
+    t.head |= static_cast<uint64_t>(FoldCase(tok[i])) << (56 - 8 * i);
+  }
+  return t;
 }
 
 // Lexicographic order of the lowercased tokens. Tokens hold no zero byte,
 // so equal heads of two tokens of at most 8 bytes mean equal tokens, and a
 // head of 8 non-zero bytes means the token is at least 8 bytes long.
-int WordTokenSet::Compare(const Token& a, const Token& b) {
+int Compare(const WordToken& a, const WordToken& b) {
   if (a.head != b.head) return a.head < b.head ? -1 : 1;
   const uint32_t n = std::min(a.size, b.size);
   for (uint32_t i = 8; i < n; ++i) {
@@ -105,6 +85,77 @@ int WordTokenSet::Compare(const Token& a, const Token& b) {
   }
   if (a.size == b.size) return 0;
   return a.size < b.size ? -1 : 1;
+}
+
+// Sorts [first, first + n) and drops repeated tokens; returns the count
+// left.
+size_t SortUnique(WordToken* first, size_t n) {
+  if (n < 2) return n;
+  WordToken* last = first + n;
+  std::sort(first, last, [](const WordToken& a, const WordToken& b) {
+    return Compare(a, b) < 0;
+  });
+  return std::unique(first, last,
+                     [](const WordToken& a, const WordToken& b) {
+                       return Compare(a, b) == 0;
+                     }) -
+         first;
+}
+
+// |A n B| / |A u B| of two sorted, de-duplicated token lists by a merge;
+// 1.0 when both are empty.
+double MergeJaccard(const WordToken* a, size_t na, const WordToken* b,
+                    size_t nb) {
+  if (na == 0 && nb == 0) return 1.0;
+  size_t i = 0, j = 0, inter = 0;
+  while (i < na && j < nb) {
+    const int c = Compare(a[i], b[j]);
+    if (c <= 0) ++i;
+    if (c >= 0) ++j;
+    if (c == 0) ++inter;
+  }
+  const size_t uni = na + nb - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+}  // namespace
+
+WordTokenSet::WordTokenSet(std::string_view s) {
+  ForEachWordToken(s, [&](std::string_view tok) {
+    const WordToken t = MakeToken(tok);
+    if (size_ < kInline) {
+      inline_[size_] = t;
+    } else {
+      if (size_ == kInline) heap_.assign(inline_, inline_ + kInline);
+      heap_.push_back(t);
+    }
+    ++size_;
+  });
+  size_ = SortUnique(heap_.empty() ? inline_ : heap_.data(), size_);
+}
+
+double TokenJaccard(const WordTokenSet& a, const WordTokenSet& b) {
+  return MergeJaccard(a.tokens(), a.size_, b.tokens(), b.size_);
+}
+
+void WordTokenRows::Add(std::string_view s) {
+  const size_t begin = offsets_.back();
+  ForEachWordToken(
+      s, [&](std::string_view tok) { tokens_.push_back(MakeToken(tok)); });
+  tokens_.resize(begin +
+                 SortUnique(tokens_.data() + begin, tokens_.size() - begin));
+  offsets_.push_back(tokens_.size());
+}
+
+void WordTokenRows::JaccardRow(size_t a, size_t first,
+                               std::span<double> out) const {
+  const WordToken* ta = tokens_.data() + offsets_[a];
+  const size_t na = offsets_[a + 1] - offsets_[a];
+  for (size_t j = 0; j < out.size(); ++j) {
+    const size_t b = first + j;
+    out[j] = MergeJaccard(ta, na, tokens_.data() + offsets_[b],
+                          offsets_[b + 1] - offsets_[b]);
+  }
 }
 
 std::vector<std::string> CharNgrams(std::string_view s, int n) {
@@ -147,22 +198,6 @@ double NormalizedEditSimilarity(std::string_view a, std::string_view b) {
   const size_t m = std::max(a.size(), b.size());
   if (m == 0) return 1.0;
   return 1.0 - static_cast<double>(EditDistance(a, b)) / static_cast<double>(m);
-}
-
-double TokenJaccard(const WordTokenSet& a, const WordTokenSet& b) {
-  if (a.size_ == 0 && b.size_ == 0) return 1.0;
-  // Sorted merge of the two de-duplicated token lists.
-  const WordTokenSet::Token* ta = a.tokens();
-  const WordTokenSet::Token* tb = b.tokens();
-  size_t i = 0, j = 0, inter = 0;
-  while (i < a.size_ && j < b.size_) {
-    const int c = WordTokenSet::Compare(ta[i], tb[j]);
-    if (c <= 0) ++i;
-    if (c >= 0) ++j;
-    if (c == 0) ++inter;
-  }
-  const size_t uni = a.size_ + b.size_ - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 double TokenJaccard(std::string_view a, std::string_view b) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +64,15 @@ void ForEachWordToken(std::string_view s, Fn&& fn) {
 /// land in the same token space. ForEachWordToken plus a lowercasing copy.
 std::vector<std::string> WordTokens(std::string_view s);
 
+/// One case-folded word token, as a view into its string: the first 8
+/// lowercased bytes big-endian and zero-padded in `head`, so most
+/// comparisons stop at one integer compare.
+struct WordToken {
+  uint64_t head;
+  const char* data;
+  uint32_t size;
+};
+
 /// The distinct WordTokens of one string, sorted and de-duplicated without
 /// copying: each token is a view into the string, compared ASCII
 /// case-insensitively. The string must outlive the set. Up to kInline
@@ -79,26 +89,46 @@ class WordTokenSet {
   friend double TokenJaccard(const WordTokenSet& a, const WordTokenSet& b);
 
  private:
-  struct Token {
-    uint64_t head;  // first 8 lowercased bytes, big-endian, zero-padded
-    const char* data;
-    uint32_t size;
-  };
-  static int Compare(const Token& a, const Token& b);
-  const Token* tokens() const {
+  const WordToken* tokens() const {
     return heap_.empty() ? inline_ : heap_.data();
   }
 
   // Only the first size_ entries are ever read (none once spilled), so the
   // array is left uninitialized: zeroing it costs about a tenth of a score.
-  Token inline_[kInline];
-  std::vector<Token> heap_;
+  WordToken inline_[kInline];
+  std::vector<WordToken> heap_;
   size_t size_ = 0;
 };
 
 /// |A n B| / |A u B| of the two token sets; 1.0 when both are empty.
 /// Allocates nothing.
 double TokenJaccard(const WordTokenSet& a, const WordTokenSet& b);
+
+/// The WordTokenSets of many strings in one flat buffer: row r holds the
+/// distinct tokens of the r-th added string, sorted, as views into that
+/// string (which must outlive the rows). A batched scorer tokenizes each
+/// string once and then meets rows pairwise; Clear keeps the capacity, so
+/// a reused instance allocates nothing once warm.
+class WordTokenRows {
+ public:
+  /// Appends the row of `s` as row size() - 1.
+  void Add(std::string_view s);
+
+  void Clear() {
+    tokens_.clear();
+    offsets_.assign(1, 0);
+  }
+
+  size_t size() const { return offsets_.size() - 1; }
+
+  /// Row a against the out.size() rows from `first` on: out[j] is the
+  /// TokenJaccard of the strings of rows a and first + j, bit for bit.
+  void JaccardRow(size_t a, size_t first, std::span<double> out) const;
+
+ private:
+  std::vector<WordToken> tokens_;
+  std::vector<size_t> offsets_{0};  // row r = [offsets_[r], offsets_[r + 1])
+};
 
 /// Lowercased character n-grams of the concatenated word tokens (padded with
 /// '#'). Used for char-level feature hashing and the JedAI-style baseline.

@@ -247,19 +247,23 @@ MatchEngine::CandidateLists MatchEngine::CandidateListsFor(
     }
   }
 
-  // Sigma filter (Fig. 4 line 8): one batched h_v evaluation per selected
-  // descendant of u over the union. Survivors are appended in (i, row, j)
-  // order, so list (row, i) is one contiguous segment of `cands`.
-  std::vector<double> hv(vs.size());
+  // Sigma filter (Fig. 4 line 8): one h_v matrix of u's selected
+  // descendants (row i) over the union (column). Survivors are appended in
+  // (i, row, j) order, so list (row, i) is one contiguous segment of
+  // `cands`.
+  std::vector<VertexId> us(pu.size());
+  for (size_t i = 0; i < pu.size(); ++i) us[i] = pu[i].descendant;
+  std::vector<double> hv(us.size() * vs.size());
+  if (!us.empty() && !vs.empty()) ctx_.hv->ScoreMatrix(us, vs, hv);
   std::vector<EmbeddedPath> p1s, p2s;
   out.offsets.reserve(pu.size() * pvs.size() + 1);
   out.offsets.push_back(0);
   for (size_t i = 0; i < pu.size(); ++i) {
-    if (!vs.empty()) ctx_.hv->ScoreBatch(pu[i].descendant, vs, hv);
+    const double* hv_i = hv.data() + i * vs.size();
     size_t base = 0;  // first `at` entry of the current row
     for (const auto& pv : pvs) {
       for (size_t j = 0; j < pv.size(); ++j) {
-        if (hv[at[base + j]] < sigma) continue;
+        if (hv_i[at[base + j]] < sigma) continue;
         p1s.push_back(OperandOf(pu[i]));
         p2s.push_back(OperandOf(pv[j]));
         if (!pu[i].embedding.empty()) ++stats_.hrho_embed_reuse;

@@ -189,7 +189,7 @@ class MatchEngine {
     // --- h_v kernel telemetry (snapshots of the context's scorer, which
     // is shared: across engines these are global counters, not per-engine
     // deltas; SnapshotContextStats assigns them, never sums) ---
-    size_t hv_batch_calls = 0;     // ScoreBatch invocations
+    size_t hv_batch_calls = 0;     // ScoreBatch/ScoreMatrix invocations
     // --- h_rho kernel telemetry. The first two are snapshots of the
     // shared PathScorer (same aggregation caveat as the h_v fields); the
     // rest are per-engine counters and sum across engines. ---
@@ -411,9 +411,10 @@ class MatchEngine {
     }
   };
   /// Builds the candidate lists of u's properties `pu` under each row of
-  /// `pvs` (the properties of v_r): one hv->ScoreBatch per property over
-  /// the sorted, de-duplicated union of the rows' descendants, and one
-  /// M_rho batch over the sigma-surviving pairs. Recursion passes one row.
+  /// `pvs` (the properties of v_r): one hv->ScoreMatrix of u's property
+  /// descendants over the sorted, de-duplicated union of the rows'
+  /// descendants, and one M_rho batch over the sigma-surviving pairs.
+  /// Recursion passes one row.
   CandidateLists CandidateListsFor(
       std::span<const Property> pu,
       std::span<const std::span<const Property>> pvs);

@@ -83,7 +83,9 @@ class PredicateNamer {
     if (!opaque_) return name;
     auto it = map_.find(name);
     if (it == map_.end()) {
-      it = map_.emplace(name, "r" + std::to_string(map_.size())).first;
+      it = map_.emplace(name,
+                        std::string("r").append(std::to_string(map_.size())))
+               .first;
     }
     return it->second;
   }

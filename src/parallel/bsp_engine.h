@@ -62,12 +62,12 @@ struct ParallelConfig {
   /// one fragment via inverted indices; HerSystem passes an owner keyed by
   /// the root tuple of u, which reproduces that placement (and is what
   /// makes APair scale: each u's ecache is computed on one worker only).
-  std::function<uint32_t(const MatchPair&)> pair_owner;
+  std::function<uint32_t(const MatchPair&)> pair_owner{};
   /// Fault-injection schedule for this run (borrowed, may be null; null
   /// costs the run one pointer check per probe).
   FaultInjector* faults = nullptr;
   /// Durable on-disk checkpoint/resume policy.
-  CheckpointOptions checkpoint;
+  CheckpointOptions checkpoint{};
   /// Per-worker memory budget in bytes; 0 = unlimited. Caps the pairs
   /// per encoded wire frame (a soft cap on message batches, not a hard
   /// allocator limit). Exceeding it costs an extra frame, never

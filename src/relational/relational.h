@@ -18,7 +18,7 @@ namespace her {
 struct AttributeDef {
   std::string name;
   bool is_foreign_key = false;
-  std::string ref_relation;  // set iff is_foreign_key
+  std::string ref_relation{};  // set iff is_foreign_key
 };
 
 /// Relation schema R = (A_1, ..., A_k).

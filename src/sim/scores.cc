@@ -1,6 +1,8 @@
 #include "sim/scores.h"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -21,6 +23,43 @@ double UnitFromDot(double dot) {
   return CosineToUnit(dot);
 }
 
+/// One R x C tile of h_v over embedding rows: out[r * stride + c] for the
+/// u rows `a` and the v rows `b`. Every pair keeps its own double
+/// accumulator and adds its products in index order, exactly as DotRows
+/// does, so each entry is bit-identical to the scalar Score.
+template <size_t R, size_t C>
+void DotTile(const float* const (&a)[R], const float* const (&b)[C],
+             size_t dim, double* out, size_t stride) {
+  double s[R][C] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    for (size_t r = 0; r < R; ++r) {
+      const double ad = a[r][d];
+      for (size_t c = 0; c < C; ++c) s[r][c] += ad * b[c][d];
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t c = 0; c < C; ++c) out[r * stride + c] = UnitFromDot(s[r][c]);
+  }
+}
+
+/// R u rows against every v row: four v rows per pass over the u rows, then
+/// the tail one at a time.
+template <size_t R>
+void DotRowsTimesAll(const float* const (&a)[R], const float* m2, size_t dim,
+                     std::span<const VertexId> vs, double* out) {
+  const size_t nv = vs.size();
+  auto row = [&](size_t j) { return m2 + static_cast<size_t>(vs[j]) * dim; };
+  size_t j = 0;
+  for (; j + 4 <= nv; j += 4) {
+    const float* const b[4] = {row(j), row(j + 1), row(j + 2), row(j + 3)};
+    DotTile<R, 4>(a, b, dim, out + j, nv);
+  }
+  for (; j < nv; ++j) {
+    const float* const b[1] = {row(j)};
+    DotTile<R, 1>(a, b, dim, out + j, nv);
+  }
+}
+
 }  // namespace
 
 void VertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
@@ -28,6 +67,15 @@ void VertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
   HER_DCHECK(vs.size() == out.size());
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
   for (size_t i = 0; i < vs.size(); ++i) out[i] = Score(u, vs[i]);
+}
+
+void VertexScorer::ScoreMatrix(std::span<const VertexId> us,
+                               std::span<const VertexId> vs,
+                               std::span<double> out) const {
+  HER_DCHECK(out.size() == us.size() * vs.size());
+  for (size_t i = 0; i < us.size(); ++i) {
+    ScoreBatch(us[i], vs, out.subspan(i * vs.size(), vs.size()));
+  }
 }
 
 EmbeddingVertexScorer::EmbeddingVertexScorer(
@@ -61,33 +109,26 @@ double EmbeddingVertexScorer::Score(VertexId u, VertexId v) const {
 void EmbeddingVertexScorer::ScoreBatch(VertexId u,
                                        std::span<const VertexId> vs,
                                        std::span<double> out) const {
-  HER_DCHECK(vs.size() == out.size());
+  ScoreMatrix({&u, 1}, vs, out);
+}
+
+void EmbeddingVertexScorer::ScoreMatrix(std::span<const VertexId> us,
+                                        std::span<const VertexId> vs,
+                                        std::span<double> out) const {
+  HER_DCHECK(out.size() == us.size() * vs.size());
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
-  const float* a = Row(0, u);
-  // Blocked GEMV: four candidate rows share one streaming pass over the
-  // u row. Each row keeps its own accumulator in index order, so results
-  // are bit-identical to the scalar DotRows path.
+  // Two u rows share each pass over four v rows: eight independent
+  // accumulator chains, and every v row loaded once per u pair. Scores go
+  // straight into `out`, so the kernel allocates nothing.
+  const float* m2 = matrix_[1].data();
   size_t i = 0;
-  for (; i + 4 <= vs.size(); i += 4) {
-    const float* b0 = Row(1, vs[i]);
-    const float* b1 = Row(1, vs[i + 1]);
-    const float* b2 = Row(1, vs[i + 2]);
-    const float* b3 = Row(1, vs[i + 3]);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t d = 0; d < dim_; ++d) {
-      const double ad = a[d];
-      s0 += ad * b0[d];
-      s1 += ad * b1[d];
-      s2 += ad * b2[d];
-      s3 += ad * b3[d];
-    }
-    out[i] = UnitFromDot(s0);
-    out[i + 1] = UnitFromDot(s1);
-    out[i + 2] = UnitFromDot(s2);
-    out[i + 3] = UnitFromDot(s3);
+  for (; i + 2 <= us.size(); i += 2) {
+    const float* const a[2] = {Row(0, us[i]), Row(0, us[i + 1])};
+    DotRowsTimesAll<2>(a, m2, dim_, vs, out.data() + i * vs.size());
   }
-  for (; i < vs.size(); ++i) {
-    out[i] = UnitFromDot(DotRows(a, Row(1, vs[i]), dim_));
+  if (i < us.size()) {
+    const float* const a[1] = {Row(0, us[i])};
+    DotRowsTimesAll<1>(a, m2, dim_, vs, out.data() + i * vs.size());
   }
 }
 
@@ -136,11 +177,22 @@ double JaccardVertexScorer::Score(VertexId u, VertexId v) const {
 
 void JaccardVertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
                                      std::span<double> out) const {
-  HER_DCHECK(vs.size() == out.size());
+  ScoreMatrix({&u, 1}, vs, out);
+}
+
+void JaccardVertexScorer::ScoreMatrix(std::span<const VertexId> us,
+                                      std::span<const VertexId> vs,
+                                      std::span<double> out) const {
+  HER_DCHECK(out.size() == us.size() * vs.size());
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
-  const WordTokenSet tu(g1_->label(u));
-  for (size_t i = 0; i < vs.size(); ++i) {
-    out[i] = TokenJaccard(tu, WordTokenSet(g2_->label(vs[i])));
+  // Rows [0, |us|) hold the u labels' tokens and rows |us| + j the label of
+  // vs[j]; each label is tokenized and sorted once per call.
+  thread_local WordTokenRows rows;
+  rows.Clear();
+  for (const VertexId u : us) rows.Add(g1_->label(u));
+  for (const VertexId v : vs) rows.Add(g2_->label(v));
+  for (size_t i = 0; i < us.size(); ++i) {
+    rows.JaccardRow(i, us.size(), out.subspan(i * vs.size(), vs.size()));
   }
 }
 
@@ -189,22 +241,51 @@ void MetricPathScorer::ScoreBatch(std::span<const EmbeddedPath> p1s,
   metric_->PredictBatch(rows, out);
 }
 
+TokenOverlapPathScorer::TokenOverlapPathScorer(const JointVocab* vocab) {
+  std::unordered_map<std::string, uint32_t> ids;
+  offsets_.reserve(vocab->size() + 1);
+  offsets_.push_back(0);
+  for (size_t t = 0; t < vocab->size(); ++t) {
+    const size_t begin = words_.size();
+    for (std::string& w : WordTokens(vocab->Name(static_cast<int>(t)))) {
+      const uint32_t next = static_cast<uint32_t>(ids.size());
+      words_.push_back(ids.try_emplace(std::move(w), next).first->second);
+    }
+    std::sort(words_.begin() + begin, words_.end());
+    words_.erase(std::unique(words_.begin() + begin, words_.end()),
+                 words_.end());
+    offsets_.push_back(static_cast<uint32_t>(words_.size()));
+  }
+}
+
 double TokenOverlapPathScorer::Score(std::span<const int> p1,
                                      std::span<const int> p2) const {
-  auto tokens_of = [&](std::span<const int> path) {
-    std::unordered_set<std::string> toks;
+  // Each path's word set is the sorted, de-duplicated union of its names'
+  // rows, built in per-thread scratch.
+  thread_local std::vector<uint32_t> ta, tb;
+  auto words_of = [&](std::span<const int> path, std::vector<uint32_t>& out) {
+    out.clear();
     for (const int t : path) {
-      for (auto& w : WordTokens(vocab_->Name(t))) toks.insert(std::move(w));
+      HER_DCHECK(t >= 0 && static_cast<size_t>(t) + 1 < offsets_.size());
+      out.insert(out.end(), words_.begin() + offsets_[t],
+                 words_.begin() + offsets_[t + 1]);
     }
-    return toks;
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
   };
-  const auto ta = tokens_of(p1);
-  const auto tb = tokens_of(p2);
+  words_of(p1, ta);
+  words_of(p2, tb);
   if (ta.empty() && tb.empty()) return 1.0;
-  size_t inter = 0;
-  for (const auto& t : ta) inter += tb.count(t);
+  size_t i = 0, j = 0, inter = 0;
+  while (i < ta.size() && j < tb.size()) {
+    const uint32_t a = ta[i];
+    const uint32_t b = tb[j];
+    if (a <= b) ++i;
+    if (a >= b) ++j;
+    if (a == b) ++inter;
+  }
   const size_t uni = ta.size() + tb.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
+  return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 namespace {

@@ -32,8 +32,19 @@ class VertexScorer {
   virtual void ScoreBatch(VertexId u, std::span<const VertexId> vs,
                           std::span<double> out) const;
 
-  /// Number of ScoreBatch invocations on this scorer (telemetry; feeds
-  /// MatchEngine::Stats::hv_batch_calls).
+  /// h_v over every pair of `us` x `vs`: out[i * vs.size() + j] =
+  /// Score(us[i], vs[j]) bit for bit, with out.size() == us.size() *
+  /// vs.size(). CandidateListsFor scores all of u's property descendants
+  /// against a run's descendants in one call, so a kernel can prepare each
+  /// vertex once per call. The default makes one ScoreBatch per u.
+  virtual void ScoreMatrix(std::span<const VertexId> us,
+                           std::span<const VertexId> vs,
+                           std::span<double> out) const;
+
+  /// Number of ScoreBatch and ScoreMatrix invocations on this scorer
+  /// (telemetry; feeds MatchEngine::Stats::hv_batch_calls). A scorer that
+  /// overrides ScoreMatrix counts one per call; the default counts its
+  /// ScoreBatch calls.
   size_t BatchCalls() const {
     return batch_calls_.load(std::memory_order_relaxed);
   }
@@ -47,8 +58,9 @@ class VertexScorer {
 /// embeddings.
 ///
 /// Embeddings are stored L2-normalized in one contiguous row-major matrix
-/// per graph, so Score is a single dot product (no norm re-derivation) and
-/// ScoreBatch is a blocked GEMV-style kernel over the candidate rows.
+/// per graph, so Score is a single dot product (no norm re-derivation).
+/// ScoreMatrix is a register-blocked kernel (two u rows by four v rows per
+/// pass) and ScoreBatch is its one-row case.
 class EmbeddingVertexScorer : public VertexScorer {
  public:
   EmbeddingVertexScorer(const Graph& g1, const Graph& g2,
@@ -63,6 +75,8 @@ class EmbeddingVertexScorer : public VertexScorer {
   double Score(VertexId u, VertexId v) const override;
   void ScoreBatch(VertexId u, std::span<const VertexId> vs,
                   std::span<double> out) const override;
+  void ScoreMatrix(std::span<const VertexId> us, std::span<const VertexId> vs,
+                   std::span<double> out) const override;
 
   /// L2-normalized embedding row of a vertex label; `graph` is 0 for g1,
   /// 1 for g2. Exposed so baselines can reuse the precomputed matrix.
@@ -88,7 +102,7 @@ class EmbeddingVertexScorer : public VertexScorer {
   std::vector<float> matrix_[2];
 };
 
-/// Kept only because perfbench/apair.cc:391-393 casts ctx.hv to it.
+/// Kept only because perfbench's apair-learned workload casts ctx.hv to it.
 /// Memoizing h_v decorator (mirrors CachingPathScorer); no production
 /// wiring installs it. Backed by a ShardedFlatMemo (cache-line-bucketed
 /// open addressing); safe to share across threads. Each shard resets
@@ -128,7 +142,9 @@ class CachingVertexScorer : public VertexScorer {
 /// Deterministic, training-free h_v: word-token-set Jaccard of the two
 /// labels (TokenJaccard; 1.0 for equal label strings). It is the h_v of the
 /// perfbench apair-scale workload, bench_scale and the tests. It keeps no
-/// per-vertex state; ScoreBatch tokenizes u's label once per call.
+/// per-vertex state: ScoreMatrix tokenizes each label of the call once,
+/// into a reused per-thread WordTokenRows, and merges row against row;
+/// ScoreBatch is its one-row case.
 class JaccardVertexScorer : public VertexScorer {
  public:
   JaccardVertexScorer(const Graph& g1, const Graph& g2)
@@ -136,6 +152,8 @@ class JaccardVertexScorer : public VertexScorer {
   double Score(VertexId u, VertexId v) const override;
   void ScoreBatch(VertexId u, std::span<const VertexId> vs,
                   std::span<double> out) const override;
+  void ScoreMatrix(std::span<const VertexId> us, std::span<const VertexId> vs,
+                   std::span<double> out) const override;
 
  private:
   const Graph* g1_;
@@ -216,14 +234,22 @@ class MetricPathScorer : public PathScorer {
 /// Jaccard of the concatenated label names ("made_in" vs
 /// "factorySite isIn isIn" share no tokens -> 0; "country" vs
 /// "brandCountry" share "country" -> 0.5).
+///
+/// The constructor interns the WordTokens of every vocabulary name once
+/// (token names are frozen with the vocabulary; RebindGraph only remaps
+/// labels to them), so Score merges two sorted integer unions instead of
+/// comparing strings.
 class TokenOverlapPathScorer : public PathScorer {
  public:
-  explicit TokenOverlapPathScorer(const JointVocab* vocab) : vocab_(vocab) {}
+  explicit TokenOverlapPathScorer(const JointVocab* vocab);
   double Score(std::span<const int> p1,
                std::span<const int> p2) const override;
 
  private:
-  const JointVocab* vocab_;
+  // Row t: the distinct interned word tokens of vocabulary name t, sorted;
+  // row t = words_[offsets_[t], offsets_[t + 1]).
+  std::vector<uint32_t> words_;
+  std::vector<uint32_t> offsets_;
 };
 
 /// Memoizing decorator: M_rho is called with heavily repeated path pairs

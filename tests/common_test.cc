@@ -4,6 +4,7 @@
 #include <cctype>
 #include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -286,6 +287,52 @@ TEST(StringTest, TokenJaccardMatchesSetDefinition) {
   }
   // The random inputs reach the heap spill and non-trivial overlaps.
   EXPECT_GT(spilled, 100u);
+  EXPECT_GT(partial, 1000u);
+}
+
+TEST(StringTest, WordTokenRowsJaccardEqualsTokenJaccard) {
+  Rng rng(31);
+  WordTokenRows rows;
+  std::vector<std::string> labels;
+  size_t spilled = 0;
+  size_t partial = 0;
+  for (int round = 0; round < 3; ++round) {
+    // Clear keeps the buffer, so later rounds reuse earlier capacity.
+    rows.Clear();
+    labels.clear();
+    labels.push_back("");
+    labels.push_back("_-. ,");
+    labels.push_back("abcdefghi ABCDEFGHJ abcdefgh");
+    labels.push_back("factorySite FactorySITE gen7X");
+    while (labels.size() < 60) labels.push_back(RandomLabel(rng));
+    for (size_t r = 0; r < labels.size(); ++r) {
+      rows.Add(labels[r]);
+      EXPECT_EQ(rows.size(), r + 1);
+      if (WordTokenSet(labels[r]).size() > WordTokenSet::kInline) ++spilled;
+    }
+    ASSERT_EQ(rows.size(), labels.size());
+    std::vector<double> out(labels.size());
+    for (size_t a = 0; a < labels.size(); ++a) {
+      // Every row against all rows, and against a suffix of them.
+      const size_t first = rng.Below(labels.size());
+      rows.JaccardRow(a, 0, out);
+      for (size_t b = 0; b < labels.size(); ++b) {
+        const double want = TokenJaccard(labels[a], labels[b]);
+        EXPECT_EQ(out[b], want) << labels[a] << " | " << labels[b];
+        if (want > 0.0 && want < 1.0) ++partial;
+      }
+      rows.JaccardRow(a, first,
+                      std::span<double>(out).first(labels.size() - first));
+      for (size_t b = first; b < labels.size(); ++b) {
+        EXPECT_EQ(out[b - first], TokenJaccard(labels[a], labels[b]));
+      }
+    }
+  }
+  double out[2];
+  rows.JaccardRow(0, 1, out);
+  EXPECT_EQ(out[0], 1.0);  // neither the empty label nor "_-. ," has a token
+  EXPECT_EQ(out[1], 0.0);
+  EXPECT_GT(spilled, 20u);
   EXPECT_GT(partial, 1000u);
 }
 

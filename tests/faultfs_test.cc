@@ -377,7 +377,7 @@ TEST(FaultFsWalTest, LogTornAtCreationIsAFreshStart) {
   // A crash between creating the log and the first fsync leaves an
   // empty or magic-prefixed stub: nothing was acknowledged, so replay
   // reports "no log" and the writer recreates it.
-  for (const std::string stub : {std::string(), std::string("HERW"),
+  for (const std::string& stub : {std::string(), std::string("HERW"),
                                  std::string("HERWAL01")}) {
     const std::string path = dir + "/stub" + std::to_string(stub.size()) +
                              ".wal";

@@ -162,7 +162,7 @@ TEST(FlatTableTest, SharedPtrValuesDropRefsOnClear) {
 TEST(FlatTableTest, CopyAndMoveSemantics) {
   FlatTable<std::string> a;
   for (uint64_t k = 0; k < 300; ++k) {
-    a.TryEmplace(k * 17, std::string("v") + std::to_string(k));
+    a.TryEmplace(k * 17, std::string("v").append(std::to_string(k)));
   }
   FlatTable<std::string> b(a);  // deep copy
   EXPECT_EQ(b.Size(), a.Size());
@@ -370,7 +370,9 @@ TEST(ShardedFlatMemoTest, ConcurrentStress) {
   // A final sweep still sees internally consistent values.
   double out = 0.0;
   for (uint64_t k = 0; k < 4096; ++k) {
-    if (memo.Find(k, &out)) ASSERT_EQ(out, static_cast<double>(k) * 2.0);
+    if (memo.Find(k, &out)) {
+      ASSERT_EQ(out, static_cast<double>(k) * 2.0);
+    }
   }
 }
 

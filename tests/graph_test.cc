@@ -140,7 +140,8 @@ TEST(TraversalTest, MaxPraPathsRespectMaxLen) {
   GraphBuilder b;
   VertexId prev = b.AddVertex("n0");
   for (int i = 1; i < 4; ++i) {
-    const VertexId cur = b.AddVertex("n" + std::to_string(i));
+    const VertexId cur =
+        b.AddVertex(std::string("n").append(std::to_string(i)));
     b.AddEdge(prev, cur, "e");
     prev = cur;
   }
@@ -167,7 +168,9 @@ TEST(TraversalTest, MaxPraPathLabelsFollowTheWinningLayer) {
   // so 4's labels must come from the path 2 had at layer 2, not its final
   // one.
   GraphBuilder b;
-  for (int i = 0; i < 6; ++i) b.AddVertex("n" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) {
+    b.AddVertex(std::string("n").append(std::to_string(i)));
+  }
   for (const auto& [src, dst] : std::vector<std::pair<VertexId, VertexId>>{
            {0, 3}, {0, 5}, {1, 2}, {2, 4}, {3, 1}, {4, 3}, {5, 2}, {5, 3}}) {
     b.AddEdge(src, dst, std::to_string(src) + std::to_string(dst));

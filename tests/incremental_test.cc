@@ -18,7 +18,8 @@ Graph Chain(int n) {
   GraphBuilder b;
   VertexId prev = b.AddVertex("n0");
   for (int i = 1; i < n; ++i) {
-    const VertexId cur = b.AddVertex("n" + std::to_string(i));
+    const VertexId cur =
+        b.AddVertex(std::string("n").append(std::to_string(i)));
     b.AddEdge(prev, cur, "e");
     prev = cur;
   }
@@ -28,7 +29,9 @@ Graph Chain(int n) {
 TEST(ChangedOutVerticesTest, DetectsEdgeRemoval) {
   const Graph before = Chain(4);
   GraphBuilder b;
-  for (int i = 0; i < 4; ++i) b.AddVertex("n" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    b.AddVertex(std::string("n").append(std::to_string(i)));
+  }
   b.AddEdge(0, 1, "e");
   b.AddEdge(1, 2, "e");  // edge 2->3 removed
   const Graph after = std::move(b).Build();

@@ -391,7 +391,9 @@ TEST(EngineStatePersistTest, VerdictsRoundTrip) {
       const auto* a = original.Lookup(u, v);
       const auto* b = restored.Lookup(u, v);
       ASSERT_EQ(a == nullptr, b == nullptr);
-      if (a != nullptr) EXPECT_EQ(a->valid, b->valid);
+      if (a != nullptr) {
+        EXPECT_EQ(a->valid, b->valid);
+      }
     }
   }
   EXPECT_EQ(AllParaMatch(restored, roots), pi);

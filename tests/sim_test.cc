@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "sim/joint_vocab.h"
 #include "sim/params.h"
 #include "sim/scores.h"
@@ -146,7 +151,140 @@ TEST(JaccardVertexScorerTest, BatchEqualsScalar) {
   EXPECT_EQ(hv.BatchCalls(), static_cast<size_t>(n) + 1);
 }
 
-// CachingVertexScorer is kept only because perfbench/apair.cc:391-393 reads it.
+/// A label drawn from words that reach the token kernel's edge cases: empty
+/// and separator-only labels, camelCase and digit boundaries, mixed case,
+/// tokens longer than 8 bytes that share their first 8, and (with `long_run`)
+/// more than WordTokenSet::kInline distinct tokens.
+std::string TokenEdgeLabel(Rng& rng) {
+  static const char* const kWords[] = {
+      "item",        "Item",       "ITEM",       "factorySite", "FactorySITE",
+      "gen7X",       "made_in",    "abcdefgh",   "abcdefghij",  "ABCDEFGHIK",
+      "abcdefghIJ",  "x",          "7",          "_-",          "brandCountry",
+      "country",     "internationalization",     "INTERNATIONALIZE"};
+  const size_t words = rng.Below(4) == 0 ? 20 + rng.Below(20) : rng.Below(5);
+  std::string s;
+  for (size_t w = 0; w < words; ++w) {
+    if (w > 0) s += rng.Below(3) == 0 ? "_" : " ";
+    if (rng.Below(3) == 0) {
+      s += 'w';  // distinct filler tokens
+      s += std::to_string(rng.Below(40));
+    } else {
+      s += kWords[rng.Below(std::size(kWords))];
+    }
+  }
+  return s;
+}
+
+TwoGraphs MakeTokenEdgeGraphs(uint64_t seed, int n) {
+  Rng rng(seed);
+  GraphBuilder b1;
+  GraphBuilder b2;
+  b1.AddVertex("");
+  b2.AddVertex("");
+  b1.AddVertex(" _-. ");
+  b2.AddVertex("abcdefghXY abcdefghxz");
+  for (int i = 2; i < n; ++i) {
+    b1.AddVertex(TokenEdgeLabel(rng));
+    b2.AddVertex(TokenEdgeLabel(rng));
+  }
+  return {std::move(b1).Build(), std::move(b2).Build()};
+}
+
+TEST(JaccardVertexScorerTest, ScoreMatrixEqualsScoreBatchEqualsScore) {
+  const int n = 64;
+  const TwoGraphs tg = MakeTokenEdgeGraphs(17, n);
+  const JaccardVertexScorer hv(tg.g1, tg.g2);
+  size_t spilled = 0;
+  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
+    if (WordTokenSet(tg.g2.label(v)).size() > WordTokenSet::kInline) {
+      ++spilled;
+    }
+  }
+  EXPECT_GT(spilled, 3u);  // the inputs reach the inline buffer's spill
+  Rng rng(5);
+  size_t partial = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<VertexId> us(rng.Below(8));
+    std::vector<VertexId> vs(rng.Below(40));
+    for (VertexId& u : us) u = static_cast<VertexId>(rng.Below(n));
+    for (VertexId& v : vs) v = static_cast<VertexId>(rng.Below(n));
+    if (trial == 0) {  // the empty label and a label without tokens
+      us = {0, 1};
+      vs = {0, 1};
+    }
+    std::vector<double> matrix(us.size() * vs.size());
+    std::vector<double> batch(vs.size());
+    const size_t calls = hv.BatchCalls();
+    hv.ScoreMatrix(us, vs, matrix);
+    EXPECT_EQ(hv.BatchCalls(), calls + 1);
+    for (size_t i = 0; i < us.size(); ++i) {
+      hv.ScoreBatch(us[i], vs, batch);
+      for (size_t j = 0; j < vs.size(); ++j) {
+        const double want = hv.Score(us[i], vs[j]);
+        EXPECT_EQ(batch[j], want) << "u=" << us[i] << " v=" << vs[j];
+        EXPECT_EQ(matrix[i * vs.size() + j], want)
+            << "u=" << us[i] << " v=" << vs[j];
+        if (want > 0.0 && want < 1.0) ++partial;
+      }
+    }
+  }
+  EXPECT_GT(partial, 100u);
+  EXPECT_EQ(hv.Score(0, 0), 1.0);  // two labels without tokens
+  EXPECT_EQ(hv.Score(1, 0), 1.0);
+  EXPECT_EQ(hv.Score(0, 1), 0.0);
+}
+
+TEST(EmbeddingVertexScorerTest, ScoreMatrixEqualsScoreBatchEqualsScore) {
+  const int n = 37;
+  const TwoGraphs tg = MakeWideGraphs(n);
+  const HashedTextEmbedder emb;
+  const EmbeddingVertexScorer hv(tg.g1, tg.g2, emb);
+  Rng rng(7);
+  for (const size_t nu : {0, 1, 7}) {
+    for (const size_t nv : {1, 2, 3, 6, 13}) {
+      std::vector<VertexId> us(nu);
+      std::vector<VertexId> vs(nv);
+      for (VertexId& u : us) u = static_cast<VertexId>(rng.Below(n));
+      for (VertexId& v : vs) v = static_cast<VertexId>(rng.Below(n));
+      std::vector<double> matrix(nu * nv);
+      std::vector<double> batch(nv);
+      const size_t calls = hv.BatchCalls();
+      hv.ScoreMatrix(us, vs, matrix);
+      EXPECT_EQ(hv.BatchCalls(), calls + 1);
+      for (size_t i = 0; i < nu; ++i) {
+        hv.ScoreBatch(us[i], vs, batch);
+        for (size_t j = 0; j < nv; ++j) {
+          const double want = hv.Score(us[i], vs[j]);
+          EXPECT_EQ(batch[j], want) << "u=" << us[i] << " v=" << vs[j];
+          EXPECT_EQ(matrix[i * nv + j], want)
+              << "|us|=" << nu << " |vs|=" << nv << " i=" << i << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(VertexScorerTest, DefaultScoreMatrixMakesOneScoreBatchPerU) {
+  struct SumScorer : VertexScorer {
+    double Score(VertexId u, VertexId v) const override {
+      return 0.25 * u + 0.125 * v;
+    }
+  };
+  const SumScorer hv;
+  const std::vector<VertexId> us = {3, 1, 4};
+  const std::vector<VertexId> vs = {0, 1, 2, 5, 9};
+  std::vector<double> out(us.size() * vs.size());
+  hv.ScoreMatrix(us, vs, out);
+  for (size_t i = 0; i < us.size(); ++i) {
+    for (size_t j = 0; j < vs.size(); ++j) {
+      EXPECT_EQ(out[i * vs.size() + j], hv.Score(us[i], vs[j]));
+    }
+  }
+  EXPECT_EQ(hv.BatchCalls(), us.size());
+}
+
+// CachingVertexScorer is kept only because perfbench's apair-learned workload
+// reads it.
 TEST(CachingVertexScorerTest, CachesAgreesAndCountsHits) {
   const TwoGraphs tg = MakeGraphs();
   const JaccardVertexScorer inner(tg.g1, tg.g2);
@@ -224,6 +362,80 @@ TEST(TokenOverlapPathScorerTest, PaperExamplePaths) {
       1, std::vector<LabelId>{tg.g2.edge_labels().Find("brandCountry")});
   // tokens {country} vs {brand, country}: jaccard 1/2.
   EXPECT_DOUBLE_EQ(mrho.Score(p1, p2), 0.5);
+}
+
+/// The string-set definition TokenOverlapPathScorer::Score had before its
+/// tokens were interned: Jaccard of the word-token sets of the path names.
+double StringSetOverlap(const JointVocab& vocab, std::span<const int> p1,
+                        std::span<const int> p2) {
+  auto tokens_of = [&](std::span<const int> path) {
+    std::unordered_set<std::string> toks;
+    for (const int t : path) {
+      for (auto& w : WordTokens(vocab.Name(t))) toks.insert(std::move(w));
+    }
+    return toks;
+  };
+  const auto ta = tokens_of(p1);
+  const auto tb = tokens_of(p2);
+  if (ta.empty() && tb.empty()) return 1.0;
+  size_t inter = 0;
+  for (const auto& t : ta) inter += tb.count(t);
+  const size_t uni = ta.size() + tb.size() - inter;
+  return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
+}
+
+TEST(TokenOverlapPathScorerTest, InternedScoreEqualsStringSetDefinition) {
+  // Edge-label names share tokens across labels ("brandCountry",
+  // "country_of", "Country"), repeat them inside one name ("isIn isIn"),
+  // and some have no token at all.
+  static const char* const kParts[] = {
+      "country", "Country", "brand", "isIn",  "made", "in", "factory",
+      "Site",    "hasColor", "color", "x7Y",  "__",   "-",  "of"};
+  Rng rng(23);
+  GraphBuilder b1;
+  GraphBuilder b2;
+  const VertexId a = b1.AddVertex("a");
+  const VertexId b = b2.AddVertex("b");
+  for (int e = 0; e < 60; ++e) {
+    std::string name = kParts[rng.Below(std::size(kParts))];
+    const size_t parts = rng.Below(3);
+    for (size_t p = 0; p < parts; ++p) {
+      if (rng.Below(2) == 0) name += rng.Below(2) == 0 ? '_' : ' ';
+      name += kParts[rng.Below(std::size(kParts))];
+    }
+    if (e % 2 == 0) {
+      b1.AddEdge(a, a, name);
+    } else {
+      b2.AddEdge(b, b, name);
+    }
+  }
+  b1.AddEdge(a, a, "isIn isIn");
+  b2.AddEdge(b, b, "_ .");
+  const Graph g1 = std::move(b1).Build();
+  const Graph g2 = std::move(b2).Build();
+  const JointVocab vocab(g1, g2);
+  ASSERT_GT(vocab.size(), 30u);
+  const TokenOverlapPathScorer mrho(&vocab);
+  size_t partial = 0;
+  size_t empty = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<int> p1(rng.Below(5));
+    std::vector<int> p2(rng.Below(5));
+    for (int& t : p1) t = static_cast<int>(rng.Below(vocab.size()));
+    for (int& t : p2) t = static_cast<int>(rng.Below(vocab.size()));
+    const double want = StringSetOverlap(vocab, p1, p2);
+    EXPECT_EQ(mrho.Score(p1, p2), want);
+    if (want > 0.0 && want < 1.0) ++partial;
+    if (p1.empty() || p2.empty()) ++empty;
+  }
+  EXPECT_GT(partial, 500u);
+  EXPECT_GT(empty, 500u);
+  const int none = vocab.FindToken("_ .");
+  ASSERT_GE(none, 0);
+  const std::vector<int> no_tokens = {none, none};
+  EXPECT_EQ(mrho.Score(no_tokens, std::vector<int>{}), 1.0);
+  const std::vector<int> is_in = {vocab.FindToken("isIn isIn")};
+  EXPECT_EQ(mrho.Score(no_tokens, is_in), 0.0);
 }
 
 TEST(CachingPathScorerTest, CachesAndAgrees) {
@@ -520,7 +732,7 @@ TEST(LstmPraRankerTest, TopKBatchMatchesTopK) {
   std::vector<VertexId> vs;
   vs.reserve(kN);
   for (size_t i = 0; i < kN; ++i) {
-    vs.push_back(b.AddVertex("v" + std::to_string(i)));
+    vs.push_back(b.AddVertex(std::string("v").append(std::to_string(i))));
   }
   const char* labels[] = {"alpha", "beta", "gamma", "delta", "epsilon"};
   Rng rng(321);

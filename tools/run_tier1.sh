@@ -45,7 +45,8 @@ if [ -n "$HER_SANITIZE" ]; then
     partition_test serve_test common_test core_test fault_tolerance_test
   "$SAN_DIR/tests/parallel_driver_test"
   # String kernels (token-Jaccard against its set definition, including
-  # inputs past the inline token buffer), ParallelFor, status, hashing.
+  # inputs past the inline token buffer, and the WordTokenRows buffer
+  # against it), ParallelFor, status, hashing.
   "$SAN_DIR/tests/common_test"
   # Partitioner invariants + wire-codec corruption suite (the UB target
   # for the varint-delta frame decoder).
@@ -56,8 +57,11 @@ if [ -n "$HER_SANITIZE" ]; then
   "$SAN_DIR/tests/ann_test"
   "$SAN_DIR/tests/ml_test" \
     --gtest_filter='LstmTest.StepProbBatch*:MlpTest.PredictBatch*'
+  # h_v matrix kernels (Jaccard's per-thread token rows, the blocked
+  # embedding tiles) and the interned token-overlap M_rho against their
+  # scalar definitions.
   "$SAN_DIR/tests/sim_test" \
-    --gtest_filter='LstmPraRankerTest.*:JaccardVertexScorerTest.*'
+    --gtest_filter='LstmPraRankerTest.*:JaccardVertexScorerTest.*:EmbeddingVertexScorerTest.*:VertexScorerTest.*:TokenOverlapPathScorerTest.*'
   "$SAN_DIR/tests/property_test" \
     --gtest_filter='PropertyTableTest.*:PropertyArenaTest.*'
   # Per-tuple root batch: MatchRoots equals per-pair Match (both scorer
