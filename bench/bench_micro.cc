@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,8 +71,10 @@ void BM_VertexScoreMatrix(benchmark::State& state) {
   // call of range(0) u vertices (a tuple's k property descendants) over
   // range(1) candidate descendants. range(2) picks the scorer: 0 is the
   // trained system's EmbeddingVertexScorer, 1 the JaccardVertexScorer of
-  // apair-scale. Compare per-pair cost against the 1-row case (one
-  // ScoreBatch) and BM_VertexScore.
+  // apair-scale, whose rows are interned by the first iteration, so this
+  // times the warm integer merge (BM_JaccardRowFill times the cold fill).
+  // Compare per-pair cost against the 1-row case (one ScoreBatch) and
+  // BM_VertexScore.
   BenchSystem& bs = Shared();
   const auto& ctx = bs.system->context();
   const JaccardVertexScorer jaccard(*ctx.gd, *ctx.g);
@@ -100,6 +103,33 @@ BENCHMARK(BM_VertexScoreMatrix)
     ->Args({6, 64, 1})
     ->Args({6, 512, 1})
     ->Args({1, 512, 1});
+
+void BM_JaccardRowFill(benchmark::State& state) {
+  // The cold side of the interned Jaccard h_v: one ScoreBatch on a fresh
+  // JaccardVertexScorer tokenizes and interns range(0) G labels (and one
+  // G_D label) into rows, then merges each row once. items/s counts rows
+  // filled, so its inverse is a cold vertex's cost, to set against the
+  // warm per-pair cost of BM_VertexScoreMatrix jaccard.
+  BenchSystem& bs = Shared();
+  const auto& ctx = bs.system->context();
+  const size_t n =
+      std::min<size_t>(state.range(0), bs.data.g.num_vertices());
+  std::vector<VertexId> vs(n);
+  for (size_t j = 0; j < n; ++j) vs[j] = static_cast<VertexId>(j);
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto hv = std::make_unique<JaccardVertexScorer>(*ctx.gd, *ctx.g);
+    state.ResumeTiming();
+    hv->ScoreBatch(0, vs, out);
+    benchmark::DoNotOptimize(out.data());
+    state.PauseTiming();
+    hv.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_JaccardRowFill)->Arg(256)->Arg(4096);
 
 /// Shared memo-probe workload: `entries` resident PairKeys plus a probe
 /// stream drawn from twice that key space (~50% hit rate).

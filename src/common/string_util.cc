@@ -138,26 +138,6 @@ double TokenJaccard(const WordTokenSet& a, const WordTokenSet& b) {
   return MergeJaccard(a.tokens(), a.size_, b.tokens(), b.size_);
 }
 
-void WordTokenRows::Add(std::string_view s) {
-  const size_t begin = offsets_.back();
-  ForEachWordToken(
-      s, [&](std::string_view tok) { tokens_.push_back(MakeToken(tok)); });
-  tokens_.resize(begin +
-                 SortUnique(tokens_.data() + begin, tokens_.size() - begin));
-  offsets_.push_back(tokens_.size());
-}
-
-void WordTokenRows::JaccardRow(size_t a, size_t first,
-                               std::span<double> out) const {
-  const WordToken* ta = tokens_.data() + offsets_[a];
-  const size_t na = offsets_[a + 1] - offsets_[a];
-  for (size_t j = 0; j < out.size(); ++j) {
-    const size_t b = first + j;
-    out[j] = MergeJaccard(ta, na, tokens_.data() + offsets_[b],
-                          offsets_[b + 1] - offsets_[b]);
-  }
-}
-
 std::vector<std::string> CharNgrams(std::string_view s, int n) {
   std::vector<std::string> out;
   if (n <= 0) return out;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -103,32 +102,6 @@ class WordTokenSet {
 /// |A n B| / |A u B| of the two token sets; 1.0 when both are empty.
 /// Allocates nothing.
 double TokenJaccard(const WordTokenSet& a, const WordTokenSet& b);
-
-/// The WordTokenSets of many strings in one flat buffer: row r holds the
-/// distinct tokens of the r-th added string, sorted, as views into that
-/// string (which must outlive the rows). A batched scorer tokenizes each
-/// string once and then meets rows pairwise; Clear keeps the capacity, so
-/// a reused instance allocates nothing once warm.
-class WordTokenRows {
- public:
-  /// Appends the row of `s` as row size() - 1.
-  void Add(std::string_view s);
-
-  void Clear() {
-    tokens_.clear();
-    offsets_.assign(1, 0);
-  }
-
-  size_t size() const { return offsets_.size() - 1; }
-
-  /// Row a against the out.size() rows from `first` on: out[j] is the
-  /// TokenJaccard of the strings of rows a and first + j, bit for bit.
-  void JaccardRow(size_t a, size_t first, std::span<double> out) const;
-
- private:
-  std::vector<WordToken> tokens_;
-  std::vector<size_t> offsets_{0};  // row r = [offsets_[r], offsets_[r + 1])
-};
 
 /// Lowercased character n-grams of the concatenated word tokens (padded with
 /// '#'). Used for char-level feature hashing and the JedAI-style baseline.

@@ -60,6 +60,23 @@ void DotRowsTimesAll(const float* const (&a)[R], const float* m2, size_t dim,
   }
 }
 
+/// |A n B| / |A u B| of two sorted, de-duplicated id rows by a merge; 1.0
+/// when both are empty. Ids are equal exactly when tokens are, so this is
+/// TokenJaccard of the two labels, the same integers divided.
+double RowJaccard(std::span<const uint32_t> a, std::span<const uint32_t> b) {
+  if (a.empty() && b.empty()) return 1.0;
+  size_t i = 0, j = 0, inter = 0;
+  while (i < a.size() && j < b.size()) {
+    const uint32_t x = a[i];
+    const uint32_t y = b[j];
+    i += x <= y;
+    j += y <= x;
+    inter += x == y;
+  }
+  const size_t uni = a.size() + b.size() - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
 }  // namespace
 
 void VertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
@@ -172,7 +189,8 @@ void CachingVertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
 }
 
 double JaccardVertexScorer::Score(VertexId u, VertexId v) const {
-  return TokenJaccard(g1_->label(u), g2_->label(v));
+  uint32_t su = 0, sv = 0;
+  return RowJaccard(rows_.Row(0, u, su), rows_.Row(1, v, sv));
 }
 
 void JaccardVertexScorer::ScoreBatch(VertexId u, std::span<const VertexId> vs,
@@ -185,14 +203,32 @@ void JaccardVertexScorer::ScoreMatrix(std::span<const VertexId> us,
                                       std::span<double> out) const {
   HER_DCHECK(out.size() == us.size() * vs.size());
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
-  // Rows [0, |us|) hold the u labels' tokens and rows |us| + j the label of
-  // vs[j]; each label is tokenized and sorted once per call.
-  thread_local WordTokenRows rows;
-  rows.Clear();
-  for (const VertexId u : us) rows.Add(g1_->label(u));
-  for (const VertexId v : vs) rows.Add(g2_->label(v));
+  // The call's rows side by side in one per-thread buffer: row r ends at
+  // ends[r], the us first, then vs[j] as row |us| + j.
+  thread_local std::vector<uint32_t> ids;
+  thread_local std::vector<size_t> ends;
+  ids.clear();
+  ends.clear();
+  const auto gather = [&](size_t side, std::span<const VertexId> xs) {
+    for (const VertexId x : xs) {
+      uint32_t single = 0;
+      const std::span<const uint32_t> row = rows_.Row(side, x, single);
+      ids.insert(ids.end(), row.begin(), row.end());
+      ends.push_back(ids.size());
+    }
+  };
+  gather(0, us);
+  gather(1, vs);
+  const auto row = [&](size_t r) {
+    const size_t begin = r == 0 ? 0 : ends[r - 1];
+    return std::span<const uint32_t>(ids.data() + begin, ends[r] - begin);
+  };
   for (size_t i = 0; i < us.size(); ++i) {
-    rows.JaccardRow(i, us.size(), out.subspan(i * vs.size(), vs.size()));
+    const std::span<const uint32_t> a = row(i);
+    double* o = out.data() + i * vs.size();
+    for (size_t j = 0; j < vs.size(); ++j) {
+      o[j] = RowJaccard(a, row(us.size() + j));
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "ml/sgns.h"
 #include "ml/text_embedder.h"
 #include "sim/joint_vocab.h"
+#include "sim/token_rows.h"
 
 namespace her {
 
@@ -141,23 +142,29 @@ class CachingVertexScorer : public VertexScorer {
 
 /// Deterministic, training-free h_v: word-token-set Jaccard of the two
 /// labels (TokenJaccard; 1.0 for equal label strings). It is the h_v of the
-/// perfbench apair-scale workload, bench_scale and the tests. It keeps no
-/// per-vertex state: ScoreMatrix tokenizes each label of the call once,
-/// into a reused per-thread WordTokenRows, and merges row against row;
-/// ScoreBatch is its one-row case.
+/// perfbench apair-scale workload, bench_scale and the tests. It keeps one
+/// TokenRowStore over both graphs: the first call that needs a vertex
+/// interns its label into a sorted row of token ids, and every later call
+/// (from any thread) merges the stored rows as integers. Score, ScoreBatch
+/// and ScoreMatrix run that one merge, so each equals TokenJaccard of the
+/// two labels bit for bit. Nothing is built at construction beyond one
+/// zeroed index word per vertex.
 class JaccardVertexScorer : public VertexScorer {
  public:
-  JaccardVertexScorer(const Graph& g1, const Graph& g2)
-      : g1_(&g1), g2_(&g2) {}
+  JaccardVertexScorer(const Graph& g1, const Graph& g2) : rows_(g1, g2) {}
   double Score(VertexId u, VertexId v) const override;
   void ScoreBatch(VertexId u, std::span<const VertexId> vs,
                   std::span<double> out) const override;
   void ScoreMatrix(std::span<const VertexId> us, std::span<const VertexId> vs,
                    std::span<double> out) const override;
 
+  /// Label rows interned so far, over both graphs (a scan of the index, for
+  /// tests); each vertex's row is published once however many threads ask
+  /// for it.
+  size_t RowsPublished() const { return rows_.rows_published(); }
+
  private:
-  const Graph* g1_;
-  const Graph* g2_;
+  mutable TokenRowStore rows_;
 };
 
 /// One M_rho operand for the batched kernel: the joint-vocab token path
