@@ -17,7 +17,10 @@
 // commits' files compare spread, not one draw of host noise. Checks (exit
 // 1): Pi is bit-identical across every worker count and both partition
 // strategies at every tier, and every run of a configuration reports the
-// same supersteps, messages, wire bytes and Pi. Gates (exit 2, full
+// same supersteps, messages, wire bytes, h_r rows ranked and Pi. Each run
+// records `hr_rows_ranked`, the ranker's TopKBatch calls during the run:
+// the context has no PropertyTable, so the run's fragments share one lazy
+// table that ranks each row it reads once. Gates (exit 2, full
 // mode): the varint-delta wire format ships >= 2x fewer bytes than the raw
 // struct exchange, and kEdgeCut exchanges no more cross-fragment messages
 // than kHash. Writes BENCH_scale.json (path
@@ -68,6 +71,7 @@ struct RunRecord {
   size_t bytes_raw = 0;
   size_t bytes_wire = 0;
   size_t matches = 0;
+  size_t hr_rows_ranked = 0;  // ranker TopKBatch calls in one run
   double cold_seconds = 0.0;  // the first run, on a fresh h_v scorer
   Spread seconds;            // the warm runs after it
   Spread simulated_seconds;
@@ -193,9 +197,11 @@ int main(int argc, char** argv) {
       // Repeat 0 is the cold run; repeats 1..`repeats` are warm.
       for (int rep = 0; rep <= repeats; ++rep) {
         BspAllMatch bsp(run_ctx, cfg);
+        const size_t ranked_before = hr.BatchCalls();
         WallTimer t;
         ParallelResult res = bsp.RunOnCandidates(candidates);
         const double wall = t.Seconds();
+        const size_t ranked = hr.BatchCalls() - ranked_before;
         if (!res.status.ok()) {
           std::fprintf(stderr, "run failed: %s\n",
                        res.status.ToString().c_str());
@@ -211,10 +217,11 @@ int main(int argc, char** argv) {
         if (rep > 0 && (res.supersteps != r.supersteps ||
                         res.messages != r.messages ||
                         res.message_bytes_wire != r.bytes_wire ||
-                        res.matches != pi)) {
+                        ranked != r.hr_rows_ranked || res.matches != pi)) {
           std::fprintf(stderr,
                        "%s w=%u: repeat %d differs from repeat 0 in "
-                       "supersteps, messages, wire bytes or Pi\n",
+                       "supersteps, messages, wire bytes, h_r rows ranked "
+                       "or Pi\n",
                        r.strategy, workers, rep);
           std::exit(1);
         }
@@ -222,6 +229,7 @@ int main(int argc, char** argv) {
         r.messages = res.messages;
         r.bytes_raw = res.message_bytes_raw;
         r.bytes_wire = res.message_bytes_wire;
+        r.hr_rows_ranked = ranked;
         r.matches = res.matches.size();
         r.edge_cut_fraction = res.partition.edge_cut_fraction;
         r.border_vertices = res.partition.border_vertices;
@@ -234,12 +242,14 @@ int main(int argc, char** argv) {
       std::printf(
           "  %7s w=%u: cold %5.2f s, warm %5.2f s [%5.2f, %5.2f] (simulated "
           "%5.2f s [%5.2f, %5.2f], teardown %5.3f s)  supersteps=%zu  "
-          "messages=%zu  wire=%zu/%zu B  cut=%.3f  border=%zu  |Pi|=%zu\n",
+          "messages=%zu  wire=%zu/%zu B  hr_rows=%zu  cut=%.3f  border=%zu  "
+          "|Pi|=%zu\n",
           r.strategy, workers, r.cold_seconds, r.seconds.median,
           r.seconds.q1, r.seconds.q3, r.simulated_seconds.median,
           r.simulated_seconds.q1, r.simulated_seconds.q3,
           r.teardown_seconds.median, r.supersteps, r.messages, r.bytes_wire,
-          r.bytes_raw, r.edge_cut_fraction, r.border_vertices, r.matches);
+          r.bytes_raw, r.hr_rows_ranked, r.edge_cut_fraction,
+          r.border_vertices, r.matches);
       rec.runs.push_back(r);
       return pi;
     };
@@ -308,6 +318,7 @@ int main(int argc, char** argv) {
           << ", \"messages\": " << r.messages
           << ", \"message_bytes_raw\": " << r.bytes_raw
           << ", \"message_bytes_wire\": " << r.bytes_wire
+          << ", \"hr_rows_ranked\": " << r.hr_rows_ranked
           << ", \"edge_cut_fraction\": " << r.edge_cut_fraction
           << ", \"border_vertices\": " << r.border_vertices
           << ", \"max_fragment_imbalance\": " << r.imbalance

@@ -3,9 +3,9 @@
 
 // Cache-conscious hash tables for the HER hot paths (DRAMHiT-style).
 //
-// Every memo on the evaluation hot path — the h_v/M_rho score memos, the
-// engine's pair-verdict cache, the ecache and the candidate-list memo —
-// used to be a node-based std::unordered_map: each probe chases a bucket
+// Every memo on the evaluation hot path — the h_v/M_rho score memos and
+// the engine's pair-verdict cache with its dependency index — used to be
+// a node-based std::unordered_map: each probe chases a bucket
 // pointer to a heap node, and each insert allocates one. FlatTable replaces
 // that with open addressing over 64-byte cache-line-aligned buckets: a
 // probe touches one line (tag bytes + packed key/value slots together),

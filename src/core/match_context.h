@@ -82,8 +82,9 @@ struct MatchContext {
   const PathScorer* mrho = nullptr;
   const DescendantRanker* hr = nullptr;
   const JointVocab* vocab = nullptr;
-  /// Optional offline h_r materialization (see PropertyTable in
-  /// match_engine.h); engines fall back to calling hr lazily when null.
+  /// The h_r rows every engine on this context reads (see PropertyTable
+  /// in match_engine.h). When null, a BSP run shares one lazy table among
+  /// its fragments and a serial engine owns one; both rank with `hr`.
   const class PropertyTable* properties = nullptr;
   /// Optional IVF index over the h_v embeddings of G (src/ann); required
   /// when candidate_gen.mode is kAnn, ignored otherwise. Borrowed,

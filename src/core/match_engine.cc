@@ -20,6 +20,14 @@ EmbeddedPath OperandOf(const Property& p) {
   return EmbeddedPath{p.joint, p.embedding};
 }
 
+/// A number fixed per thread at its first call, in call order, so threads
+/// that start filling a lazy table together get distinct writers.
+size_t ThreadTicket() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t ticket = next.fetch_add(1);
+  return ticket;
+}
+
 }  // namespace
 
 PropertyTable PropertyTable::Build(const Graph& gd, const Graph& g,
@@ -41,22 +49,42 @@ PropertyTable PropertyTable::Build(const Graph& gd, const Graph& g,
   return table;
 }
 
-std::span<const Property> MatchEngine::PropertiesOf(int graph, VertexId v) {
-  if (ctx_.properties != nullptr) {
-    return ctx_.properties->Get(graph, v, ctx_.params.k);
+PropertyTable::PropertyTable(const MatchContext& ctx)
+    : writers_(std::make_unique<Writer[]>(kWriters)), ctx_(ctx) {
+  for (int gi = 0; gi < 2; ++gi) {
+    const size_t n = (gi == 0 ? ctx.gd : ctx.g)->num_vertices();
+    table_[gi].resize(n);
+    state_[gi] = std::make_unique<std::atomic<uint8_t>[]>(n);
   }
-  auto& store = ecache_[graph];
-  if (const PropertyRow* row = store.Find(v)) return *row;
-  // Single-vertex block through the batch kernel: the scalar path shares
-  // the lockstep code (and its telemetry) instead of a parallel TopK path.
-  // The row lives in the arena, whose chunks never move, so the span stays
-  // valid when later insertions rehash `store` — recursion relies on it.
-  const VertexId vs[1] = {v};
-  const auto ranked = ctx_.hr->TopKBatch(graph, vs, ctx_.params.k);
-  const PropertyRow row =
-      arena_.Add(ranked.front(), graph, *ctx_.vocab, ctx_.mrho);
-  store.TryEmplace(v, row);
-  return row;
+}
+
+void PropertyTable::Fill(int graph, VertexId v) const {
+  std::atomic<uint8_t>& state = state_[graph][v];
+  uint8_t seen = state.load(std::memory_order_acquire);
+  if (seen == kUnranked &&
+      state.compare_exchange_strong(seen, kClaimed,
+                                    std::memory_order_acquire)) {
+    // A one-vertex block through the batch kernel, so a lazy row equals
+    // the built row's top-k and shares its telemetry.
+    const auto ranked = ctx_.hr->TopKBatch(graph, {&v, 1}, ctx_.params.k);
+    Writer& w = writers_[ThreadTicket() % kWriters];
+    std::lock_guard<std::mutex> lock(w.mu);
+    table_[graph][v] = w.arena.Add(ranked[0], graph, *ctx_.vocab, ctx_.mrho);
+    state.store(kReady, std::memory_order_release);
+    state.notify_all();
+  } else if (seen == kClaimed) {
+    // Returns once the claimer's release store is seen: kReady is final.
+    state.wait(kClaimed, std::memory_order_acquire);
+  }
+}
+
+std::span<const Property> MatchEngine::PropertiesOf(int graph, VertexId v) {
+  const PropertyTable* table = ctx_.properties;
+  if (table == nullptr) {
+    if (!owned_table_) owned_table_ = std::make_unique<PropertyTable>(ctx_);
+    table = owned_table_.get();
+  }
+  return table->Get(graph, v, ctx_.params.k);
 }
 
 double MatchEngine::HRho(const Property& pu, const Property& pv) {
@@ -512,9 +540,11 @@ void PropertyTable::Refresh(int graph, const Graph& g,
                             const JointVocab& vocab, const PathScorer* mrho,
                             const RunOptions& options, size_t threads,
                             size_t block_size) {
+  HER_DCHECK(state_[0] == nullptr);
   WallTimer timer;
   auto& rows = table_[graph];
   HER_CHECK(rows.size() == g.num_vertices());
+  auto& [mu, arena] = writers_[0];
   // Sorted and distinct: each vertex is ranked once, and the pending
   // update below searches the list.
   std::vector<VertexId> todo(vertices.begin(), vertices.end());
@@ -530,7 +560,7 @@ void PropertyTable::Refresh(int graph, const Graph& g,
     if (!g.IsLeaf(v)) {
       work.push_back(v);
     } else {  // leaves have no properties
-      arena_.Release(rows[v]);
+      arena.Release(rows[v]);
       rows[v] = {};
     }
   }
@@ -540,7 +570,6 @@ void PropertyTable::Refresh(int graph, const Graph& g,
   if (block_size == 0) block_size = 1;
   const size_t num_blocks = (work.size() + block_size - 1) / block_size;
   std::vector<VertexId> skipped;
-  std::mutex mu;
   ParallelFor(num_blocks, threads, [&](size_t b) {
     const size_t begin = b * block_size;
     const std::span<const VertexId> block(
@@ -555,17 +584,13 @@ void PropertyTable::Refresh(int graph, const Graph& g,
         hr.TopKBatch(graph, block, std::numeric_limits<int>::max());
     std::lock_guard<std::mutex> lock(mu);
     for (size_t i = 0; i < block.size(); ++i) {
-      arena_.Release(rows[block[i]]);
-      rows[block[i]] = arena_.Add(ranked[i], graph, vocab, mrho);
+      arena.Release(rows[block[i]]);
+      rows[block[i]] = arena.Add(ranked[i], graph, vocab, mrho);
     }
   });
   // The replaced rows are dead bytes (no span from Get is live across a
   // Refresh).
-  arena_.Compact([&](const auto& repoint) {
-    for (auto& table : table_) {
-      for (PropertyRow& row : table) repoint(row);
-    }
-  });
+  arena.Compact(table_);
   // pending := (pending \ todo) ∪ skipped, kept sorted; skipped ⊆ todo.
   auto& pending = pending_[graph];
   std::erase_if(pending, [&](VertexId v) {
@@ -602,21 +627,7 @@ void MatchEngine::InvalidateForUpdate(std::span<const VertexId> affected_u,
     dependents_.Erase(KeyOf(p));
     eval_count_.Erase(KeyOf(p));  // fresh re-evaluation budget after update
   }
-  for (int graph = 0; graph < 2; ++graph) {
-    for (const VertexId v : graph == 0 ? affected_u : affected_v) {
-      if (const PropertyRow* row = ecache_[graph].Find(v)) {
-        arena_.Release(*row);
-        ecache_[graph].Erase(v);
-      }
-    }
-  }
-  // Forgotten rows are dead bytes (between evaluations: no span from
-  // PropertiesOf is live here).
-  arena_.Compact([&](const auto& repoint) {
-    for (auto& store : ecache_) {
-      store.ForEach([&](uint64_t, PropertyRow& row) { repoint(row); });
-    }
-  });
+  owned_table_.reset();
 }
 
 void MatchEngine::ClearPairCache() {
@@ -752,7 +763,7 @@ Status PropertyTable::LoadState(ByteReader* r) {
     HER_RETURN_NOT_OK(r->GetCount(&rows));
     fresh.table_[gi].resize(rows);
     for (uint64_t v = 0; v < rows; ++v) {
-      HER_RETURN_NOT_OK(fresh.arena_.Read(r, &fresh.table_[gi][v]));
+      HER_RETURN_NOT_OK(fresh.writers_[0].arena.Read(r, &fresh.table_[gi][v]));
     }
     HER_RETURN_NOT_OK(r->GetIntVec(&fresh.pending_[gi]));
     for (const VertexId v : fresh.pending_[gi]) {

@@ -2,8 +2,11 @@
 #define HER_CORE_MATCH_ENGINE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -58,17 +61,36 @@ enum class PairOutcome {
   kUnresolved = 2,
 };
 
-/// Offline-precomputed h_r output for every vertex of both graphs, ranked
-/// by PRA. Section IV computes h_r per vertex as part of module Learn;
-/// materializing it once lets the shared-nothing workers read it like the
-/// (immutable) graphs instead of re-ranking shared vertices per fragment.
-/// PropertiesOf then slices the top-k for whatever k is in force.
+/// h_r output per vertex of both graphs, ranked by PRA: the one owner of
+/// property rows. Section IV computes h_r per vertex as part of module
+/// Learn; a table shared by every engine lets the shared-nothing workers
+/// read a row like the (immutable) graphs instead of re-ranking shared
+/// vertices per fragment. PropertiesOf slices the top-k for whatever k is
+/// in force.
+///
+/// A table is either built (Build, or LoadState of a built table's bytes)
+/// or lazy (constructed for a context): a lazy table starts empty and
+/// ranks each row on its first Get, so it holds only the rows a run reads.
+/// A built table never fills lazily; its deadline-skipped Pending() rows
+/// read as empty until a Refresh.
 class PropertyTable {
  public:
   /// Vertices per DescendantRanker::TopKBatch call during Build/Refresh:
   /// large enough that the lockstep LSTM kernel keeps many walk lanes
   /// live, small enough that the thread pool load-balances across blocks.
   static constexpr size_t kDefaultBuildBlock = 64;
+
+  PropertyTable() = default;
+
+  /// A lazy table over ctx's two graphs. The first Get of a vertex, from
+  /// any thread, claims the row and ranks it outside any lock with one
+  /// ctx.hr->TopKBatch capped at ctx.params.k (so Get must ask for no more
+  /// than that k), then writes it into the table's arenas under a lock
+  /// and publishes it; a Get that finds the row claimed waits for it. Once
+  /// published, a row is read without a lock. ctx's graphs, ranker,
+  /// vocabulary and M_rho must outlive the table. A lazy table is never
+  /// refreshed or saved.
+  explicit PropertyTable(const MatchContext& ctx);
 
   /// A fresh table plus Refresh of every vertex of gd (graph 0) and g
   /// (graph 1): ranked with `hr`, paths translated via `vocab` and, when
@@ -85,21 +107,25 @@ class PropertyTable {
                              size_t block_size = kDefaultBuildBlock,
                              const RunOptions& options = {});
 
+  /// The top-k properties of vertex v of `graph`; a lazy table ranks the
+  /// row first if no thread has. Thread-safe.
   std::span<const Property> Get(int graph, VertexId v, int k) const {
     HER_DCHECK(graph == 0 || graph == 1);
     const auto& rows = table_[graph];
     if (static_cast<size_t>(v) >= rows.size()) return {};
+    HER_DCHECK(state_[graph] == nullptr || k <= ctx_.params.k);
+    if (state_[graph] != nullptr) Fill(graph, v);
     const PropertyRow row = rows[static_cast<size_t>(v)];
     return row.first(std::min(row.size(), static_cast<size_t>(k)));
   }
 
-  /// Re-ranks the listed vertices against an updated graph (incremental
-  /// maintenance; `hr` must already be bound to the new graph version);
-  /// out-of-range vertices are skipped. The one block loop of the table:
-  /// vertex blocks of `block_size`, each ranked with one hr.TopKBatch call
-  /// and written straight into the arena, over `threads` (Build's; other
-  /// callers rank serially). Pass the same `mrho` as Build so refreshed
-  /// rows keep their precomputed path embeddings.
+  /// Re-ranks the listed vertices of a built table against an updated
+  /// graph (incremental maintenance; `hr` must already be bound to the new
+  /// graph version); out-of-range vertices are skipped. The one block loop
+  /// of the table: vertex blocks of `block_size`, each ranked with one
+  /// hr.TopKBatch call and written straight into the arena, over `threads`
+  /// (Build's; other callers rank serially). Pass the same `mrho` as Build
+  /// so refreshed rows keep their precomputed path embeddings.
   /// `options` is probed once per block: vertices not reached before expiry
   /// stay pending with their previous rows intact. Vertices re-ranked are
   /// removed from the pending set, so a Refresh over Pending() completes a
@@ -139,30 +165,57 @@ class PropertyTable {
     return same(table_[0], o.table_[0]) && same(table_[1], o.table_[1]);
   }
 
-  /// The arena holding the rows (its live and dead byte counts).
-  const PropertyArena& arena() const { return arena_; }
+  /// The arena holding a built table's rows (its live and dead byte
+  /// counts).
+  const PropertyArena& arena() const { return writers_[0].arena; }
 
-  /// Serializes the ranked rows (and the pending set) for the durable
-  /// snapshot; LoadState restores them bit for bit, so a warm-started run
-  /// skips the whole Build.
+  /// Serializes the ranked rows (and the pending set) of a built table for
+  /// the durable snapshot; LoadState restores them bit for bit, so a
+  /// warm-started run skips the whole Build.
   void SaveState(ByteWriter* w) const;
   Status LoadState(ByteReader* r);
 
  private:
-  PropertyArena arena_;                // owns every row's storage
-  std::vector<PropertyRow> table_[2];  // [graph][vertex]
+  // A lazy table's per-vertex state: kUnranked until a Get claims the row,
+  // kReady once its claimer has published it with release.
+  enum : uint8_t { kUnranked = 0, kClaimed = 1, kReady = 2 };
+
+  /// Returns once row v of a lazy table is published: claims, ranks and
+  /// publishes it, or waits for the thread that claimed it.
+  void Fill(int graph, VertexId v) const;
+
+  // Row storage, each arena written under its writer's lock. A built
+  // table has one writer (Build, Refresh, LoadState). A lazy table has
+  // kWriters, and a fill writes through the filling thread's one, so
+  // threads filling rows at once rarely share a lock: with one lock, a
+  // 4-worker apair-scale call ran ~20% slower than with per-fragment rows.
+  // Chunks never move, so a published row is read without a lock.
+  struct Writer {
+    std::mutex mu;
+    PropertyArena arena;
+  };
+  static constexpr size_t kWriters = 16;
+  std::unique_ptr<Writer[]> writers_ = std::make_unique<Writer[]>(1);
+  // mutable: a lazy table writes rows from the const Get.
+  mutable std::vector<PropertyRow> table_[2];  // [graph][vertex]
   std::vector<VertexId> pending_[2];  // deadline-skipped vertices, sorted
   double build_seconds_ = 0.0;
+  // A lazy table's context (what it ranks rows with) and per-vertex state
+  // ([graph][vertex]); state_ is null for a built table.
+  MatchContext ctx_;
+  std::unique_ptr<std::atomic<uint8_t>[]> state_[2];
 };
 
 /// Implements algorithm ParaMatch of Section V (Fig. 4) plus the
 /// VParaMatch / AllParaMatch drivers of Section VI-A.
 ///
-/// The engine owns the two hashmap structures of the paper:
-///  - `ecache`: top-k selected descendants per vertex (computed once);
-///  - `cache`: per candidate pair, [valid?, W] where W is the lineage set
-///    the validity is conditioned on, plus a reverse index so the cleanup
-///    stage can recheck dependents of an invalidated pair.
+/// The paper's two hashmaps: `ecache`, the top-k selected descendants per
+/// vertex, is the context's PropertyTable (or, on a context without one,
+/// a lazy table this engine owns), computed once per vertex and shared by
+/// every engine on the context; `cache` is the engine's own: per candidate
+/// pair, [valid?, W] where W is the lineage set the validity is conditioned
+/// on, plus a reverse index so the cleanup stage can recheck dependents of
+/// an invalidated pair.
 ///
 /// Matches computed under the optimistic-then-invalidate discipline are
 /// sound (every reported pair meets the definition), but the greedy
@@ -301,24 +354,25 @@ class MatchEngine {
   /// while editing it in place. For tests.
   bool DependentsMatchWitnesses() const;
 
-  /// Top-k properties of a vertex (`graph` 0 = G_D, 1 = G), from the
-  /// context's precomputed PropertyTable when present, otherwise via the
-  /// lazily-filled ecache. The span stays valid until InvalidateForUpdate
+  /// Top-k properties of a vertex (`graph` 0 = G_D, 1 = G): one read of
+  /// the context's PropertyTable, or of the engine's own lazy table when
+  /// the context has none. The span stays valid until InvalidateForUpdate
   /// (or a PropertyTable Refresh) runs.
   std::span<const Property> PropertiesOf(int graph, VertexId v);
 
   /// h_rho of Eq. 2 for two selected properties.
   double HRho(const Property& pu, const Property& pv);
 
-  /// Forgets all pair verdicts (keeps ecache, whose contents are
-  /// parameter-k dependent but graph-determined).
+  /// Forgets all pair verdicts; property rows are kept.
   void ClearPairCache();
 
   /// Incremental maintenance: drops every cached verdict involving an
   /// affected G_D vertex or G vertex — transitively through the
   /// dependency index, since a dependent's validity was conditioned on
-  /// the dropped pair — and forgets their ecache rows. Other verdicts
-  /// survive; re-querying recomputes only what the update touched.
+  /// the dropped pair. Other verdicts survive; re-querying recomputes only
+  /// what the update touched. The context's table is its owner's to
+  /// Refresh; an owned lazy table is replaced, so its rows are re-ranked
+  /// against the context's current graph and ranker on next read.
   void InvalidateForUpdate(std::span<const VertexId> affected_u,
                            std::span<const VertexId> affected_v);
 
@@ -488,13 +542,9 @@ class MatchEngine {
   // (u, v) -> is this pair owned by this fragment? empty = everything is.
   std::function<bool(VertexId, VertexId)> is_local_;
 
-  // ecache: [graph] vertex -> its row in `arena_`. Filled lazily via h_r.
-  // The arena's chunks never move, so the spans PropertiesOf hands out stay
-  // valid while recursion adds rows and the tables rehash. Rows dropped by
-  // InvalidateForUpdate stay as dead bytes until they outweigh the live
-  // ones; the arena then compacts (between evaluations, no span live).
-  PropertyArena arena_;
-  FlatTable<PropertyRow> ecache_[2];
+  // The lazy table PropertiesOf reads when the context has none; made on
+  // the first read.
+  std::unique_ptr<PropertyTable> owned_table_;
 };
 
 /// Copies the counters of `ctx`'s shared scorers, table and index (the

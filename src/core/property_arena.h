@@ -133,15 +133,16 @@ class PropertyArena {
   void Release(PropertyRow row) { dead_bytes_ += Bytes(row); }
 
   /// The compaction rule: once dead rows outweigh the live ones, copies
-  /// every live row into a fresh arena and frees the old chunks.
-  /// `for_each_row(repoint)` must call `repoint(row)` on every live
-  /// PropertyRow the owner holds, which moves it. Spans into the old rows
-  /// dangle afterwards, so owners compact only between evaluations.
-  template <typename ForEachRow>
-  void Compact(ForEachRow&& for_each_row) {
+  /// every row of `tables` (which must hold every live row) into a fresh
+  /// arena, repointing it, and frees the old chunks. Spans into the old
+  /// rows dangle afterwards, so the owner compacts only between
+  /// evaluations.
+  void Compact(std::span<std::vector<PropertyRow>> tables) {
     if (dead_bytes_ <= LiveBytes()) return;
     PropertyArena fresh;
-    for_each_row([&](PropertyRow& row) { row = fresh.Add(row); });
+    for (auto& table : tables) {
+      for (PropertyRow& row : table) row = fresh.Add(row);
+    }
     *this = std::move(fresh);
   }
 

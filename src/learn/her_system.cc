@@ -393,8 +393,8 @@ ParallelResult HerSystem::APairParallel(uint32_t workers, bool use_blocking,
   }
   pcfg.checkpoint = std::move(ckpt);
   // Co-locate every candidate of a tuple (and its attribute pairs) on one
-  // worker, keyed by the root tuple of u: the u-side ecache is then built
-  // exactly once across the cluster.
+  // worker, keyed by the root tuple of u: a tuple's proofs then stay on
+  // one fragment and send no messages.
   pcfg.pair_owner = [this, workers](const MatchPair& p) {
     return static_cast<uint32_t>(Mix64(gd_root_[p.first]) % workers);
   };

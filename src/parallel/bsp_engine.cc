@@ -367,8 +367,16 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   const uint32_t n = config_.num_workers;
   const VertexPartition part =
       PartitionVertices(*ctx_.g, n, config_.strategy);
-  const RunSetup run =
-      RunSetup::For(ctx_, config_, part, candidates, options);
+  // On a context without a table, every fragment (cold, restored or
+  // resumed) reads one lazy table through `ctx`, so each row is ranked
+  // once per run; it is freed with the run.
+  MatchContext ctx = ctx_;
+  std::unique_ptr<PropertyTable> lazy_properties;
+  if (ctx.properties == nullptr) {
+    lazy_properties = std::make_unique<PropertyTable>(ctx);
+    ctx.properties = lazy_properties.get();
+  }
+  const RunSetup run = RunSetup::For(ctx, config_, part, candidates, options);
   const PairOwner& owner_of = run.owner_of;
   FaultInjector* const injector = run.injector;
   std::vector<std::unique_ptr<Worker>> workers(n);
@@ -724,9 +732,10 @@ ParallelResult BspAllMatch::RunOnCandidates(std::vector<MatchPair> candidates,
   run.Finish(workers, roots, &result);
 
   // Per-fragment teardown: each fragment frees its own engine and tables
-  // on its own thread, as in the superstep.
+  // on its own thread, as in the superstep; then the run's lazy table goes.
   WallTimer teardown;
   OnFragmentThreads(n, [&](uint32_t f) { workers[f].reset(); });
+  lazy_properties.reset();
   result.teardown_seconds = teardown.Seconds();
   return result;
 }

@@ -60,8 +60,9 @@ struct ParallelConfig {
   /// a fragment. When empty, pairs are owned by the G-side edge-cut
   /// fragment of v. The paper co-locates all candidates of a G_D vertex on
   /// one fragment via inverted indices; HerSystem passes an owner keyed by
-  /// the root tuple of u, which reproduces that placement (and is what
-  /// makes APair scale: each u's ecache is computed on one worker only).
+  /// the root tuple of u, which reproduces that placement: a tuple's
+  /// candidates and the attribute pairs their proofs recurse into are
+  /// evaluated on one fragment, so those proofs send no messages.
   std::function<uint32_t(const MatchPair&)> pair_owner{};
   /// Fault-injection schedule for this run (borrowed, may be null; null
   /// costs the run one pointer check per probe).

@@ -3,11 +3,14 @@
 // byte-identical match sets for every worker count, with and without
 // inverted-index blocking, and GenerateCandidates must be invariant in its
 // thread count. Run under TSan by tools/run_tier1.sh
-// (cmake -DHER_SANITIZE=thread) to certify the shared read-only context.
+// (cmake -DHER_SANITIZE=thread) to certify the shared context, including
+// the lazy PropertyTable a run's fragments fill together.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <mutex>
 
 #include "common/rng.h"
 #include "core/drivers.h"
@@ -15,6 +18,7 @@
 #include "graph/traversal.h"
 #include "ml/text_embedder.h"
 #include "parallel/bsp_engine.h"
+#include "tests/test_util.h"
 
 namespace her {
 namespace {
@@ -180,6 +184,82 @@ TEST(ParallelDriverTest, EmbeddingScorerDeterminismAcrossWorkers) {
         << "workers=" << workers;
   }
   EXPECT_GT(serial_engine.stats().hv_batch_calls, 0u);
+}
+
+/// h_r that records how often each vertex is ranked, then defers to
+/// `inner`. Thread-safe.
+class RecordingRanker : public DescendantRanker {
+ public:
+  explicit RecordingRanker(const DescendantRanker& inner) : inner_(inner) {}
+
+  std::vector<RankedProperty> TopK(int graph, VertexId v,
+                                   int k) const override {
+    return inner_.TopK(graph, v, k);
+  }
+
+  std::vector<std::vector<RankedProperty>> TopKBatch(
+      int graph, std::span<const VertexId> vs, int k) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const VertexId v : vs) ++times_[{graph, v}];
+    }
+    return inner_.TopKBatch(graph, vs, k);
+  }
+
+  /// The rows ranked since the last call, and the most times one of them
+  /// was ranked; clears the record.
+  std::pair<size_t, int> TakeRecord() {
+    std::lock_guard<std::mutex> lock(mu_);
+    int most = 0;
+    for (const auto& [row, n] : times_) most = std::max(most, n);
+    const std::pair<size_t, int> out{times_.size(), most};
+    times_.clear();
+    return out;
+  }
+
+ private:
+  const DescendantRanker& inner_;
+  mutable std::mutex mu_;
+  mutable std::map<std::pair<int, VertexId>, int> times_;
+};
+
+/// Without a PropertyTable in the context, a BSP run's fragments share one
+/// lazy table, so each row is ranked once per run at every worker count
+/// and partitioner: the ranker's TopKBatch count equals the rows the run
+/// published (the distinct vertices ranked), no vertex reaches the ranker
+/// twice, and Pi equals serial APair. Which rows a run reads can depend on
+/// placement, since a border assumption changes the evaluation order.
+TEST(ParallelDriverTest, LazyTableRanksEachRowOncePerRun) {
+  for (const uint64_t seed : {3u, 8u}) {
+    auto [g1, g2] = testutil::RandomEntityGraphs(seed, /*roots=*/10);
+    testutil::ContextHarness h(std::move(g1), std::move(g2),
+                               {.sigma = 0.99, .delta = 0.9, .k = 4});
+    RecordingRanker recorder(*h.hr);
+    h.ctx.hr = &recorder;
+    ASSERT_EQ(h.ctx.properties, nullptr);
+    const auto roots = ItemRoots(h.g1);
+    MatchEngine serial_engine(h.ctx);
+    const auto serial = AllParaMatch(serial_engine, roots);
+    recorder.TakeRecord();
+    for (const PartitionStrategy strategy :
+         {PartitionStrategy::kHash, PartitionStrategy::kEdgeCut}) {
+      for (const uint32_t workers : {1u, 2u, 4u}) {
+        BspAllMatch bsp(h.ctx,
+                        {.num_workers = workers, .strategy = strategy});
+        const size_t before = h.hr->BatchCalls();
+        const ParallelResult result = bsp.Run(roots);
+        const size_t ranked = h.hr->BatchCalls() - before;
+        const auto [rows, most] = recorder.TakeRecord();
+        const auto where = ::testing::Message()
+                           << "seed=" << seed << " workers=" << workers
+                           << " strategy=" << static_cast<int>(strategy);
+        EXPECT_EQ(result.matches, serial) << where;
+        EXPECT_EQ(most, 1) << where;
+        EXPECT_EQ(ranked, rows) << where;
+        EXPECT_GT(ranked, 0u) << where;
+      }
+    }
+  }
 }
 
 TEST(ParallelDriverTest, EmptyTupleSetYieldsEmptyResult) {

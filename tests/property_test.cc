@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <latch>
 #include <set>
 #include <span>
+#include <thread>
 #include <unordered_set>
 
 #include "core/drivers.h"
@@ -270,10 +272,10 @@ TEST(PropertyTableTest, GetOutOfRangeReturnsEmpty) {
 
 // --- property-row arena --------------------------------------------------
 
-/// A lazy-ecache engine (no PropertyTable) over the harness graphs, with
-/// the embedding scorer as M_rho.
-struct LazyEngine {
-  explicit LazyEngine(ContextHarness& h) : mrho(h.vocab.get()) {
+/// The harness context with the embedding scorer as M_rho, so lazy rows
+/// carry path embeddings.
+struct EmbeddingContext {
+  explicit EmbeddingContext(ContextHarness& h) : mrho(h.vocab.get()) {
     ctx = h.ctx;
     ctx.mrho = &mrho;
   }
@@ -281,16 +283,16 @@ struct LazyEngine {
   MatchContext ctx;
 };
 
-/// A span PropertiesOf handed out stays valid and unchanged while
-/// thousands of later calls grow the arena and rehash the ecache.
-TEST(PropertyArenaTest, SpanSurvivesArenaGrowthAndEcacheRehash) {
+/// A span a lazy table's Get handed out stays valid and unchanged while
+/// thousands of later reads rank rows into its arena.
+TEST(PropertyArenaTest, SpanSurvivesLazyTableGrowth) {
   auto [g1, g2] = RandomEntityGraphs(5, 400);
   ContextHarness h(std::move(g1), std::move(g2),
                    {.sigma = 0.99, .delta = 0.9, .k = 4});
-  LazyEngine lazy(h);
-  MatchEngine engine(lazy.ctx);
+  EmbeddingContext ec(h);
+  const PropertyTable table(ec.ctx);
   const VertexId root = ItemRoots(h.g1).front();
-  const PropertyRow first = engine.PropertiesOf(0, root);
+  const PropertyRow first = table.Get(0, root, 4);
   ASSERT_FALSE(first.empty());
   ASSERT_FALSE(first.front().embedding.empty());
   PropertyArena keep;
@@ -299,36 +301,91 @@ TEST(PropertyArenaTest, SpanSurvivesArenaGrowthAndEcacheRehash) {
   for (int graph = 0; graph < 2; ++graph) {
     const Graph& g = graph == 0 ? h.g1 : h.g2;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      engine.PropertiesOf(graph, v);
+      table.Get(graph, v, 4);
       ++calls;
     }
   }
   EXPECT_GT(calls, 2000u);
   EXPECT_TRUE(std::ranges::equal(first, copy));
-  EXPECT_EQ(engine.PropertiesOf(0, root).data(), first.data());
+  EXPECT_EQ(table.Get(0, root, 4).data(), first.data());
 }
 
-/// The lazy ecache and the offline PropertyTable rank through one path
-/// into one arena layout: for the same k their rows are equal.
-TEST(PropertyArenaTest, EcacheRowsEqualPropertyTableRows) {
+/// A lazy table and a built one rank through one kernel into one arena
+/// layout: for the same k their rows are equal, whether read from the
+/// table or through an engine that owns it.
+TEST(PropertyTableTest, LazyRowsEqualBuiltRows) {
   auto [g1, g2] = RandomEntityGraphs(9, 40);
   ContextHarness h(std::move(g1), std::move(g2),
                    {.sigma = 0.99, .delta = 0.9, .k = 3});
-  LazyEngine lazy(h);
-  MatchEngine engine(lazy.ctx);
-  const PropertyTable table = PropertyTable::Build(
-      h.g1, h.g2, *h.hr, *h.vocab, /*threads=*/2, &lazy.mrho);
+  EmbeddingContext ec(h);
+  const PropertyTable lazy(ec.ctx);
+  MatchEngine engine(ec.ctx);
+  const PropertyTable built = PropertyTable::Build(
+      h.g1, h.g2, *h.hr, *h.vocab, /*threads=*/2, &ec.mrho);
   size_t compared = 0;
   for (int graph = 0; graph < 2; ++graph) {
     const Graph& g = graph == 0 ? h.g1 : h.g2;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const PropertyRow lazy_row = engine.PropertiesOf(graph, v);
-      EXPECT_TRUE(std::ranges::equal(lazy_row, table.Get(graph, v, 3)))
+      const PropertyRow want = built.Get(graph, v, 3);
+      EXPECT_TRUE(std::ranges::equal(lazy.Get(graph, v, 3), want))
           << "graph " << graph << " vertex " << v;
-      compared += lazy_row.size();
+      EXPECT_TRUE(std::ranges::equal(engine.PropertiesOf(graph, v), want))
+          << "graph " << graph << " vertex " << v;
+      compared += want.size();
     }
   }
   EXPECT_GT(compared, 100u);
+}
+
+/// Four threads read overlapping vertex windows of one fresh lazy table:
+/// every row equals the built table's top-k, and each row is ranked once
+/// (one TopKBatch call per row published, i.e. per vertex read), however
+/// the reads race.
+TEST(PropertyTableTest, ConcurrentLazyFillRanksEachRowOnce) {
+  auto [g1, g2] = RandomEntityGraphs(17, 200);
+  constexpr int kK = 4;
+  ContextHarness h(std::move(g1), std::move(g2),
+                   {.sigma = 0.99, .delta = 0.9, .k = kK});
+  EmbeddingContext ec(h);
+  const PropertyTable built = PropertyTable::Build(
+      h.g1, h.g2, *h.hr, *h.vocab, /*threads=*/1, &ec.mrho);
+  const Graph* graphs[2] = {&h.g1, &h.g2};
+  constexpr size_t kThreads = 4;
+  for (int round = 0; round < 3; ++round) {
+    const PropertyTable lazy(ec.ctx);
+    const size_t calls_before = h.hr->BatchCalls();
+    // Even threads read the first three quarters of each graph, odd ones
+    // the last three, all starting together: two threads want each vertex
+    // at the same moment, and the middle half is wanted by all four.
+    std::vector<size_t> mismatches(kThreads, 0);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (int graph = 0; graph < 2; ++graph) {
+          const size_t n = graphs[graph]->num_vertices();
+          const size_t begin = t % 2 == 0 ? 0 : n / 4;
+          const size_t end = t % 2 == 0 ? 3 * n / 4 : n;
+          for (size_t v = begin; v < end; ++v) {
+            const auto id = static_cast<VertexId>(v);
+            if (!std::ranges::equal(lazy.Get(graph, id, kK),
+                                    built.Get(graph, id, kK))) {
+              ++mismatches[t];
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0u) << "round " << round << " thread " << t;
+    }
+    // The windows cover every vertex of both graphs.
+    const size_t published = h.g1.num_vertices() + h.g2.num_vertices();
+    EXPECT_EQ(h.hr->BatchCalls() - calls_before, published)
+        << "round " << round;
+  }
 }
 
 /// `g` with `extra` more edges from internal vertices to later vertices

@@ -8,8 +8,9 @@
 # common suite (the token-Jaccard kernel and its inline-to-heap spill),
 # the per-tuple root batch (MatchRoots against per-pair Match, whose
 # run builder indexes a de-duplicated descendant union, plus a cancel
-# landing inside it, serial and BSP), the property-row arena (spans across
-# arena growth, compaction, the snapshot golden) and the crash-restore
+# landing inside it, serial and BSP), the property rows (spans across
+# arena growth, compaction, the snapshot golden, four threads filling one
+# lazy table, a BSP run's fragments sharing one) and the crash-restore
 # cases (an in-place restore frees the old fragment's arena while the
 # per-fragment teardown threads free the others) under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
@@ -43,6 +44,8 @@ if [ -n "$HER_SANITIZE" ]; then
   cmake --build "$SAN_DIR" -j --target parallel_driver_test ml_test \
     sim_test property_test persist_test ann_test flat_table_test \
     partition_test serve_test common_test core_test fault_tolerance_test
+  # BSP against serial APair, including the run-wide lazy PropertyTable
+  # every fragment fills (ParallelDriverTest.LazyTableRanksEachRowOncePerRun).
   "$SAN_DIR/tests/parallel_driver_test"
   # String kernels (token-Jaccard against its set definition, including
   # inputs past the inline token buffer), ParallelFor, status, hashing.
@@ -64,6 +67,10 @@ if [ -n "$HER_SANITIZE" ]; then
   # dictionary).
   "$SAN_DIR/tests/sim_test" \
     --gtest_filter='LstmPraRankerTest.*:JaccardVertexScorerTest.*:EmbeddingVertexScorerTest.*:VertexScorerTest.*:TokenOverlapPathScorerTest.*'
+  # Property rows: the built table, the arena and its snapshot codec, and
+  # four threads filling one fresh lazy table at once
+  # (PropertyTableTest.ConcurrentLazyFillRanksEachRowOnce: the race target
+  # for the row claim, the locked arena write and the release publish).
   "$SAN_DIR/tests/property_test" \
     --gtest_filter='PropertyTableTest.*:PropertyArenaTest.*'
   # Per-tuple root batch: MatchRoots equals per-pair Match (both scorer
