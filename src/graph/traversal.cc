@@ -1,8 +1,11 @@
 #include "graph/traversal.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <limits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -39,70 +42,155 @@ double PraScore(const std::vector<size_t>& out_degrees) {
   return r;
 }
 
-std::vector<PraPath> MaxPraPaths(const Graph& g, VertexId root,
-                                 size_t max_len) {
-  // Layered relaxation over paths of length 1..max_len. Each layer's best
-  // paths are frozen as parent-linked hops when the layer ends: best[v] may
-  // later move to a longer, higher-PRA path, so a descendant's labels are
-  // never rebuilt by walking best[pred].
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  struct Hop {
-    size_t parent;  // kNone for the first hop out of the root
-    LabelId label;
-    double pra;
-  };
-  struct Best {
-    Hop last;            // last hop of the best path found so far
-    size_t hop = kNone;  // its index in `hops`; kNone while its layer runs
-  };
-  std::vector<Hop> hops;
-  std::unordered_map<VertexId, Best> best;
-  // (vertex, hop ending its best path of the current length).
-  std::vector<std::pair<VertexId, size_t>> frontier = {{root, kNone}};
-  std::vector<VertexId> improved;
+namespace {
 
-  for (size_t len = 1; len <= max_len && !frontier.empty(); ++len) {
-    improved.clear();
-    for (const auto& [v, from] : frontier) {
+constexpr uint32_t kNoHop = std::numeric_limits<uint32_t>::max();
+
+// One hop of a frozen best path: parent-linked back towards the root.
+struct PraHop {
+  uint32_t parent;  // kNoHop for the first hop out of the root
+  LabelId label;
+  double pra;
+};
+
+// A descendant reached so far: its best path's last hop, and that hop's
+// index in `hops` once the layer that found it has ended.
+struct PraNode {
+  VertexId v;
+  uint32_t slot;  // its slot in the vertex -> node table
+  uint32_t hop;   // kNoHop while its layer runs
+  PraHop last;
+};
+
+// Per-thread working memory of MaxPraPaths, reused across calls. The
+// vertex -> node table is open-addressed with linear probing and at most
+// half full; a call clears only the slots its nodes took, so a small call
+// after a large one costs nothing extra.
+class PraScratch {
+ public:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  // Starts a call: forgets the previous call's nodes and hops.
+  void Reset() {
+    for (const PraNode& n : nodes) slots_[n.slot] = kEmpty;
+    nodes.clear();
+    hops.clear();
+  }
+
+  // Index of v's node, inserting a fresh one (second = true) if absent.
+  std::pair<uint32_t, bool> FindOrInsert(VertexId v) {
+    if (2 * (nodes.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = Hash(v);; s = (s + 1) & mask) {
+      const uint32_t idx = slots_[s];
+      if (idx == kEmpty) {
+        slots_[s] = static_cast<uint32_t>(nodes.size());
+        nodes.push_back(PraNode{v, static_cast<uint32_t>(s), kNoHop, {}});
+        return {slots_[s], true};
+      }
+      if (nodes[idx].v == v) return {idx, false};
+    }
+  }
+
+  std::vector<PraNode> nodes;
+  std::vector<PraHop> hops;
+  std::vector<std::pair<VertexId, uint32_t>> frontier;  // (vertex, hop)
+  std::vector<uint32_t> improved;                       // node indices
+
+ private:
+  size_t Hash(VertexId v) const {
+    return (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >> shift_;
+  }
+
+  // Doubles the table (first use: 128 slots) and re-seats every node.
+  void Grow() {
+    const size_t size = slots_.empty() ? 128 : 2 * slots_.size();
+    slots_.assign(size, kEmpty);
+    shift_ = 64 - std::countr_zero(size);
+    const size_t mask = size - 1;
+    for (uint32_t i = 0; i < nodes.size(); ++i) {
+      size_t s = Hash(nodes[i].v);
+      while (slots_[s] != kEmpty) s = (s + 1) & mask;
+      slots_[s] = i;
+      nodes[i].slot = static_cast<uint32_t>(s);
+    }
+  }
+
+  std::vector<uint32_t> slots_;
+  int shift_ = 0;  // 64 - log2(slots_.size()), set by Grow
+};
+
+}  // namespace
+
+std::vector<PraPath> MaxPraPaths(const Graph& g, VertexId root,
+                                 size_t max_len, size_t limit) {
+  // Layered relaxation over paths of length 1..max_len. Each layer's best
+  // paths are frozen as parent-linked hops when the layer ends: a node's
+  // best path may later move to a longer, higher-PRA one, so a
+  // descendant's labels are never rebuilt by walking its predecessor's
+  // current best.
+  thread_local PraScratch scratch;
+  PraScratch& s = scratch;
+  s.Reset();
+  s.frontier.assign(1, {root, kNoHop});
+
+  for (size_t len = 1; len <= max_len && !s.frontier.empty(); ++len) {
+    s.improved.clear();
+    for (const auto& [v, from] : s.frontier) {
       const size_t deg = g.OutDegree(v);
       if (deg == 0) continue;
-      const double child_pra = (from == kNone ? 1.0 : hops[from].pra) /
+      const double child_pra = (from == kNoHop ? 1.0 : s.hops[from].pra) /
                                static_cast<double>(deg);
       for (const Edge& e : g.OutEdges(v)) {
         if (e.dst == root) continue;  // a cycle back to the root is useless
-        auto [it, fresh] = best.try_emplace(e.dst);
-        if (!fresh && child_pra <= it->second.last.pra) continue;
-        if (fresh || it->second.hop != kNone) improved.push_back(e.dst);
-        it->second = Best{Hop{from, e.label, child_pra}, kNone};
+        const auto [idx, fresh] = s.FindOrInsert(e.dst);
+        PraNode& n = s.nodes[idx];
+        if (!fresh && child_pra <= n.last.pra) continue;
+        if (fresh || n.hop != kNoHop) s.improved.push_back(idx);
+        n.last = PraHop{from, e.label, child_pra};
+        n.hop = kNoHop;
       }
     }
-    frontier.clear();
-    for (const VertexId v : improved) {
-      Best& b = best.at(v);
-      b.hop = hops.size();
-      hops.push_back(b.last);
-      frontier.emplace_back(v, b.hop);
+    s.frontier.clear();
+    for (const uint32_t idx : s.improved) {
+      PraNode& n = s.nodes[idx];
+      n.hop = static_cast<uint32_t>(s.hops.size());
+      s.hops.push_back(n.last);
+      s.frontier.emplace_back(n.v, n.hop);
     }
     // Deterministic relaxation order across runs.
-    std::sort(frontier.begin(), frontier.end());
+    std::sort(s.frontier.begin(), s.frontier.end());
   }
 
-  std::vector<PraPath> out;
-  out.reserve(best.size());
-  for (const auto& [v, b] : best) {
-    PraPath p;
-    p.pra = b.last.pra;
-    p.path.endpoint = v;
-    for (size_t h = b.hop; h != kNone; h = hops[h].parent) {
-      p.path.labels.push_back(hops[h].label);
-    }
-    std::reverse(p.path.labels.begin(), p.path.labels.end());
-    out.push_back(std::move(p));
+  // (pra desc, endpoint asc) is a strict total order over distinct
+  // endpoints, so the first `limit` of a partial sort are exactly the
+  // first `limit` of the full sort. Nodes keep their slots, so Reset
+  // still finds them after the sort.
+  const auto before = [](const PraNode& x, const PraNode& y) {
+    if (x.last.pra != y.last.pra) return x.last.pra > y.last.pra;
+    return x.v < y.v;
+  };
+  const size_t kept = std::min(limit, s.nodes.size());
+  if (kept < s.nodes.size()) {
+    std::partial_sort(s.nodes.begin(), s.nodes.begin() + kept, s.nodes.end(),
+                      before);
+  } else {
+    std::sort(s.nodes.begin(), s.nodes.end(), before);
   }
-  std::sort(out.begin(), out.end(), [](const PraPath& a, const PraPath& b) {
-    if (a.pra != b.pra) return a.pra > b.pra;
-    return a.path.endpoint < b.path.endpoint;
-  });
+
+  std::vector<PraPath> out(kept);
+  for (size_t i = 0; i < kept; ++i) {
+    const PraNode& n = s.nodes[i];
+    PraPath& p = out[i];
+    p.pra = n.last.pra;
+    p.path.endpoint = n.v;
+    size_t len = 0;
+    for (uint32_t h = n.hop; h != kNoHop; h = s.hops[h].parent) ++len;
+    p.path.labels.resize(len);
+    for (uint32_t h = n.hop; h != kNoHop; h = s.hops[h].parent) {
+      p.path.labels[--len] = s.hops[h].label;
+    }
+  }
   return out;
 }
 

@@ -19,6 +19,9 @@ struct PraPath {
   double pra = 0.0;
 };
 
+/// MaxPraPaths' default `limit`: every descendant within max_len.
+inline constexpr size_t kAllPraPaths = static_cast<size_t>(-1);
+
 /// Path resource allocation score of Section IV:
 ///   R(rho) = prod_i 1 / |ch(v_i)|   over non-terminal vertices of rho.
 /// `out_degrees` are |ch(v_i)| along the path (root first).
@@ -28,9 +31,13 @@ double PraScore(const std::vector<size_t>& out_degrees);
 /// maximum-PRA path from `root` to it. Because PRA multiplies 1/out-degree
 /// factors (all <= 1), the maximising path never repeats a vertex, so a
 /// hop-layered dynamic program suffices. Results exclude the root and are
-/// sorted by descending PRA (ties: ascending endpoint id).
+/// sorted by descending PRA (ties: ascending endpoint id); with `limit`,
+/// only the first `limit` of that order are returned (and only their
+/// labels are built). Runs on per-thread scratch, so it is thread-safe and
+/// allocates only the returned paths once warm.
 std::vector<PraPath> MaxPraPaths(const Graph& g, VertexId root,
-                                 size_t max_len);
+                                 size_t max_len,
+                                 size_t limit = kAllPraPaths);
 
 /// True if `g` has a directed cycle reachable from any vertex (Kahn check);
 /// used by tests and dataset sanity checks.

@@ -488,11 +488,11 @@ std::vector<std::vector<RankedProperty>> DescendantRanker::TopKBatch(
 std::vector<RankedProperty> PraRanker::TopK(int graph, VertexId v,
                                             int k) const {
   const Graph& g = *graphs_[graph];
-  auto paths = MaxPraPaths(g, v, max_len_);
+  auto paths =
+      MaxPraPaths(g, v, max_len_, static_cast<size_t>(std::max(k, 0)));
   std::vector<RankedProperty> out;
-  out.reserve(std::min<size_t>(paths.size(), static_cast<size_t>(k)));
+  out.reserve(paths.size());
   for (auto& p : paths) {
-    if (static_cast<int>(out.size()) >= k) break;
     out.push_back(RankedProperty{p.path.endpoint, std::move(p.path), p.pra});
   }
   return out;

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/traversal.h"
+#include "test_util.h"
 
 namespace her {
 namespace {
@@ -202,6 +208,141 @@ TEST(TraversalTest, MaxPraPathLabelsFollowTheWinningLayer) {
   EXPECT_EQ(labels_of(len4, 2), Labels({"03", "31", "12"}));
   EXPECT_EQ(labels_of(len4, 4), Labels({"03", "31", "12", "24"}));
   for (const PraPath& p : len4) EXPECT_DOUBLE_EQ(p.pra, 0.5);
+}
+
+// MaxPraPaths as first written, on a std::unordered_map, kept as the
+// reference the scratch kernel must reproduce: every path, sorted by
+// (pra desc, endpoint asc).
+std::vector<PraPath> ReferenceMaxPraPaths(const Graph& g, VertexId root,
+                                          size_t max_len) {
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  struct Hop {
+    size_t parent;
+    LabelId label;
+    double pra;
+  };
+  struct Best {
+    Hop last;
+    size_t hop = kNone;
+  };
+  std::vector<Hop> hops;
+  std::unordered_map<VertexId, Best> best;
+  std::vector<std::pair<VertexId, size_t>> frontier = {{root, kNone}};
+  std::vector<VertexId> improved;
+  for (size_t len = 1; len <= max_len && !frontier.empty(); ++len) {
+    improved.clear();
+    for (const auto& [v, from] : frontier) {
+      const size_t deg = g.OutDegree(v);
+      if (deg == 0) continue;
+      const double child_pra = (from == kNone ? 1.0 : hops[from].pra) /
+                               static_cast<double>(deg);
+      for (const Edge& e : g.OutEdges(v)) {
+        if (e.dst == root) continue;
+        auto [it, fresh] = best.try_emplace(e.dst);
+        if (!fresh && child_pra <= it->second.last.pra) continue;
+        if (fresh || it->second.hop != kNone) improved.push_back(e.dst);
+        it->second = Best{Hop{from, e.label, child_pra}, kNone};
+      }
+    }
+    frontier.clear();
+    for (const VertexId v : improved) {
+      Best& b = best.at(v);
+      b.hop = hops.size();
+      hops.push_back(b.last);
+      frontier.emplace_back(v, b.hop);
+    }
+    std::sort(frontier.begin(), frontier.end());
+  }
+  std::vector<PraPath> out;
+  for (const auto& [v, b] : best) {
+    PraPath p;
+    p.pra = b.last.pra;
+    p.path.endpoint = v;
+    for (size_t h = b.hop; h != kNone; h = hops[h].parent) {
+      p.path.labels.push_back(hops[h].label);
+    }
+    std::reverse(p.path.labels.begin(), p.path.labels.end());
+    out.push_back(std::move(p));
+  }
+  std::sort(out.begin(), out.end(), [](const PraPath& a, const PraPath& b) {
+    if (a.pra != b.pra) return a.pra > b.pra;
+    return a.path.endpoint < b.path.endpoint;
+  });
+  return out;
+}
+
+// MaxPraPaths(g, root, max_len, limit) is the first `limit` reference
+// paths: same endpoints, bitwise-equal pra, same labels.
+void ExpectReferencePrefix(const Graph& g, VertexId root, size_t max_len,
+                           size_t limit) {
+  SCOPED_TRACE(testing::Message() << "root " << root << " max_len "
+                                  << max_len << " limit " << limit);
+  const std::vector<PraPath> ref = ReferenceMaxPraPaths(g, root, max_len);
+  const std::vector<PraPath> got = MaxPraPaths(g, root, max_len, limit);
+  ASSERT_EQ(got.size(), std::min(limit, ref.size()));
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].path.endpoint, ref[i].path.endpoint) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].pra),
+              std::bit_cast<uint64_t>(ref[i].pra))
+        << i;
+    EXPECT_EQ(got[i].path.labels, ref[i].path.labels) << i;
+  }
+}
+
+TEST(TraversalTest, MaxPraPathsEqualsReference) {
+  constexpr size_t kLimits[] = {0, 1, 3, 6, kAllPraPaths};
+  const auto check_all = [&](const Graph& g) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (size_t max_len = 1; max_len <= 4; ++max_len) {
+        for (const size_t limit : kLimits) {
+          ExpectReferencePrefix(g, v, max_len, limit);
+        }
+      }
+    }
+  };
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    for (const int roots : {6, 10}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " roots "
+                                      << roots);
+      const auto [g1, g2] = testutil::RandomEntityGraphs(seed, roots);
+      check_all(g1);
+      check_all(g2);
+      if (HasFailure()) return;
+    }
+  }
+
+  // A hub with 300 descendants grows the per-thread vertex table mid-call
+  // (past 64 nodes, then again); the small calls after it on the same
+  // thread must still see a clean table.
+  GraphBuilder b;
+  const VertexId hub = b.AddVertex("hub");
+  std::vector<VertexId> level1;
+  for (int i = 0; i < 100; ++i) {
+    level1.push_back(b.AddVertex(std::string("a").append(std::to_string(i))));
+    b.AddEdge(hub, level1.back(), i % 2 == 0 ? "even" : "odd");
+  }
+  std::vector<VertexId> level2;
+  for (int i = 0; i < 200; ++i) {
+    level2.push_back(b.AddVertex(std::string("b").append(std::to_string(i))));
+    b.AddEdge(level1[static_cast<size_t>(i / 2)], level2.back(), "down");
+    // Cross links: several routes of unequal PRA to one vertex.
+    b.AddEdge(level1[static_cast<size_t>((i * 7) % 100)], level2.back(),
+              "cross");
+  }
+  for (int i = 0; i < 200; i += 3) {
+    b.AddEdge(level2[static_cast<size_t>(i)],
+              level1[static_cast<size_t>((i * 13) % 100)], "up");
+  }
+  const Graph hub_graph = std::move(b).Build();
+  const Graph diamond = Diamond();
+  for (size_t max_len = 1; max_len <= 4; ++max_len) {
+    for (const size_t limit : kLimits) {
+      ExpectReferencePrefix(hub_graph, hub, max_len, limit);
+      ExpectReferencePrefix(diamond, 0, max_len, limit);
+      ExpectReferencePrefix(hub_graph, level1[3], max_len, limit);
+    }
+  }
+  check_all(hub_graph);
 }
 
 TEST(TraversalTest, HasCycleDetects) {

@@ -10,9 +10,12 @@
 # run builder indexes a de-duplicated descendant union, plus a cancel
 # landing inside it, serial and BSP), the property rows (spans across
 # arena growth, compaction, the snapshot golden, four threads filling one
-# lazy table, a BSP run's fragments sharing one) and the crash-restore
-# cases (an in-place restore frees the old fragment's arena while the
-# per-fragment teardown threads free the others) under the same sanitizer.
+# lazy table, a BSP run's fragments sharing one), the maximum-PRA
+# traversal (its per-thread scratch indexes raw slots of an open-addressed
+# table that grows mid-call; checked against the unordered_map reference)
+# and the crash-restore cases (an in-place restore frees the old
+# fragment's arena while the per-fragment teardown threads free the
+# others) under the same sanitizer.
 # Usage: tools/run_tier1.sh [sanitizer] [build-dir] [san-build-dir]
 #   sanitizer: tsan (default) | asan | ubsan | none
 set -euo pipefail
@@ -43,13 +46,18 @@ if [ -n "$HER_SANITIZE" ]; then
     -DHER_SANITIZE="$HER_SANITIZE"
   cmake --build "$SAN_DIR" -j --target parallel_driver_test ml_test \
     sim_test property_test persist_test ann_test flat_table_test \
-    partition_test serve_test common_test core_test fault_tolerance_test
+    partition_test serve_test common_test core_test fault_tolerance_test \
+    graph_test
   # BSP against serial APair, including the run-wide lazy PropertyTable
   # every fragment fills (ParallelDriverTest.LazyTableRanksEachRowOncePerRun).
   "$SAN_DIR/tests/parallel_driver_test"
   # String kernels (token-Jaccard against its set definition, including
   # inputs past the inline token buffer), ParallelFor, status, hashing.
   "$SAN_DIR/tests/common_test"
+  # Maximum-PRA traversal on per-thread scratch against its reference,
+  # including a hub that grows the scratch table mid-call followed by
+  # small calls on the same thread.
+  "$SAN_DIR/tests/graph_test" --gtest_filter='TraversalTest.*'
   # Partitioner invariants + wire-codec corruption suite (the UB target
   # for the varint-delta frame decoder).
   "$SAN_DIR/tests/partition_test"
