@@ -100,6 +100,7 @@ BENCHMARK(BM_VertexScoreMatrix)
     ->Args({6, 64, 0})
     ->Args({6, 512, 0})
     ->Args({1, 512, 0})
+    ->Args({11, 646, 0})  // apair-learned's mean list build
     ->Args({6, 64, 1})
     ->Args({6, 512, 1})
     ->Args({1, 512, 1});

@@ -15,18 +15,10 @@ namespace her {
 
 namespace {
 
-/// Same clamp + [0, 1] mapping as the exact ScoreBatch path (scores.cc):
-/// rows are pre-normalized, so the dot IS the cosine up to float rounding.
-double UnitFromDot(double dot) {
-  if (dot > 1.0) dot = 1.0;
-  if (dot < -1.0) dot = -1.0;
-  return CosineToUnit(dot);
-}
-
-/// The ScoreBatch blocking over a contiguous row-major sub-matrix: four
-/// rows share one streaming pass over the query, each with its own double
-/// accumulator in ascending dimension order — bit-identical to a scalar
-/// DotRows per row, and therefore to the exact all-pairs scan.
+/// Four rows of a contiguous row-major sub-matrix share one streaming pass
+/// over the query, each with its own double accumulator in ascending
+/// dimension order — bit-identical to a scalar DotRows per row, and
+/// therefore to the exact all-pairs scan.
 void BlockedUnitScores(const float* query, const float* rows, size_t n,
                        size_t dim, double* out) {
   size_t i = 0;

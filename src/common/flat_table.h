@@ -674,6 +674,67 @@ class ShardedFlatMemo {
   mutable std::atomic<size_t> probe_len_{0};
 };
 
+/// Numbers the distinct uint32 keys of one call 0, 1, 2, ... in first-seen
+/// order, for per-thread scratch reused across calls. Open addressing with
+/// linear probing over a table at most half full (128 slots on first use,
+/// doubled as needed); Reset clears only the slots the last call's keys
+/// took, so a small call after a large one costs nothing extra.
+class FirstSeenIndex {
+ public:
+  /// Starts a call: forgets every key.
+  void Reset() {
+    for (const uint32_t slot : key_slots_) slots_[slot] = kEmpty;
+    key_slots_.clear();
+    keys_.clear();
+  }
+
+  /// The number of `key`, giving it the next one (second = true) if the
+  /// call has not met it.
+  std::pair<uint32_t, bool> FindOrInsert(uint32_t key) {
+    if (2 * (keys_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t slot = Hash(key);; slot = (slot + 1) & mask) {
+      const uint32_t n = slots_[slot];
+      if (n == kEmpty) {
+        slots_[slot] = static_cast<uint32_t>(keys_.size());
+        key_slots_.push_back(static_cast<uint32_t>(slot));
+        keys_.push_back(key);
+        return {slots_[slot], true};
+      }
+      if (keys_[n] == key) return {n, false};
+    }
+  }
+
+  /// The call's keys, indexed by their numbers.
+  std::span<const uint32_t> keys() const { return keys_; }
+
+ private:
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+
+  size_t Hash(uint32_t key) const {
+    return (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_;
+  }
+
+  // Doubles the table and re-seats every key.
+  void Grow() {
+    const size_t size = slots_.empty() ? 128 : 2 * slots_.size();
+    slots_.assign(size, kEmpty);
+    shift_ = 64 - std::countr_zero(size);
+    const size_t mask = size - 1;
+    for (uint32_t n = 0; n < keys_.size(); ++n) {
+      size_t slot = Hash(keys_[n]);
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = n;
+      key_slots_[n] = static_cast<uint32_t>(slot);
+    }
+  }
+
+  std::vector<uint32_t> slots_;      // key number per slot, or kEmpty
+  std::vector<uint32_t> keys_;       // key per number
+  std::vector<uint32_t> key_slots_;  // slot per number
+  int shift_ = 0;  // 64 - log2(slots_.size()), set by Grow
+};
+
 }  // namespace her
 
 #endif  // HER_COMMON_FLAT_TABLE_H_

@@ -1,6 +1,7 @@
 #include "core/match_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -27,6 +28,19 @@ size_t ThreadTicket() {
   thread_local const size_t ticket = next.fetch_add(1);
   return ticket;
 }
+
+/// Per-thread working memory of MatchEngine::CandidateListsFor, reused
+/// across calls.
+struct ListScratch {
+  FirstSeenIndex columns;       // descendant -> column, first-seen order
+  std::vector<uint32_t> at;     // (row, j) entry -> column, row-major
+  std::vector<VertexId> us;     // u's property descendants
+  std::vector<double> hv;       // |us| x |columns| h_v, row-major
+  std::vector<uint64_t> masks;  // per column: bit blocks of i clearing sigma
+  std::vector<size_t> cursor;   // next write position of each list
+  std::vector<EmbeddedPath> p1s, p2s;  // M_rho operands, one per survivor
+  std::vector<double> m;               // M_rho, one per survivor
+};
 
 }  // namespace
 
@@ -257,57 +271,90 @@ MatchEngine::CandidateLists MatchEngine::CandidateListsFor(
   out.num_props = pu.size();
   out.num_rows = pvs.size();
   const double sigma = ctx_.params.sigma;
+  thread_local ListScratch scratch;
+  ListScratch& s = scratch;
 
   // The rows' descendants, de-duplicated (a tuple's candidates share
-  // many), with `at` mapping each (row, j) to its column in `vs`.
-  std::vector<VertexId> vs;
-  for (const auto& pv : pvs) {
-    for (const Property& p : pv) vs.push_back(p.descendant);
-  }
-  std::vector<uint32_t> at(vs.size());
-  std::sort(vs.begin(), vs.end());
-  vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
-  size_t n = 0;
+  // many) in first-seen order, with `at` mapping each (row, j) to its
+  // column. Lists are assembled from these per-entry lookups, so the
+  // column order reaches no output.
+  s.columns.Reset();
+  s.at.clear();
   for (const auto& pv : pvs) {
     for (const Property& p : pv) {
-      at[n++] = static_cast<uint32_t>(
-          std::lower_bound(vs.begin(), vs.end(), p.descendant) - vs.begin());
+      s.at.push_back(s.columns.FindOrInsert(p.descendant).first);
+    }
+  }
+  const std::span<const VertexId> cols = s.columns.keys();
+  const size_t nv = cols.size();
+
+  // Sigma filter (Fig. 4 line 8): one h_v matrix of u's selected
+  // descendants (row i) over the columns, folded into one bit per
+  // (column, i) in 64-property blocks: bit i % 64 of masks[col * blocks +
+  // i / 64] says column col clears sigma for property i.
+  const size_t blocks = (pu.size() + 63) / 64;
+  s.us.resize(pu.size());
+  for (size_t i = 0; i < pu.size(); ++i) s.us[i] = pu[i].descendant;
+  s.hv.resize(pu.size() * nv);
+  if (!s.us.empty() && nv != 0) ctx_.hv->ScoreMatrix(s.us, cols, s.hv);
+  s.masks.assign(nv * blocks, 0);
+  for (size_t i = 0; i < pu.size(); ++i) {
+    const double* hv_i = s.hv.data() + i * nv;
+    uint64_t* mask = s.masks.data() + i / 64;
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    for (size_t col = 0; col < nv; ++col) {
+      if (!(hv_i[col] < sigma)) mask[col * blocks] |= bit;
     }
   }
 
-  // Sigma filter (Fig. 4 line 8): one h_v matrix of u's selected
-  // descendants (row i) over the union (column). Survivors are appended in
-  // (i, row, j) order, so list (row, i) is one contiguous segment of
-  // `cands`.
-  std::vector<VertexId> us(pu.size());
-  for (size_t i = 0; i < pu.size(); ++i) us[i] = pu[i].descendant;
-  std::vector<double> hv(us.size() * vs.size());
-  if (!us.empty() && !vs.empty()) ctx_.hv->ScoreMatrix(us, vs, hv);
-  std::vector<EmbeddedPath> p1s, p2s;
-  out.offsets.reserve(pu.size() * pvs.size() + 1);
-  out.offsets.push_back(0);
-  for (size_t i = 0; i < pu.size(); ++i) {
-    const double* hv_i = hv.data() + i * vs.size();
-    size_t base = 0;  // first `at` entry of the current row
-    for (const auto& pv : pvs) {
-      for (size_t j = 0; j < pv.size(); ++j) {
-        if (hv_i[at[base + j]] < sigma) continue;
-        p1s.push_back(OperandOf(pu[i]));
-        p2s.push_back(OperandOf(pv[j]));
-        if (!pu[i].embedding.empty()) ++stats_.hrho_embed_reuse;
-        if (!pv[j].embedding.empty()) ++stats_.hrho_embed_reuse;
-        out.cands.push_back(Cand{pv[j].descendant, 0.0});
+  // Survivors go in (i, row, j) order, so list (row, i) is one contiguous
+  // segment of `cands`. A counting pass sizes every list, then a fill pass
+  // walks the entries in (row, j) order and writes each survivor at its
+  // list's cursor, so each list keeps j order.
+  const size_t rows = pvs.size();
+  const auto for_each_survivor = [&](auto&& fn) {
+    size_t e = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t j = 0; j < pvs[r].size(); ++j, ++e) {
+        const uint64_t* mask = s.masks.data() + s.at[e] * blocks;
+        for (size_t b = 0; b < blocks; ++b) {
+          for (uint64_t m = mask[b]; m != 0; m &= m - 1) {
+            fn(b * 64 + std::countr_zero(m), r, j);
+          }
+        }
       }
-      out.offsets.push_back(out.cands.size());
-      base += pv.size();
     }
+  };
+  out.offsets.assign(pu.size() * rows + 1, 0);
+  for_each_survivor([&](size_t i, size_t r, size_t) {
+    ++out.offsets[i * rows + r + 1];
+  });
+  for (size_t l = 1; l < out.offsets.size(); ++l) {
+    out.offsets[l] += out.offsets[l - 1];
   }
+  const size_t total = out.offsets.back();
+  out.cands.resize(total);
+  std::vector<EmbeddedPath>& p1s = s.p1s;
+  std::vector<EmbeddedPath>& p2s = s.p2s;
+  p1s.resize(total);
+  p2s.resize(total);
+  s.cursor.assign(out.offsets.begin(), out.offsets.end() - 1);
+  for_each_survivor([&](size_t i, size_t r, size_t j) {
+    const Property& pvj = pvs[r][j];
+    const size_t c = s.cursor[i * rows + r]++;
+    out.cands[c] = Cand{pvj.descendant, 0.0};
+    p1s[c] = OperandOf(pu[i]);
+    p2s[c] = OperandOf(pvj);
+    if (!pu[i].embedding.empty()) ++stats_.hrho_embed_reuse;
+    if (!pvj.embedding.empty()) ++stats_.hrho_embed_reuse;
+  });
 
   // One batched M_rho call for every survivor; h_rho's length
   // normalization (Eq. 2) is applied per pair exactly as HRho does, so
   // scores are bit-identical to the scalar path.
   if (!out.cands.empty()) {
-    std::vector<double> m(out.cands.size());
+    std::vector<double>& m = s.m;
+    m.resize(total);
     ctx_.mrho->ScoreBatch(p1s, p2s, m);
     stats_.hrho_evaluations += m.size();
     for (size_t c = 0; c < m.size(); ++c) {

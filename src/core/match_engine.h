@@ -434,6 +434,8 @@ class MatchEngine {
   Status LoadEngineState(ByteReader* r);
 
  private:
+  friend class MatchEnginePeer;  // reads CandidateListsFor in tests
+
   /// One candidate for a selected descendant u' of u: a descendant v' of v
   /// that passed the sigma filter, with its h_rho value.
   struct Cand {
@@ -465,10 +467,13 @@ class MatchEngine {
     }
   };
   /// Builds the candidate lists of u's properties `pu` under each row of
-  /// `pvs` (the properties of v_r): one hv->ScoreMatrix of u's property
-  /// descendants over the sorted, de-duplicated union of the rows'
-  /// descendants, and one M_rho batch over the sigma-surviving pairs.
-  /// Recursion passes one row.
+  /// `pvs` (the properties of v_r), every stage linear in its input: the
+  /// rows' descendants are de-duplicated through a per-thread hashed
+  /// column table, one hv->ScoreMatrix scores u's property descendants
+  /// against those columns, a bitmask per column marks the properties that
+  /// clear sigma, a counting pass and a fill pass lay the survivors out
+  /// list by list, and one M_rho batch scores them before each list is
+  /// sorted. Recursion passes one row.
   CandidateLists CandidateListsFor(
       std::span<const Property> pu,
       std::span<const std::span<const Property>> pvs);

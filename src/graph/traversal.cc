@@ -1,13 +1,13 @@
 #include "graph/traversal.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
+#include "common/flat_table.h"
 
 namespace her {
 
@@ -57,67 +57,33 @@ struct PraHop {
 // index in `hops` once the layer that found it has ended.
 struct PraNode {
   VertexId v;
-  uint32_t slot;  // its slot in the vertex -> node table
-  uint32_t hop;   // kNoHop while its layer runs
+  uint32_t hop;  // kNoHop while its layer runs
   PraHop last;
 };
 
-// Per-thread working memory of MaxPraPaths, reused across calls. The
-// vertex -> node table is open-addressed with linear probing and at most
-// half full; a call clears only the slots its nodes took, so a small call
-// after a large one costs nothing extra.
-class PraScratch {
- public:
-  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-
+// Per-thread working memory of MaxPraPaths, reused across calls: the
+// nodes are numbered by a vertex index, so a call clears only what it
+// used.
+struct PraScratch {
   // Starts a call: forgets the previous call's nodes and hops.
   void Reset() {
-    for (const PraNode& n : nodes) slots_[n.slot] = kEmpty;
+    index.Reset();
     nodes.clear();
     hops.clear();
   }
 
   // Index of v's node, inserting a fresh one (second = true) if absent.
   std::pair<uint32_t, bool> FindOrInsert(VertexId v) {
-    if (2 * (nodes.size() + 1) > slots_.size()) Grow();
-    const size_t mask = slots_.size() - 1;
-    for (size_t s = Hash(v);; s = (s + 1) & mask) {
-      const uint32_t idx = slots_[s];
-      if (idx == kEmpty) {
-        slots_[s] = static_cast<uint32_t>(nodes.size());
-        nodes.push_back(PraNode{v, static_cast<uint32_t>(s), kNoHop, {}});
-        return {slots_[s], true};
-      }
-      if (nodes[idx].v == v) return {idx, false};
-    }
+    const auto found = index.FindOrInsert(v);
+    if (found.second) nodes.push_back(PraNode{v, kNoHop, {}});
+    return found;
   }
 
+  FirstSeenIndex index;
   std::vector<PraNode> nodes;
   std::vector<PraHop> hops;
   std::vector<std::pair<VertexId, uint32_t>> frontier;  // (vertex, hop)
   std::vector<uint32_t> improved;                       // node indices
-
- private:
-  size_t Hash(VertexId v) const {
-    return (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >> shift_;
-  }
-
-  // Doubles the table (first use: 128 slots) and re-seats every node.
-  void Grow() {
-    const size_t size = slots_.empty() ? 128 : 2 * slots_.size();
-    slots_.assign(size, kEmpty);
-    shift_ = 64 - std::countr_zero(size);
-    const size_t mask = size - 1;
-    for (uint32_t i = 0; i < nodes.size(); ++i) {
-      size_t s = Hash(nodes[i].v);
-      while (slots_[s] != kEmpty) s = (s + 1) & mask;
-      slots_[s] = i;
-      nodes[i].slot = static_cast<uint32_t>(s);
-    }
-  }
-
-  std::vector<uint32_t> slots_;
-  int shift_ = 0;  // 64 - log2(slots_.size()), set by Grow
 };
 
 }  // namespace
@@ -164,8 +130,8 @@ std::vector<PraPath> MaxPraPaths(const Graph& g, VertexId root,
 
   // (pra desc, endpoint asc) is a strict total order over distinct
   // endpoints, so the first `limit` of a partial sort are exactly the
-  // first `limit` of the full sort. Nodes keep their slots, so Reset
-  // still finds them after the sort.
+  // first `limit` of the full sort. The index keeps its own keys, so
+  // Reset still clears their slots after the sort.
   const auto before = [](const PraNode& x, const PraNode& y) {
     if (x.last.pra != y.last.pra) return x.last.pra > y.last.pra;
     return x.v < y.v;

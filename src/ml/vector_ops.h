@@ -48,6 +48,14 @@ inline double CosineToUnit(double cosine) {
   return (std::fabs(cosine) + cosine) / 2.0;
 }
 
+/// CosineToUnit of two L2-normalized rows' dot product, which IS their
+/// cosine up to float rounding: clamped like Cosine, then mapped.
+inline double UnitFromDot(double dot) {
+  if (dot > 1.0) dot = 1.0;
+  if (dot < -1.0) dot = -1.0;
+  return CosineToUnit(dot);
+}
+
 /// a += s * b.
 inline void Axpy(double s, const Vec& b, Vec& a) {
   HER_DCHECK(a.size() == b.size());

@@ -1,6 +1,7 @@
 #include "sim/scores.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -15,48 +16,60 @@ namespace her {
 
 namespace {
 
-/// Rows are pre-normalized, so the dot product IS the cosine up to float
-/// rounding; clamp like Cosine does, then map into [0, 1].
-double UnitFromDot(double dot) {
-  if (dot > 1.0) dot = 1.0;
-  if (dot < -1.0) dot = -1.0;
-  return CosineToUnit(dot);
-}
+#if defined(__GNUC__) || defined(__clang__)
+#define HER_HV_PACKED_LANES 1
+// Native 128-bit pairs (SSE2-class on x86): two lanes per register halve
+// the uop count per lane without touching any lane's reduction order.
+typedef double Vd2 __attribute__((vector_size(16)));
+#endif
 
-/// One R x C tile of h_v over embedding rows: out[r * stride + c] for the
-/// u rows `a` and the v rows `b`. Every pair keeps its own double
-/// accumulator and adds its products in index order, exactly as DotRows
-/// does, so each entry is bit-identical to the scalar Score.
-template <size_t R, size_t C>
-void DotTile(const float* const (&a)[R], const float* const (&b)[C],
-             size_t dim, double* out, size_t stride) {
-  double s[R][C] = {};
+/// v rows per packed panel, and the most u rows one tile runs.
+constexpr size_t kPanel = 4;
+
+/// One R x kPanel tile of h_v: out[r * stride + c] for the first `cols`
+/// columns, from R u rows already in double (`a`, row-major, `dim` apart)
+/// and one packed panel of four v rows (panel[d * kPanel + c] = v_c[d]).
+/// Every pair keeps its own double accumulator and adds its products in
+/// index order, a multiply then an add, exactly as DotRows does, so each
+/// entry is bit-identical to the scalar Score.
+template <size_t R>
+void PanelTile(const double* a, const double* panel, size_t dim,
+               size_t cols, double* out, size_t stride) {
+  double s[R][kPanel];
+#ifdef HER_HV_PACKED_LANES
+  Vd2 lo[R], hi[R];  // columns {0, 1} and {2, 3} of each u row
+  for (size_t r = 0; r < R; ++r) lo[r] = hi[r] = Vd2{0.0, 0.0};
   for (size_t d = 0; d < dim; ++d) {
+    Vd2 p0, p1;
+    std::memcpy(&p0, panel + kPanel * d, sizeof p0);
+    std::memcpy(&p1, panel + kPanel * d + 2, sizeof p1);
     for (size_t r = 0; r < R; ++r) {
-      const double ad = a[r][d];
-      for (size_t c = 0; c < C; ++c) s[r][c] += ad * b[c][d];
+      const double ad = a[r * dim + d];
+      lo[r] += ad * p0;
+      hi[r] += ad * p1;
     }
   }
   for (size_t r = 0; r < R; ++r) {
-    for (size_t c = 0; c < C; ++c) out[r * stride + c] = UnitFromDot(s[r][c]);
+    s[r][0] = lo[r][0];
+    s[r][1] = lo[r][1];
+    s[r][2] = hi[r][0];
+    s[r][3] = hi[r][1];
   }
-}
-
-/// R u rows against every v row: four v rows per pass over the u rows, then
-/// the tail one at a time.
-template <size_t R>
-void DotRowsTimesAll(const float* const (&a)[R], const float* m2, size_t dim,
-                     std::span<const VertexId> vs, double* out) {
-  const size_t nv = vs.size();
-  auto row = [&](size_t j) { return m2 + static_cast<size_t>(vs[j]) * dim; };
-  size_t j = 0;
-  for (; j + 4 <= nv; j += 4) {
-    const float* const b[4] = {row(j), row(j + 1), row(j + 2), row(j + 3)};
-    DotTile<R, 4>(a, b, dim, out + j, nv);
+#else
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t c = 0; c < kPanel; ++c) s[r][c] = 0.0;
   }
-  for (; j < nv; ++j) {
-    const float* const b[1] = {row(j)};
-    DotTile<R, 1>(a, b, dim, out + j, nv);
+  for (size_t d = 0; d < dim; ++d) {
+    for (size_t r = 0; r < R; ++r) {
+      const double ad = a[r * dim + d];
+      for (size_t c = 0; c < kPanel; ++c) s[r][c] += ad * panel[kPanel * d + c];
+    }
+  }
+#endif
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      out[r * stride + c] = UnitFromDot(s[r][c]);
+    }
   }
 }
 
@@ -134,18 +147,72 @@ void EmbeddingVertexScorer::ScoreMatrix(std::span<const VertexId> us,
                                         std::span<double> out) const {
   HER_DCHECK(out.size() == us.size() * vs.size());
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
-  // Two u rows share each pass over four v rows: eight independent
-  // accumulator chains, and every v row loaded once per u pair. Scores go
-  // straight into `out`, so the kernel allocates nothing.
-  const float* m2 = matrix_[1].data();
-  size_t i = 0;
-  for (; i + 2 <= us.size(); i += 2) {
-    const float* const a[2] = {Row(0, us[i]), Row(0, us[i + 1])};
-    DotRowsTimesAll<2>(a, m2, dim_, vs, out.data() + i * vs.size());
+  if (us.empty() || vs.empty()) return;
+  const size_t nu = us.size();
+  const size_t nv = vs.size();
+  if (nu == 1) {
+    // ScoreBatch: each v row meets one u row, so four are read in place
+    // rather than packed into a panel that only one tile would stream.
+    const float* a = Row(0, us[0]);
+    size_t j = 0;
+    for (; j + kPanel <= nv; j += kPanel) {
+      const float* b0 = Row(1, vs[j]);
+      const float* b1 = Row(1, vs[j + 1]);
+      const float* b2 = Row(1, vs[j + 2]);
+      const float* b3 = Row(1, vs[j + 3]);
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (size_t d = 0; d < dim_; ++d) {
+        const double ad = a[d];
+        s0 += ad * b0[d];
+        s1 += ad * b1[d];
+        s2 += ad * b2[d];
+        s3 += ad * b3[d];
+      }
+      out[j] = UnitFromDot(s0);
+      out[j + 1] = UnitFromDot(s1);
+      out[j + 2] = UnitFromDot(s2);
+      out[j + 3] = UnitFromDot(s3);
+    }
+    for (; j < nv; ++j) out[j] = UnitFromDot(DotRows(a, Row(1, vs[j]), dim_));
+    return;
   }
-  if (i < us.size()) {
-    const float* const a[1] = {Row(0, us[i])};
-    DotRowsTimesAll<1>(a, m2, dim_, vs, out.data() + i * vs.size());
+  // u's rows go to double once per call; each group of four v rows is
+  // packed once into a [dim][4] double panel that every u tile streams.
+  // Four u rows by four columns per tile: eight independent two-lane
+  // accumulator chains. Scratch is per thread, so the kernel allocates
+  // only when a call outgrows it.
+  thread_local std::vector<double> a;
+  thread_local std::vector<double> panel;
+  a.resize(nu * dim_);
+  for (size_t i = 0; i < nu; ++i) {
+    std::copy_n(Row(0, us[i]), dim_, a.data() + i * dim_);
+  }
+  panel.resize(kPanel * dim_);
+  for (size_t j = 0; j < nv; j += kPanel) {
+    // A short last panel repeats its last row; those columns are not kept.
+    const size_t cols = std::min(kPanel, nv - j);
+    for (size_t c = 0; c < kPanel; ++c) {
+      const float* row = Row(1, vs[j + std::min(c, cols - 1)]);
+      for (size_t d = 0; d < dim_; ++d) panel[kPanel * d + c] = row[d];
+    }
+    double* o = out.data() + j;
+    size_t i = 0;
+    for (; i + kPanel <= nu; i += kPanel) {
+      PanelTile<4>(a.data() + i * dim_, panel.data(), dim_, cols,
+                   o + i * nv, nv);
+    }
+    const double* ai = a.data() + i * dim_;
+    switch (nu - i) {
+      case 3:
+        PanelTile<3>(ai, panel.data(), dim_, cols, o + i * nv, nv);
+        break;
+      case 2:
+        PanelTile<2>(ai, panel.data(), dim_, cols, o + i * nv, nv);
+        break;
+      case 1:
+        PanelTile<1>(ai, panel.data(), dim_, cols, o + i * nv, nv);
+        break;
+    }
   }
 }
 

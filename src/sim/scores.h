@@ -60,8 +60,8 @@ class VertexScorer {
 ///
 /// Embeddings are stored L2-normalized in one contiguous row-major matrix
 /// per graph, so Score is a single dot product (no norm re-derivation).
-/// ScoreMatrix is a register-blocked kernel (two u rows by four v rows per
-/// pass) and ScoreBatch is its one-row case.
+/// ScoreMatrix is a register-blocked kernel (four u rows by a packed panel
+/// of four v rows per pass) and ScoreBatch is its one-row case.
 class EmbeddingVertexScorer : public VertexScorer {
  public:
   EmbeddingVertexScorer(const Graph& g1, const Graph& g2,

@@ -535,12 +535,15 @@ TEST(EmbeddingVertexScorerTest, ScoreMatrixEqualsScoreBatchEqualsScore) {
   const HashedTextEmbedder emb;
   const EmbeddingVertexScorer hv(tg.g1, tg.g2, emb);
   Rng rng(7);
-  for (const size_t nu : {0, 1, 7}) {
-    for (const size_t nv : {1, 2, 3, 6, 13}) {
+  // |us| covers no tile, a short tile and whole four-row tiles with every
+  // remainder; |vs| every short last panel. Ids drawn from 37 repeat.
+  for (const size_t nu : {0, 1, 3, 4, 5, 8, 11, 25}) {
+    for (const size_t nv : {0, 1, 3, 4, 5, 13, 67}) {
       std::vector<VertexId> us(nu);
       std::vector<VertexId> vs(nv);
       for (VertexId& u : us) u = static_cast<VertexId>(rng.Below(n));
       for (VertexId& v : vs) v = static_cast<VertexId>(rng.Below(n));
+      if (nv >= 3) vs[nv - 1] = vs[0];  // a repeated column in the last panel
       std::vector<double> matrix(nu * nv);
       std::vector<double> batch(nv);
       const size_t calls = hv.BatchCalls();

@@ -6,9 +6,11 @@
 # TopKBatch, PropertyTable build determinism), the ANN candidate-
 # generation suite (IVF probe parity, sampled-recall fallback), the
 # common suite (the token-Jaccard kernel and its inline-to-heap spill),
-# the per-tuple root batch (MatchRoots against per-pair Match, whose
-# run builder indexes a de-duplicated descendant union, plus a cancel
-# landing inside it, serial and BSP), the property rows (spans across
+# the per-tuple root batch (MatchRoots against per-pair Match, plus a
+# cancel landing inside it, serial and BSP), the candidate-list builder
+# against its per-pair definition (its per-thread scratch indexes raw
+# slots of an open-addressed descendant -> column table, and its sigma
+# masks span 64-property blocks), the property rows (spans across
 # arena growth, compaction, the snapshot golden, four threads filling one
 # lazy table, a BSP run's fragments sharing one), the maximum-PRA
 # traversal (its per-thread scratch indexes raw slots of an open-addressed
@@ -81,11 +83,13 @@ if [ -n "$HER_SANITIZE" ]; then
   # for the row claim, the locked arena write and the release publish).
   "$SAN_DIR/tests/property_test" \
     --gtest_filter='PropertyTableTest.*:PropertyArenaTest.*'
-  # Per-tuple root batch: MatchRoots equals per-pair Match (both scorer
-  # stacks), and a cancel inside it leaves a sound, convergent Pi; the
-  # in-place edits of the reverse dependency index against its definition.
+  # Per-tuple root batch: MatchRoots equals per-pair Match (all three
+  # scorer stacks), and a cancel inside it leaves a sound, convergent Pi;
+  # the candidate lists against Fig. 4's per-pair definition, including a
+  # hub past one 64-bit mask block; the in-place edits of the reverse
+  # dependency index against its definition.
   "$SAN_DIR/tests/core_test" \
-    --gtest_filter='MatchRootsTest.*:ParaMatchTest.DependencyIndexMatchesWitnesses'
+    --gtest_filter='MatchRootsTest.*:CandidateListsTest.*:ParaMatchTest.DependencyIndexMatchesWitnesses'
   # Crash arm: restore in place from the boundary capture, then the
   # per-fragment teardown.
   "$SAN_DIR/tests/fault_tolerance_test" \
