@@ -15,7 +15,7 @@ std::vector<VertexId> Baseline::VPair(
 }
 
 std::string FlattenVertex(const Graph& g, VertexId v, int hops) {
-  std::string doc = g.label(v);
+  std::string doc(g.label(v));
   std::unordered_set<VertexId> seen = {v};
   std::deque<std::pair<VertexId, int>> queue = {{v, 0}};
   while (!queue.empty()) {
@@ -36,7 +36,7 @@ std::string FlattenVertex(const Graph& g, VertexId v, int hops) {
 
 std::vector<std::string> ChildValues(const Graph& g, VertexId v) {
   std::vector<std::string> out;
-  for (const Edge& e : g.OutEdges(v)) out.push_back(g.label(e.dst));
+  for (const Edge& e : g.OutEdges(v)) out.emplace_back(g.label(e.dst));
   return out;
 }
 

@@ -39,7 +39,7 @@ std::vector<std::string> TwoHopValues(const Graph& g, VertexId v) {
     if (d >= 2) continue;
     for (const Edge& e : g.OutEdges(cur)) {
       if (!seen.insert(e.dst).second) continue;
-      out.push_back(g.label(e.dst));
+      out.emplace_back(g.label(e.dst));
       queue.emplace_back(e.dst, d + 1);
     }
   }

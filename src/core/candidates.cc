@@ -11,7 +11,7 @@ namespace {
 /// The blocking document of a vertex: its own label plus its children's
 /// labels (attribute values). Blocking retrieves by any of its tokens.
 std::string DocOf(const Graph& g, VertexId v) {
-  std::string doc = g.label(v);
+  std::string doc(g.label(v));
   for (const Edge& e : g.OutEdges(v)) {
     doc += ' ';
     doc += g.label(e.dst);

@@ -64,21 +64,21 @@ std::vector<SchemaMatch> ComputeSchemaMatches(MatchEngine& engine,
 std::string ExplainMatch(MatchEngine& engine, VertexId u, VertexId v) {
   const MatchEngine::CacheEntry* root = engine.Lookup(u, v);
   const MatchContext& ctx = engine.context();
-  std::string out;
-  if (root == nullptr) {
-    return "(" + ctx.gd->label(u) + ", " + ctx.g->label(v) +
-           "): not evaluated\n";
-  }
-  if (!root->valid) {
-    return "(" + ctx.gd->label(u) + ", " + ctx.g->label(v) +
-           "): NOT a match\n";
-  }
-  out += "(" + ctx.gd->label(u) + ", " + ctx.g->label(v) +
-         "): MATCH, witnessed by:\n";
+  std::string out = "(";
+  out += ctx.gd->label(u);
+  out += ", ";
+  out += ctx.g->label(v);
+  out += "): ";
+  if (root == nullptr) return out + "not evaluated\n";
+  if (!root->valid) return out + "NOT a match\n";
+  out += "MATCH, witnessed by:\n";
   for (const MatchPair& w : engine.Witness(u, v)) {
     const double hv = ctx.hv->Score(w.first, w.second);
-    out += "  (" + ctx.gd->label(w.first) + " ~ " + ctx.g->label(w.second) +
-           ")  h_v=" + FormatDouble(hv) + "\n";
+    out += "  (";
+    out += ctx.gd->label(w.first);
+    out += " ~ ";
+    out += ctx.g->label(w.second);
+    out += ")  h_v=" + FormatDouble(hv) + "\n";
     const MatchEngine::CacheEntry* e = engine.Lookup(w.first, w.second);
     if (e == nullptr || e->witnesses.empty()) continue;
     for (const MatchPair& c : e->witnesses) {

@@ -25,9 +25,10 @@ const std::string& LabelDict::Name(LabelId id) const {
   return names_[id];
 }
 
-VertexId GraphBuilder::AddVertex(std::string label) {
-  const VertexId id = static_cast<VertexId>(labels_.size());
-  labels_.push_back(std::move(label));
+VertexId GraphBuilder::AddVertex(std::string_view label) {
+  const VertexId id = static_cast<VertexId>(num_vertices());
+  label_bytes_.insert(label_bytes_.end(), label.begin(), label.end());
+  label_ends_.push_back(static_cast<uint32_t>(label_bytes_.size()));
   return id;
 }
 
@@ -37,16 +38,19 @@ void GraphBuilder::AddEdge(VertexId src, VertexId dst,
 }
 
 void GraphBuilder::AddEdge(VertexId src, VertexId dst, LabelId label) {
-  HER_DCHECK(src < labels_.size() && dst < labels_.size());
+  HER_DCHECK(src < num_vertices() && dst < num_vertices());
   srcs_.push_back(src);
   dsts_.push_back(Edge{dst, label});
 }
 
 Graph GraphBuilder::Build() && {
   Graph g;
-  const size_t n = labels_.size();
+  const size_t n = num_vertices();
   const size_t m = srcs_.size();
-  g.vertex_labels_ = std::move(labels_);
+  // The label ends and the CSR offsets are 32-bit.
+  HER_CHECK(label_bytes_.size() <= UINT32_MAX && m <= UINT32_MAX);
+  g.label_bytes_ = std::move(label_bytes_);
+  g.label_ends_ = std::move(label_ends_);
   g.edge_labels_ = std::move(edge_labels_);
   g.in_degree_.assign(n, 0);
 
@@ -56,7 +60,7 @@ Graph GraphBuilder::Build() && {
   for (size_t v = 0; v < n; ++v) g.offsets_[v + 1] += g.offsets_[v];
   g.edges_.resize(m);
   {
-    std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+    std::vector<uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
     for (size_t i = 0; i < m; ++i) {
       g.edges_[cursor[srcs_[i]]++] = dsts_[i];
       ++g.in_degree_[dsts_[i].dst];

@@ -19,8 +19,8 @@ inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 inline constexpr LabelId kInvalidLabel = static_cast<LabelId>(-1);
 
 /// Interns edge-label strings (the paper's alphabet Phi of predicates) into
-/// dense LabelIds. Vertex labels (alphabet Theta, arbitrary values) are kept
-/// as plain strings on the graph because they are rarely repeated.
+/// dense LabelIds. Vertex labels (alphabet Theta, arbitrary values) are not
+/// interned: the graph stores their bytes in one flat pool.
 class LabelDict {
  public:
   /// Returns the id for `name`, interning it if new.
@@ -51,15 +51,35 @@ struct Edge {
 /// (predicates), exactly as in Section II of the paper. Construct with
 /// GraphBuilder; the graph is immutable afterwards, which makes it safe to
 /// share read-only across the BSP workers.
+///
+/// Per-vertex data is flat, like the CSR: the labels' bytes sit end to end
+/// in one pool, and L(v) is the slice [label_ends_[v], label_ends_[v + 1]).
+/// Both the pool and the edge offsets are indexed by 32 bits, which Build
+/// checks. The pool is a vector rather than a string so that its buffer
+/// stays put when the Graph is moved: a label() view taken before a move
+/// still reads the same bytes after it, as long as the moved-to Graph lives.
 class Graph {
  public:
   Graph() = default;
 
-  size_t num_vertices() const { return vertex_labels_.size(); }
+  size_t num_vertices() const {
+    return label_ends_.empty() ? 0 : label_ends_.size() - 1;
+  }
   size_t num_edges() const { return edges_.size(); }
 
-  /// L(v): the vertex label (type or value).
-  const std::string& label(VertexId v) const { return vertex_labels_[v]; }
+  /// L(v): the vertex label (type or value). The view lives as long as
+  /// the graph's storage (see the class comment).
+  std::string_view label(VertexId v) const {
+    return {label_bytes_.data() + label_ends_[v],
+            label_ends_[v + 1] - label_ends_[v]};
+  }
+
+  /// True iff `other` has the same vertices with the same labels: two
+  /// compares of the flat label arrays.
+  bool SameVertexLabels(const Graph& other) const {
+    return label_ends_ == other.label_ends_ &&
+           label_bytes_ == other.label_bytes_;
+  }
 
   /// Out-edges of v, sorted by (label, dst).
   std::span<const Edge> OutEdges(VertexId v) const {
@@ -89,8 +109,9 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  std::vector<std::string> vertex_labels_;
-  std::vector<size_t> offsets_;  // size num_vertices()+1
+  std::vector<char> label_bytes_;      // all labels, end to end
+  std::vector<uint32_t> label_ends_;   // size num_vertices()+1; [0] == 0
+  std::vector<uint32_t> offsets_;      // size num_vertices()+1
   std::vector<Edge> edges_;
   std::vector<uint32_t> in_degree_;
   LabelDict edge_labels_;
@@ -99,8 +120,9 @@ class Graph {
 /// Incremental construction of a Graph. Not thread-safe.
 class GraphBuilder {
  public:
-  /// Adds a vertex with the given label; returns its id.
-  VertexId AddVertex(std::string label);
+  /// Adds a vertex with the given label (its bytes are copied); returns
+  /// its id.
+  VertexId AddVertex(std::string_view label);
 
   /// Adds a directed edge with an edge-label string (interned).
   /// Precondition: src and dst were returned by AddVertex.
@@ -109,7 +131,7 @@ class GraphBuilder {
   /// Adds an edge with an already-interned label id.
   void AddEdge(VertexId src, VertexId dst, LabelId label);
 
-  size_t num_vertices() const { return labels_.size(); }
+  size_t num_vertices() const { return label_ends_.size() - 1; }
   size_t num_edges() const { return srcs_.size(); }
 
   /// Interns an edge label without adding an edge (useful for building
@@ -118,20 +140,23 @@ class GraphBuilder {
     return edge_labels_.Intern(name);
   }
 
-  /// Preallocates the vertex/edge tables. Callers that know the final
-  /// size up front (the scaling datagen builds million-vertex graphs)
-  /// avoid the reallocation churn of incremental growth.
+  /// Preallocates the vertex/edge tables (not the label pool, whose size
+  /// the caller rarely knows). Callers that know the final size up front
+  /// (the scaling datagen builds million-vertex graphs) avoid the
+  /// reallocation churn of incremental growth.
   void Reserve(size_t vertices, size_t edges) {
-    labels_.reserve(vertices);
+    label_ends_.reserve(vertices + 1);
     srcs_.reserve(edges);
     dsts_.reserve(edges);
   }
 
   /// Finalizes into an immutable CSR graph. The builder is consumed.
+  /// Checks that the edge count and the label pool fit in 32 bits.
   Graph Build() &&;
 
  private:
-  std::vector<std::string> labels_;
+  std::vector<char> label_bytes_;
+  std::vector<uint32_t> label_ends_{0};
   std::vector<VertexId> srcs_;
   std::vector<Edge> dsts_;
   LabelDict edge_labels_;

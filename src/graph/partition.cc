@@ -15,14 +15,14 @@ namespace {
 /// therefore deterministic).
 void AssignEdgeCut(const Graph& g, uint32_t n, std::vector<uint32_t>* owner) {
   const size_t nv = g.num_vertices();
-  std::vector<size_t> rev_offsets(nv + 1, 0);
+  std::vector<uint32_t> rev_offsets(nv + 1, 0);
   for (VertexId v = 0; v < nv; ++v) {
     for (const Edge& e : g.OutEdges(v)) ++rev_offsets[e.dst + 1];
   }
   for (size_t i = 1; i <= nv; ++i) rev_offsets[i] += rev_offsets[i - 1];
   std::vector<VertexId> rev_srcs(g.num_edges());
   {
-    std::vector<size_t> cursor(rev_offsets.begin(), rev_offsets.end() - 1);
+    std::vector<uint32_t> cursor(rev_offsets.begin(), rev_offsets.end() - 1);
     for (VertexId v = 0; v < nv; ++v) {
       for (const Edge& e : g.OutEdges(v)) rev_srcs[cursor[e.dst]++] = v;
     }
@@ -44,7 +44,7 @@ void AssignEdgeCut(const Graph& g, uint32_t n, std::vector<uint32_t>* owner) {
       if (score[f]++ == 0) touched.push_back(f);
     };
     for (const Edge& e : g.OutEdges(v)) tally(e.dst);
-    for (size_t i = rev_offsets[v]; i < rev_offsets[v + 1]; ++i) {
+    for (uint32_t i = rev_offsets[v]; i < rev_offsets[v + 1]; ++i) {
       tally(rev_srcs[i]);
     }
     // Best-scoring fragment with room; ties -> smaller, then lower id.
@@ -79,12 +79,10 @@ VertexPartition PartitionVertices(const Graph& g, uint32_t n,
   VertexPartition part;
   part.num_fragments = n;
   part.owner.resize(nv);
-  part.owned.assign(n, {});
   part.border.assign(n, {});
 
   if (strategy == PartitionStrategy::kEdgeCut) {
     AssignEdgeCut(g, n, &part.owner);
-    for (VertexId v = 0; v < nv; ++v) part.owned[part.owner[v]].push_back(v);
   } else {
     for (VertexId v = 0; v < nv; ++v) {
       uint32_t f = 0;
@@ -102,15 +100,16 @@ VertexPartition PartitionVertices(const Graph& g, uint32_t n,
           break;  // handled above
       }
       part.owner[v] = f;
-      part.owned[f].push_back(v);
     }
   }
 
   // Border nodes O_i: targets of cross-fragment edges out of fragment i.
   // Collected as vectors + sort/unique rather than hash sets: at millions
   // of vertices the set insertions dominated the whole partitioning pass.
+  std::vector<size_t> sizes(n, 0);
   for (VertexId v = 0; v < nv; ++v) {
     const uint32_t f = part.owner[v];
+    ++sizes[f];
     for (const Edge& e : g.OutEdges(v)) {
       if (part.owner[e.dst] != f) {
         part.border[f].push_back(e.dst);
@@ -125,10 +124,7 @@ VertexPartition PartitionVertices(const Graph& g, uint32_t n,
     part.border_vertices += b.size();
   }
   if (nv > 0) {
-    size_t largest = 0;
-    for (uint32_t f = 0; f < n; ++f) {
-      largest = std::max(largest, part.owned[f].size());
-    }
+    const size_t largest = *std::max_element(sizes.begin(), sizes.end());
     part.max_fragment_imbalance =
         static_cast<double>(largest) /
         (static_cast<double>(nv) / static_cast<double>(n));

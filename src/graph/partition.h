@@ -16,19 +16,19 @@ enum class PartitionStrategy {
 };
 
 /// An edge-cut vertex partition of a graph into n fragments (Section VI-B).
-/// Fragment i owns `owned[i]`; `border[i]` holds the vertices NOT owned by i
-/// that have incoming edges from vertices owned by i (the paper's O_i) —
-/// their match status must be synchronized via messages in the BSP engine.
+/// Fragment i owns the vertices v with `owner[v] == i`; `border[i]` holds
+/// the vertices NOT owned by i that have incoming edges from vertices owned
+/// by i (the paper's O_i) — their match status must be synchronized via
+/// messages in the BSP engine.
 struct VertexPartition {
   uint32_t num_fragments = 0;
   std::vector<uint32_t> owner;                // vertex -> fragment
-  std::vector<std::vector<VertexId>> owned;   // fragment -> owned vertices
   std::vector<std::vector<VertexId>> border;  // fragment -> O_i
 
   // --- partition quality (filled by PartitionVertices) -------------------
   size_t edge_cut_edges = 0;    // edges crossing fragments
   size_t border_vertices = 0;   // sum over fragments of |O_i|
-  /// max_i |owned[i]| / (|V| / n): 1.0 is perfectly balanced.
+  /// max_i |{v : owner[v] == i}| / (|V| / n): 1.0 is perfectly balanced.
   double max_fragment_imbalance = 0.0;
 
   /// Fraction of edges cut (0 for an edgeless graph).

@@ -476,7 +476,9 @@ void HerSystem::SetParams(const SimulationParams& params) {
 
 void HerSystem::UpdateGraph(const Graph& new_g, const RunOptions& options) {
   HER_CHECK(trained_);
-  HER_CHECK(new_g.num_vertices() == g_->num_vertices());
+  // Only edges may change: h_v's rows and the ranker's vocabulary are
+  // keyed by the labels, and a relabelled vertex would keep stale rows.
+  HER_CHECK(new_g.SameVertexLabels(*g_));
   // Vertices whose out-edges changed, then everything whose ranked paths
   // may pass through them (conservative union over both versions).
   const auto changed = ChangedOutVertices(*g_, new_g);
@@ -494,7 +496,8 @@ void HerSystem::UpdateGraph(const Graph& new_g, const RunOptions& options) {
   // hence the trained models stay fixed).
   HER_CHECK(models_.vocab->RebindGraph(1, *g_).ok());
   // The ranker walks the graph; rebind it to the new version. Labels are
-  // unchanged, so M_v / M_rho / the vocabulary stay as trained.
+  // unchanged (checked above), so M_v / M_rho / the vocabulary stay as
+  // trained.
   hr_ = MakeRanker(canonical_->graph(), *g_, models_, config_);
   ctx_.hr = hr_.get();
   if (properties_ != nullptr) {

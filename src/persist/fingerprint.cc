@@ -23,7 +23,7 @@ uint64_t FingerprintGraph(const Graph& g, uint64_t seed) {
   uint64_t h = HashU64(g.num_vertices(), seed);
   h = HashU64(g.num_edges(), h);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::string& label = g.label(v);
+    const std::string_view label = g.label(v);
     h = HashBytes(label.data(), label.size(), h);
     for (const Edge& e : g.OutEdges(v)) {
       h = HashU64(e.dst, h);

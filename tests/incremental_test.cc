@@ -229,6 +229,35 @@ TEST_F(IncrementalSystemTest, ExpiredUpdateLeavesConsistentResumableState) {
   }
 }
 
+TEST_F(IncrementalSystemTest, RelabelledVertexIsRejected) {
+  // h_v's rows and the vocabulary are keyed by the labels, so an update
+  // may change edges only; a relabelled vertex would keep stale rows.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DatasetSpec spec = UkgovSpec(85);
+  spec.num_entities = 30;
+  spec.annotations_per_class = 20;
+  const GeneratedDataset data = Generate(spec);
+  const AnnotationSplit split = SplitAnnotations(data.annotations);
+  HerConfig cfg;
+  cfg.learn.train_lstm = false;
+  HerSystem sys(data.canonical, data.g, cfg);
+  sys.Train(data.path_pairs, split.validation);
+
+  // Same vertices and edges; one label differs.
+  GraphBuilder b;
+  for (VertexId v = 0; v < data.g.num_vertices(); ++v) {
+    b.AddVertex(v == 1 ? std::string(data.g.label(v)) + "x"
+                       : std::string(data.g.label(v)));
+  }
+  for (VertexId v = 0; v < data.g.num_vertices(); ++v) {
+    for (const Edge& e : data.g.OutEdges(v)) {
+      b.AddEdge(v, e.dst, data.g.EdgeLabelName(e.label));
+    }
+  }
+  const Graph relabelled = std::move(b).Build();
+  EXPECT_DEATH(sys.UpdateGraph(relabelled), "SameVertexLabels");
+}
+
 TEST_F(IncrementalSystemTest, EdgeInsertionCanCreateMatch) {
   // u(item) with two attributes; v initially has one -> below delta; after
   // inserting the second attribute edge the pair matches.

@@ -59,7 +59,7 @@ TEST(JsonToGraphTest, ObjectBecomesTypedVertexWithAttributes) {
   std::set<std::string> values;
   for (const Edge& e : g->OutEdges(root)) {
     edges.insert(g->EdgeLabelName(e.label));
-    values.insert(g->label(e.dst));
+    values.emplace(g->label(e.dst));
   }
   EXPECT_EQ(edges, (std::set<std::string>{"color", "qty"}));
   EXPECT_EQ(values, (std::set<std::string>{"white", "500"}));

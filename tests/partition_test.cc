@@ -35,6 +35,15 @@ Graph TestGraph(uint64_t seed) {
   return std::move(g2);
 }
 
+// Fragment -> the vertices it owns, in id order, derived from `owner`.
+std::vector<std::vector<VertexId>> OwnedLists(const VertexPartition& part) {
+  std::vector<std::vector<VertexId>> owned(part.num_fragments);
+  for (VertexId v = 0; v < part.owner.size(); ++v) {
+    owned[part.owner[v]].push_back(v);
+  }
+  return owned;
+}
+
 // --- partitioner invariants ------------------------------------------------
 
 class PartitionStrategyTest
@@ -46,20 +55,23 @@ TEST_P(PartitionStrategyTest, OwnerOwnedBorderConsistent) {
     const VertexPartition part = PartitionVertices(g, n, GetParam());
     ASSERT_EQ(part.num_fragments, n);
     ASSERT_EQ(part.owner.size(), g.num_vertices());
-    ASSERT_EQ(part.owned.size(), n);
     ASSERT_EQ(part.border.size(), n);
 
-    // owner and owned are two views of the same assignment.
-    size_t total = 0;
-    for (uint32_t f = 0; f < n; ++f) {
-      total += part.owned[f].size();
-      for (const VertexId v : part.owned[f]) {
-        EXPECT_EQ(part.owner[v], f);
-        EXPECT_TRUE(part.Owns(f, v));
+    // Every vertex has one owner in range; Owns agrees with it.
+    const std::vector<std::vector<VertexId>> owned = OwnedLists(part);
+    std::vector<size_t> sizes(n, 0);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_LT(part.owner[v], n);
+      ++sizes[part.owner[v]];
+      for (uint32_t f = 0; f < n; ++f) {
+        EXPECT_EQ(part.Owns(f, v), f == part.owner[v]);
       }
     }
-    EXPECT_EQ(total, g.num_vertices());
-    for (const VertexId v : part.owner) EXPECT_LT(v, n);
+    // The imbalance is the largest fragment over an even split.
+    EXPECT_DOUBLE_EQ(part.max_fragment_imbalance,
+                     static_cast<double>(
+                         *std::max_element(sizes.begin(), sizes.end())) /
+                         (static_cast<double>(g.num_vertices()) / n));
 
     // border[i] = O_i: exactly the out-neighbors of fragment i's vertices
     // that i does not own, sorted and deduplicated.
@@ -67,7 +79,7 @@ TEST_P(PartitionStrategyTest, OwnerOwnedBorderConsistent) {
     size_t border_total = 0;
     for (uint32_t f = 0; f < n; ++f) {
       std::set<VertexId> expected;
-      for (const VertexId v : part.owned[f]) {
+      for (const VertexId v : owned[f]) {
         for (const Edge& e : g.OutEdges(v)) {
           if (part.owner[e.dst] != f) {
             expected.insert(e.dst);
@@ -100,7 +112,7 @@ TEST(PartitionTest, EdgeCutRespectsCapacityBound) {
         PartitionVertices(g, n, PartitionStrategy::kEdgeCut);
     const size_t ideal = (g.num_vertices() + n - 1) / n;
     const size_t cap = std::max<size_t>(1, ideal + (ideal + 9) / 10);
-    for (uint32_t f = 0; f < n; ++f) EXPECT_LE(part.owned[f].size(), cap);
+    for (const auto& frag : OwnedLists(part)) EXPECT_LE(frag.size(), cap);
   }
 }
 

@@ -68,7 +68,7 @@ TEST(Rdb2RdfTest, AttributeVerticesCarryValues) {
   std::set<std::string> edge_labels;
   for (const Edge& e : g.OutEdges(ut)) {
     edge_labels.insert(g.EdgeLabelName(e.label));
-    attr_labels.insert(g.label(e.dst));
+    attr_labels.emplace(g.label(e.dst));
   }
   EXPECT_EQ(edge_labels, (std::set<std::string>{"item", "material", "color",
                                                 "type", "brand", "qty"}));

@@ -414,7 +414,9 @@ int CmdVpair(int argc, char** argv) {
   const auto matches = loaded->system->VPair(*t);
   std::printf("%zu match(es):\n", matches.size());
   for (const VertexId v : matches) {
-    std::printf("  vertex %u (%s)\n", v, loaded->data->g.label(v).c_str());
+    const std::string_view label = loaded->data->g.label(v);
+    std::printf("  vertex %u (%.*s)\n", v, static_cast<int>(label.size()),
+                label.data());
   }
   return 0;
 }

@@ -14,7 +14,9 @@
 # arena growth, compaction, the snapshot golden, four threads filling one
 # lazy table, a BSP run's fragments sharing one), the maximum-PRA
 # traversal (its per-thread scratch indexes raw slots of an open-addressed
-# table that grows mid-call; checked against the unordered_map reference)
+# table that grows mid-call; checked against the unordered_map reference),
+# the graph builder (labels are views into one flat byte pool; a view that
+# outlived its graph's pool would be a use-after-free under asan)
 # and the crash-restore cases (an in-place restore frees the old
 # fragment's arena while the per-fragment teardown threads free the
 # others) under the same sanitizer.
@@ -58,8 +60,10 @@ if [ -n "$HER_SANITIZE" ]; then
   "$SAN_DIR/tests/common_test"
   # Maximum-PRA traversal on per-thread scratch against its reference,
   # including a hub that grows the scratch table mid-call followed by
-  # small calls on the same thread.
-  "$SAN_DIR/tests/graph_test" --gtest_filter='TraversalTest.*'
+  # small calls on the same thread; the flat label pool, including label
+  # views read after their graph was moved and the moved-from graph freed.
+  "$SAN_DIR/tests/graph_test" \
+    --gtest_filter='TraversalTest.*:GraphBuilderTest.*'
   # Partitioner invariants + wire-codec corruption suite (the UB target
   # for the varint-delta frame decoder).
   "$SAN_DIR/tests/partition_test"
