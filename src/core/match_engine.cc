@@ -204,11 +204,7 @@ std::vector<bool> MatchEngine::MatchRoots(std::span<const MatchPair> roots) {
         // Lines 12-14 from the batch: the bound reads no verdict, so the
         // pair is false whatever is cached. The per-pair path's root sigma
         // test would say false too, so h_v(u, v) is not scored.
-        if (!ConsumeBudget(MatchPair{u, v})) {
-          ++stats_.budget_exhausted;
-        } else {
-          ++stats_.para_match_calls;
-        }
+        ++stats_.para_match_calls;
         Store(u, v, false, {});
       } else {
         verdicts[r] = ParaMatch(u, v, &lists, row);
@@ -217,14 +213,6 @@ std::vector<bool> MatchEngine::MatchRoots(std::span<const MatchPair> roots) {
     }
   }
   return verdicts;
-}
-
-bool MatchEngine::ConsumeBudget(const MatchPair& key) {
-  // The paper bounds ParaMatch invocations per candidate at k^2 + 1
-  // (Section V, analysis). We enforce k^2 + 4 so the quadratic worst case
-  // holds even under adversarial (inconsistent) score functions.
-  const int limit = ctx_.params.k * ctx_.params.k + 4;
-  return ++*eval_count_.TryEmplace(KeyOf(key), 0).first <= limit;
 }
 
 bool MatchEngine::ParaMatch(VertexId u, VertexId v,
@@ -245,12 +233,10 @@ bool MatchEngine::ParaMatch(VertexId u, VertexId v,
     new_assumptions_.emplace_back(u, v);
     return true;
   }
+  // Terminates without a cap: every restart follows a true->false flip of
+  // a consumed witness, and a pair flips at most once (DESIGN.md "ParaMatch
+  // termination").
   for (;;) {
-    if (!ConsumeBudget(key)) {
-      ++stats_.budget_exhausted;
-      Store(u, v, false, {});
-      return false;
-    }
     bool stale = false;
     const bool result = EvalOnce(u, v, &stale, lists, row);
     if (stopped_ && Lookup(u, v) == nullptr) {
@@ -469,7 +455,7 @@ bool MatchEngine::EvalOnce(VertexId u, VertexId v, bool* stale,
         if (sum >= delta) {
           // Deep recursion may have invalidated a pair we consumed as true
           // before this entry registered as its dependent; verify, and
-          // restart the evaluation if so (bounded by the eval budget).
+          // restart the evaluation if so.
           for (const MatchPair& w : witnesses) {
             const CacheEntry* e = Lookup(w.first, w.second);
             if (e == nullptr || !e->valid) {
@@ -672,7 +658,6 @@ void MatchEngine::InvalidateForUpdate(std::span<const VertexId> affected_u,
   for (const MatchPair& p : doomed) {
     Unset(p);
     dependents_.Erase(KeyOf(p));
-    eval_count_.Erase(KeyOf(p));  // fresh re-evaluation budget after update
   }
   owned_table_.reset();
 }
@@ -680,7 +665,6 @@ void MatchEngine::InvalidateForUpdate(std::span<const VertexId> affected_u,
 void MatchEngine::ClearPairCache() {
   cache_.Clear();
   dependents_.Clear();
-  eval_count_.Clear();
   newly_invalidated_.clear();
 }
 
@@ -840,15 +824,6 @@ void MatchEngine::SaveEngineState(ByteWriter* w) const {
     w->PutVarint(entry.witnesses.size());
     for (const MatchPair& wit : entry.witnesses) PutPair(w, wit);
   }
-  keys.clear();
-  eval_count_.ForEach(
-      [&](uint64_t packed, const int&) { keys.push_back(PairOf(packed)); });
-  std::sort(keys.begin(), keys.end());
-  w->PutVarint(keys.size());
-  for (const MatchPair& key : keys) {
-    PutPair(w, key);
-    w->PutVarint(static_cast<uint64_t>(*eval_count_.Find(KeyOf(key))));
-  }
   // The message queues are not stored: a BSP superstep drains both
   // before its boundary capture, and only a fragment engine fills them.
   HER_DCHECK(newly_invalidated_.empty() && new_assumptions_.empty());
@@ -856,7 +831,6 @@ void MatchEngine::SaveEngineState(ByteWriter* w) const {
 
 Status MatchEngine::LoadEngineState(ByteReader* r) {
   decltype(cache_) cache;
-  decltype(eval_count_) eval_count;
   uint64_t n = 0;
   HER_RETURN_NOT_OK(r->GetCount(&n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -874,16 +848,7 @@ Status MatchEngine::LoadEngineState(ByteReader* r) {
     }
     cache.TryEmplace(KeyOf(key), std::move(entry));
   }
-  HER_RETURN_NOT_OK(r->GetCount(&n));
-  for (uint64_t i = 0; i < n; ++i) {
-    MatchPair key;
-    uint64_t count = 0;
-    HER_RETURN_NOT_OK(GetPair(r, &key));
-    HER_RETURN_NOT_OK(r->GetVarint(&count));
-    eval_count.TryEmplace(KeyOf(key), static_cast<int>(count));
-  }
   cache_ = std::move(cache);
-  eval_count_ = std::move(eval_count);
   newly_invalidated_.clear();
   new_assumptions_.clear();
   // The reverse dependency index is exactly derivable from the witnesses.

@@ -222,7 +222,13 @@ class PropertyTable {
 /// first-fit lineage matching (Fig. 4 lines 15-27) is not maximal: an
 /// earlier property can consume the descendant a later one needed, so Pi
 /// may miss pairs of the maximum match relation of Proposition 4 and can
-/// depend on evaluation order and placement.
+/// depend on evaluation order and placement (tests/oracle_test.cc checks
+/// every path against that relation).
+///
+/// Refinement needs no cap on re-evaluations: a cached verdict moves only
+/// from true to false, at most once per cache lifetime, and each rerun or
+/// stale restart of a pair follows a new flip of one of its candidates, so
+/// a pair is evaluated at most 1 + (flips) times.
 /// Not thread-safe; the parallel engine gives each worker its own instance.
 class MatchEngine {
  public:
@@ -236,7 +242,6 @@ class MatchEngine {
     size_t cache_hits = 0;         // candidate pairs answered from cache
     size_t cleanup_reruns = 0;     // dependents rechecked after invalidation
     size_t stale_restarts = 0;     // evaluations restarted on stale W
-    size_t budget_exhausted = 0;   // pairs conservatively failed at budget
     size_t hrho_evaluations = 0;   // h_rho computations
     size_t border_assumptions = 0;  // pairs optimistically assumed (BSP)
     // --- h_v kernel telemetry (snapshots of the context's scorer, which
@@ -423,9 +428,9 @@ class MatchEngine {
   /// --- durable snapshot hooks (src/persist) ---
 
   /// Serializes the pair-verdict state — cache entries with their witness
-  /// lineage sets and evaluation budgets — in canonical (sorted) order, so
-  /// save -> load -> save is byte-stable. The BSP message queues must be
-  /// drained (they are at every superstep boundary) and are not stored.
+  /// lineage sets — in canonical (sorted) order, so save -> load -> save is
+  /// byte-stable. The BSP message queues must be drained (they are at
+  /// every superstep boundary) and are not stored.
   void SaveEngineState(ByteWriter* w) const;
 
   /// Exact inverse of SaveEngineState; the reverse dependency index is
@@ -485,7 +490,7 @@ class MatchEngine {
   bool EvalOnce(VertexId u, VertexId v, bool* stale,
                 const CandidateLists* lists, size_t row);
 
-  /// Full ParaMatch with the stale-restart loop and recheck budget.
+  /// Full ParaMatch with the stale-restart loop.
   bool ParaMatch(VertexId u, VertexId v,
                  const CandidateLists* lists = nullptr, size_t row = 0);
 
@@ -504,10 +509,6 @@ class MatchEngine {
 
   /// Reruns ParaMatch on every cached pair whose W contains `key`.
   void RecheckDependents(const MatchPair& key);
-
-  /// Remaining evaluation budget for a pair; the paper bounds re-checks at
-  /// k^2 + 1, and we enforce k^2 + 4 so termination holds by construction.
-  bool ConsumeBudget(const MatchPair& key);
 
   /// Cooperative stop probe: latches `stopped_` the first time the run
   /// options report expiry. Costs no clock read when no deadline is set.
@@ -537,7 +538,6 @@ class MatchEngine {
   // Reverse dependency index: PairKey(w) -> the entries whose W holds w,
   // in no order (RecheckDependents sorts).
   FlatTable<std::vector<MatchPair>> dependents_;
-  FlatTable<int> eval_count_;
   std::vector<MatchPair> newly_invalidated_;
   std::vector<MatchPair> new_assumptions_;
   // Deadline/cancellation contract of the current run; default never fires.

@@ -103,24 +103,23 @@ Result<Graph> GraphFromText(std::string_view text) {
   size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
-    if (StartsWith(line, "V ")) {
-      // The label is the rest of the raw line: it may be empty or start or
-      // end with spaces. Only a CRLF file's '\r' is dropped (the writer
-      // escapes a label's own '\r').
-      std::string_view escaped = std::string_view(line).substr(2);
-      if (!escaped.empty() && escaped.back() == '\r') escaped.remove_suffix(1);
-      HER_ASSIGN_OR_RETURN(std::string label, UnescapeLabel(escaped));
+    // A record's label is the rest of the raw line: it may be empty or
+    // start or end with spaces. Only a CRLF file's '\r' is dropped (the
+    // writer escapes a label's own '\r').
+    std::string_view raw = line;
+    if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+    if (StartsWith(raw, "V ")) {
+      HER_ASSIGN_OR_RETURN(std::string label, UnescapeLabel(raw.substr(2)));
       builder.AddVertex(label);
       continue;
     }
-    const auto trimmed = Trim(line);
-    if (trimmed.empty()) continue;
+    if (Trim(line).empty()) continue;
     const auto err = [&](const std::string& msg) {
       return Status::InvalidArgument("line " + std::to_string(lineno) + ": " +
                                      msg);
     };
-    if (StartsWith(trimmed, "E ")) {
-      const std::string_view rest = trimmed.substr(2);
+    if (StartsWith(raw, "E ")) {
+      const std::string_view rest = raw.substr(2);
       const size_t sp1 = rest.find(' ');
       if (sp1 == std::string_view::npos) return err("malformed edge");
       const size_t sp2 = rest.find(' ', sp1 + 1);

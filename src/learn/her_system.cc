@@ -277,9 +277,13 @@ void HerSystem::TrainOrLoad(const std::string& snapshot_path,
 
   // Layer 2: the engine's verdict cache. Bound to the thresholds, so it is
   // only restored when the exact params it was saved under are in effect
-  // (i.e. the params section validated).
+  // (i.e. the params section validated). Bytes past the cache mean another
+  // layout, such as the older one that also stored per-pair evaluation
+  // counts: the section is refused and the caches start cold.
   const auto load_engine = [&](ByteReader* r) {
-    return engine_->LoadEngineState(r);
+    HER_RETURN_NOT_OK(engine_->LoadEngineState(r));
+    return r->AtEnd() ? Status::OK()
+                      : Status::IOError("engine_state: trailing bytes");
   };
   if (warm_params && !load_section("engine_state",
                                    "starting with cold caches", load_engine)) {

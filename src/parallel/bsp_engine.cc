@@ -46,7 +46,6 @@ void SumWorkerStats(const MatchEngine::Stats& s, MatchEngine::Stats* agg) {
   agg->cache_hits += s.cache_hits;
   agg->cleanup_reruns += s.cleanup_reruns;
   agg->stale_restarts += s.stale_restarts;
-  agg->budget_exhausted += s.budget_exhausted;
   agg->hrho_evaluations += s.hrho_evaluations;
   agg->border_assumptions += s.border_assumptions;
   agg->hrho_embed_reuse += s.hrho_embed_reuse;

@@ -115,16 +115,28 @@ TEST(GraphBuilderTest, LabelsKeepTheirBytes) {
 }
 
 TEST(GraphBuilderTest, LabelsRoundTripThroughTextByteIdentically) {
-  const Graph g = OddLabelGraph();
+  // OddLabelGraph plus three edges from the last vertex whose labels a
+  // trimmed parse would change or refuse: empty, "x " and " y".
+  GraphBuilder b;
+  const std::vector<std::string> labels = OddLabels();
+  for (const std::string& l : labels) b.AddVertex(l);
+  for (VertexId v = 0; v + 1 < labels.size(); ++v) b.AddEdge(v, v + 1, "next");
+  const VertexId last = static_cast<VertexId>(labels.size() - 1);
+  b.AddEdge(last, 0, "");
+  b.AddEdge(last, 1, "x ");
+  b.AddEdge(last, 2, " y");
+  const Graph g = std::move(b).Build();
   std::string expected = "her-graph v1\nV \nV a\nV " + std::string(15, 'p') +
                          "\nV " + std::string(16, 'q') + "\nV " +
                          std::string(200, 'r') +
                          "\nV tab\\there\nV two\\nlines\nV back\\\\slash"
                          "\nV cr\\r\nV  spaced \n";
-  for (int v = 0; v + 1 < static_cast<int>(g.num_vertices()); ++v) {
+  for (VertexId v = 0; v < last; ++v) {
     expected += "E " + std::to_string(v) + " " + std::to_string(v + 1) +
                 " next\n";
   }
+  const std::string from_last = "E " + std::to_string(last) + " ";
+  expected += from_last + "0 \n" + from_last + "1 x \n" + from_last + "2  y\n";
   const std::string text = GraphToText(g);
   EXPECT_EQ(text, expected);
   const Result<Graph> parsed = GraphFromText(text);
@@ -132,6 +144,14 @@ TEST(GraphBuilderTest, LabelsRoundTripThroughTextByteIdentically) {
   ASSERT_EQ(parsed->num_vertices(), g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(parsed->label(v), g.label(v));
+    const auto want = g.OutEdges(v);
+    const auto got = parsed->OutEdges(v);
+    ASSERT_EQ(got.size(), want.size()) << "vertex " << v;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(parsed->EdgeLabelName(got[i].label),
+                g.EdgeLabelName(want[i].label))
+          << "vertex " << v << " edge " << i;
+    }
   }
   EXPECT_EQ(GraphToText(*parsed), text);
 }

@@ -12,16 +12,16 @@
 #include <memory>
 #include <mutex>
 
-#include "common/rng.h"
 #include "core/drivers.h"
 #include "core/match_engine.h"
-#include "graph/traversal.h"
 #include "ml/text_embedder.h"
 #include "parallel/bsp_engine.h"
 #include "tests/test_util.h"
 
 namespace her {
 namespace {
+
+using testutil::RandomGraphPair;
 
 /// Full MatchContext over two graphs with the deterministic test scorers,
 /// mirroring the core_test harness.
@@ -51,35 +51,6 @@ struct Harness {
   std::unique_ptr<MatchEngine> engine;
 };
 
-/// Random attribute-graph pair (as in core_test's order-independence
-/// suite) with `roots` item vertices per side.
-std::pair<Graph, Graph> RandomGraphPair(uint64_t seed, int roots) {
-  Rng rng(seed);
-  const char* values[] = {"red", "white", "blue", "foam", "wool", "500"};
-  const char* edges[] = {"color", "material", "qty", "kind"};
-  GraphBuilder b1;
-  GraphBuilder b2;
-  for (int r = 0; r < roots; ++r) {
-    const VertexId u = b1.AddVertex("item");
-    const VertexId v = b2.AddVertex("item");
-    const int attrs = 2 + static_cast<int>(rng.Below(3));
-    for (int a = 0; a < attrs; ++a) {
-      const char* e = edges[rng.Below(4)];
-      const char* val1 = values[rng.Below(6)];
-      const char* val2 = rng.Chance(0.7) ? val1 : values[rng.Below(6)];
-      const VertexId c1 = b1.AddVertex(val1);
-      b1.AddEdge(u, c1, e);
-      const VertexId c2 = b2.AddVertex(val2);
-      b2.AddEdge(v, c2, e);
-      if (rng.Chance(0.3)) {
-        const VertexId d1 = b1.AddVertex(values[rng.Below(6)]);
-        b1.AddEdge(c1, d1, edges[rng.Below(4)]);
-      }
-    }
-  }
-  return {std::move(b1).Build(), std::move(b2).Build()};
-}
-
 std::vector<VertexId> ItemRoots(const Graph& g) {
   std::vector<VertexId> roots;
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
@@ -89,25 +60,12 @@ std::vector<VertexId> ItemRoots(const Graph& g) {
 }
 
 /// A BSP run of APair over `roots` with `workers` fragments, placed the
-/// way HerSystem::APairParallel places them: the i-th tuple vertex and
-/// every G_D vertex below it go to fragment i % workers, so each tuple's
-/// candidates and their proofs are verified on one fragment.
+/// way HerSystem::APairParallel places them (testutil::TupleColocation).
 ParallelResult Bsp(const MatchContext& ctx, std::span<const VertexId> roots,
                    uint32_t workers, const InvertedIndex* index = nullptr) {
-  auto fragment_of = std::make_shared<std::vector<uint32_t>>(
-      ctx.gd->num_vertices(), 0);
-  for (size_t i = 0; i < roots.size(); ++i) {
-    const uint32_t f = static_cast<uint32_t>(i % workers);
-    (*fragment_of)[roots[i]] = f;
-    for (const VertexId d : ReachableFrom(*ctx.gd, roots[i])) {
-      (*fragment_of)[d] = f;
-    }
-  }
   ParallelConfig config;
   config.num_workers = workers;
-  config.pair_owner = [fragment_of](const MatchPair& p) {
-    return (*fragment_of)[p.first];
-  };
+  config.pair_owner = testutil::TupleColocation(*ctx.gd, roots, workers);
   BspAllMatch bsp(ctx, config);
   ParallelResult result = bsp.Run(roots, index);
   EXPECT_TRUE(result.status.ok()) << result.status.ToString();

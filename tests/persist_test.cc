@@ -553,6 +553,38 @@ void DamageCheckpoint(const std::string& dir, uint32_t fragment,
   ASSERT_TRUE(writer.WriteToFile(path).ok());
 }
 
+/// `bytes` with the per-pair evaluation-count block that older layouts
+/// wrote after an engine's verdict cache appended: a count, then (pair,
+/// evaluations) entries.
+std::string WithCountBlock(std::string bytes) {
+  ByteWriter counts;
+  counts.PutVarint(2);
+  PutPair(&counts, {0, 0});
+  counts.PutVarint(3);
+  PutPair(&counts, {1, 4});
+  counts.PutVarint(1);
+  return bytes + counts.data();
+}
+
+/// Rewrites snapshot `path` with section `name`'s payload passed through
+/// `edit`, copying every other section.
+template <typename Edit>
+void EditSection(const std::string& path, const std::string& name,
+                 const Edit& edit) {
+  auto file = ReadFileToString(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto reader = SnapshotReader::Parse(*file, SnapshotReader::kAnyFingerprint);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->HasSection(name)) << name;
+  SnapshotWriter writer(reader->fingerprint());
+  for (const std::string& section : reader->SectionNames()) {
+    std::string bytes = SectionBytes(*reader, section);
+    if (section == name) bytes = edit(std::move(bytes));
+    writer.AddSection(section)->PutBytes(bytes.data(), bytes.size());
+  }
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+}
+
 /// Runs `roots` with a durable checkpoint in a fresh `dir` and halts after
 /// `halt` supersteps. Returns the halted run's result.
 ParallelResult HaltedRun(const ContextHarness& h,
@@ -639,6 +671,38 @@ TEST(KillResumeTest, LostFragmentSectionResumeEqualsUninterrupted) {
 /// One run with both a crash plan and a checkpoint dir: the boundary
 /// capture a crash restores from is the one the durable write stores. The
 /// run recovers, halts, and the resumed run lands on the fault-free Pi.
+/// A fragment shard in the older layout (its engine state followed by an
+/// evaluation-count block) is refused by LoadWorker's trailing-bytes check,
+/// and the run cold-starts to the uninterrupted Pi.
+TEST(KillResumeTest, CountBlockFragmentShardStartsCold) {
+  auto [g1, g2] = RandomEntityGraphs(20, 10);
+  ContextHarness h(std::move(g1), std::move(g2), TestParams());
+  const auto roots = ItemRoots(h.g1);
+  const ParallelResult baseline =
+      BspAllMatch(h.ctx, {.num_workers = 3}).Run(roots);
+  const std::string dir = TempPath("kr_count_block");
+  const ParallelResult first = HaltedRun(h, roots, 3, dir, 20, 2);
+  ASSERT_TRUE(first.halted);
+  const std::string path = dir + "/bsp.ckpt";
+  {
+    auto snap = SnapshotReader::Open(path, SnapshotReader::kAnyFingerprint);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    const std::string old_layout =
+        WithCountBlock(SectionBytes(*snap, "bsp_frag1"));
+    Worker w(h.ctx);
+    ByteReader r(old_layout);
+    const Status st = LoadWorker(&r, &w);
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+    EXPECT_NE(st.message().find("trailing bytes"), std::string::npos)
+        << st.ToString();
+  }
+  EditSection(path, "bsp_frag1", WithCountBlock);
+  const ParallelResult r = ResumedRun(h, roots, 3, dir, 20);
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_FALSE(r.resumed_from_checkpoint);
+  EXPECT_EQ(r.matches, baseline.matches);
+}
+
 TEST(KillResumeTest, CrashPlanAndCheckpointShareOneCapture) {
   constexpr uint32_t kWorkers = 4;
   size_t halted_runs = 0;
@@ -840,6 +904,35 @@ TEST(WarmStartTest, CorruptSnapshotRebuildsCold) {
   healed.TrainOrLoad(snap, data.path_pairs, split.validation);
   EXPECT_EQ(healed.engine().stats().ptable_build_seconds, 0.0);
   EXPECT_EQ(healed.APair(), reference.APair());
+}
+
+/// An engine_state section in the older layout (the verdict cache plus
+/// an evaluation-count block) is refused: TrainOrLoad keeps every other
+/// section warm, starts the verdict cache cold, and reaches the same Pi.
+TEST(WarmStartTest, CountBlockEngineStateStartsWithColdCaches) {
+  DatasetSpec spec = UkgovSpec(/*seed=*/10);
+  spec.num_entities = 30;
+  const GeneratedDataset data = Generate(spec);
+  const AnnotationSplit split = SplitAnnotations(data.annotations);
+  const std::string snap = TempPath("warm_count_block.snap");
+  std::filesystem::remove(snap);
+
+  HerSystem cold(data.canonical, data.g, HerConfig{});
+  cold.TrainOrLoad(snap, data.path_pairs, split.validation);
+  const auto pi = cold.APair();
+  ASSERT_FALSE(pi.empty());
+  ASSERT_TRUE(cold.SaveSnapshot(snap).ok());  // with a warm verdict cache
+  HerSystem current(data.canonical, data.g, HerConfig{});
+  current.TrainOrLoad(snap, data.path_pairs, split.validation);
+  EXPECT_NE(current.engine().Lookup(pi[0].first, pi[0].second), nullptr);
+  EditSection(snap, "engine_state", WithCountBlock);
+
+  HerSystem warm(data.canonical, data.g, HerConfig{});
+  warm.TrainOrLoad(snap, data.path_pairs, split.validation);
+  EXPECT_EQ(warm.engine().stats().ptable_build_seconds, 0.0);
+  EXPECT_EQ(warm.params().k, cold.params().k);
+  EXPECT_EQ(warm.engine().Lookup(pi[0].first, pi[0].second), nullptr);
+  EXPECT_EQ(warm.APair(), pi);
 }
 
 // --- ANN index snapshot section -----------------------------------------

@@ -2,6 +2,8 @@
 #define HER_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -11,6 +13,7 @@
 #include "common/rng.h"
 #include "core/match_context.h"
 #include "core/match_engine.h"
+#include "graph/traversal.h"
 
 namespace her::testutil {
 
@@ -99,6 +102,53 @@ inline std::pair<Graph, Graph> RandomEntityGraphs(uint64_t seed, int roots) {
     }
   }
   return {std::move(b1).Build(), std::move(b2).Build()};
+}
+
+/// Random attribute-graph pair without links between roots: `roots` item
+/// vertices per side, each with 2-4 attribute children (a third of them
+/// with one grandchild on the G_D side only).
+inline std::pair<Graph, Graph> RandomGraphPair(uint64_t seed, int roots) {
+  Rng rng(seed);
+  const char* values[] = {"red", "white", "blue", "foam", "wool", "500"};
+  const char* edges[] = {"color", "material", "qty", "kind"};
+  GraphBuilder b1;
+  GraphBuilder b2;
+  for (int r = 0; r < roots; ++r) {
+    const VertexId u = b1.AddVertex("item");
+    const VertexId v = b2.AddVertex("item");
+    const int attrs = 2 + static_cast<int>(rng.Below(3));
+    for (int a = 0; a < attrs; ++a) {
+      const char* e = edges[rng.Below(4)];
+      const char* val1 = values[rng.Below(6)];
+      const char* val2 = rng.Chance(0.7) ? val1 : values[rng.Below(6)];
+      const VertexId c1 = b1.AddVertex(val1);
+      b1.AddEdge(u, c1, e);
+      const VertexId c2 = b2.AddVertex(val2);
+      b2.AddEdge(v, c2, e);
+      if (rng.Chance(0.3)) {
+        const VertexId d1 = b1.AddVertex(values[rng.Below(6)]);
+        b1.AddEdge(c1, d1, edges[rng.Below(4)]);
+      }
+    }
+  }
+  return {std::move(b1).Build(), std::move(b2).Build()};
+}
+
+/// The placement HerSystem::APairParallel uses: the i-th tuple vertex and
+/// every G_D vertex below it go to fragment i % workers, so each tuple's
+/// candidates and the pairs their proofs recurse into share a fragment.
+inline std::function<uint32_t(const MatchPair&)> TupleColocation(
+    const Graph& gd, std::span<const VertexId> roots, uint32_t workers) {
+  auto fragment_of =
+      std::make_shared<std::vector<uint32_t>>(gd.num_vertices(), 0);
+  for (size_t i = 0; i < roots.size(); ++i) {
+    const uint32_t f = static_cast<uint32_t>(i % workers);
+    (*fragment_of)[roots[i]] = f;
+    for (const VertexId d : ReachableFrom(gd, roots[i])) {
+      (*fragment_of)[d] = f;
+    }
+  }
+  return [fragment_of](const MatchPair& p) { return (*fragment_of)[p.first]; };
 }
 
 /// Root vertices (labeled "item") of a graph built by RandomEntityGraphs.

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Fault-injection stress run: the crash/duplicate fault matrix + deadline
-# tests and the BSP kill-and-resume contract under ThreadSanitizer, with
-# rotating seeds.
+# tests, the BSP kill-and-resume contract and the definition-level oracle
+# sweep under ThreadSanitizer, with rotating seeds.
 # Every graph seed in fault_tolerance_test and the lost-fragment-section
-# resume test is offset by HER_STRESS_SEED, so consecutive runs cover
+# resume test is offset by HER_STRESS_SEED, and the oracle sweep moves to
+# the seed window HER_STRESS_SEED selects, so consecutive runs cover
 # fresh — but fully deterministic and replayable — fault schedules: to
 # reproduce a CI failure locally, re-run with the seed CI printed.
 #
@@ -21,7 +22,7 @@ BUILD_DIR="${3:-build-stress}"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHER_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j --target fault_tolerance_test parallel_test \
-  serve_test faultfs_test persist_test
+  serve_test faultfs_test persist_test oracle_test
 
 for ((i = 0; i < ROUNDS; ++i)); do
   offset=$((SEED + i))
@@ -36,6 +37,10 @@ for ((i = 0; i < ROUNDS; ++i)); do
   # cold, both to the uninterrupted Pi.
   HER_STRESS_SEED="$offset" "$BUILD_DIR/tests/persist_test" \
     --gtest_filter='KillResumeTest.*'
+  # Every serial, BSP and ANN path against the maximum match relation on
+  # this round's seed window; misses print one replay line each.
+  HER_STRESS_SEED="$offset" "$BUILD_DIR/tests/oracle_test" \
+    --gtest_filter='OracleTest.EveryPath*'
 done
 # The fault-free parallel suite under the same TSan build: the injection
 # probes must not have introduced races on the clean path either.

@@ -16,7 +16,9 @@
 # traversal (its per-thread scratch indexes raw slots of an open-addressed
 # table that grows mid-call; checked against the unordered_map reference),
 # the graph builder (labels are views into one flat byte pool; a view that
-# outlived its graph's pool would be a use-after-free under asan)
+# outlived its graph's pool would be a use-after-free under asan), the
+# definition-level oracle sweep (every serial and BSP path against the
+# maximum match relation, with the per-pair evaluation bound)
 # and the crash-restore cases (an in-place restore frees the old
 # fragment's arena while the per-fragment teardown threads free the
 # others) under the same sanitizer.
@@ -51,7 +53,7 @@ if [ -n "$HER_SANITIZE" ]; then
   cmake --build "$SAN_DIR" -j --target parallel_driver_test ml_test \
     sim_test property_test persist_test ann_test flat_table_test \
     partition_test serve_test common_test core_test fault_tolerance_test \
-    graph_test
+    graph_test oracle_test
   # BSP against serial APair, including the run-wide lazy PropertyTable
   # every fragment fills (ParallelDriverTest.LazyTableRanksEachRowOncePerRun).
   "$SAN_DIR/tests/parallel_driver_test"
@@ -64,6 +66,10 @@ if [ -n "$HER_SANITIZE" ]; then
   # views read after their graph was moved and the moved-from graph freed.
   "$SAN_DIR/tests/graph_test" \
     --gtest_filter='TraversalTest.*:GraphBuilderTest.*'
+  # Oracle sweep: SPair/VPair/APair, BSP at {1,2,4} workers x {hash,
+  # edge-cut} x co-location and ANN-mode APair, each a subset of the
+  # maximum match relation; the border-flip and cut-read refinement cases.
+  "$SAN_DIR/tests/oracle_test"
   # Partitioner invariants + wire-codec corruption suite (the UB target
   # for the varint-delta frame decoder).
   "$SAN_DIR/tests/partition_test"
